@@ -34,6 +34,7 @@ from .spectrum import (
     is_linear,
     macwilliams_transform,
 )
+from .symmetry import SearchBudgetExceeded
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -125,7 +126,7 @@ def cmd_verify(args) -> int:
     wb = Workbench(budget=args.budget)
     try:
         report = run_verification(args.target, workbench=wb)
-    except ValueError as exc:
+    except (ValueError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     for entry in report.entries:
@@ -241,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the JSON report to this path")
     p.add_argument(
         "--budget", type=int, default=None,
-        help="backtrack node budget (default: NRCODES_BUDGET or 10^8)",
+        help="node budget of each permutation search; one node is one "
+        "candidate image tried for a coordinate (default: NRCODES_BUDGET "
+        "or 10^8)",
     )
     p.set_defaults(func=cmd_verify)
 

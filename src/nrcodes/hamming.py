@@ -67,17 +67,6 @@ def covers(nu: int, beta: int) -> bool:
     return nu & beta == nu
 
 
-def from_support(coords, m: int) -> int:
-    """Word with the given 1-indexed support."""
-    check_length(m)
-    v = 0
-    for i in coords:
-        if not 1 <= i <= m:
-            raise ValueError(f"coordinate {i} outside 1..{m}")
-        v |= 1 << (i - 1)
-    return v
-
-
 def to_string(v: int, m: int) -> str:
     """Text form: '0'/'1' per coordinate, coordinate 1 leftmost."""
     check_vertex(v, m)
@@ -166,7 +155,3 @@ def all_vertices(m: int) -> np.ndarray:
     arr = np.arange(1 << m, dtype=np.uint32)
     arr.setflags(write=False)
     return arr
-
-
-def popcount_u32(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr).astype(np.uint8)

@@ -114,11 +114,11 @@ class Workbench:
 
     @cached_property
     def nr_generators(self):
-        return assemble_aut_generators(self.nr, self.budget)
+        return assemble_aut_generators(self.nr, self.nr_perm_group, self.budget)
 
     @cached_property
     def pn_generators(self):
-        return assemble_aut_generators(self.pn, self.budget)
+        return assemble_aut_generators(self.pn, self.pn_perm_group, self.budget)
 
     @cached_property
     def nr_transitivity(self):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import Code, is_linear, linear_basis
+from .codes import PAIR_BLOCK, Code, is_linear, linear_basis
 from .hamming import all_vertices, krawtchouk_table, weight_masks
 
 INF_DIST = 64  # sentinel above any achievable distance, safe in uint8 arithmetic
@@ -39,7 +39,7 @@ def distance_distribution(code: Code) -> DistanceDistribution:
     arr = code.words_u32()
     n = len(arr)
     counts = np.zeros(code.m + 1, dtype=np.int64)
-    step = max(1, (1 << 21) // n)
+    step = max(1, PAIR_BLOCK // n)
     for lo in range(0, n, step):
         d = np.bitwise_count(arr[lo : lo + step, None] ^ arr[None, :])
         counts += np.bincount(d.ravel(), minlength=code.m + 1)

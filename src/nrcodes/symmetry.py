@@ -1,16 +1,22 @@
 """Hamming-graph automorphisms: search, group order, orbits, transitivity.
 
 An automorphism of the Hamming graph on m coordinates is a translation
-followed by a coordinate permutation.  This module finds the permutation
-stabilizer of a code by backtrack search over coordinate images (pruned by
-coordinate invariants and by multiset consistency of projected codeword
-prefixes), assembles generators of the full stabilizer including
-translations, computes exact permutation-group orders through a
-deterministic stabilizer chain, and certifies complete transitivity by
-matching vertex orbits against the distance partition.
+followed by a coordinate permutation.  One backtrack search answers every
+question here: is there a coordinate permutation, extending some fixed
+(coordinate, image) pairs, that maps one code onto another?  It works by
+individualization and refinement.  A joint partition of the coordinates
+and codewords of both codes is refined to a fixed point; a coordinate of
+the smallest open colour is then paired with each candidate image in
+turn, and every branch whose two sides stop matching is cut at once.
+On top of that search the module finds the permutation stabilizer of a
+code, assembles generators of its full stabilizer including translations,
+finds equivalences between codes, computes exact permutation-group orders
+through a deterministic stabilizer chain, and certifies complete
+transitivity by matching vertex orbits against the distance partition.
 
 Searches are bounded by an explicit node budget (NRCODES_BUDGET or 10^8 by
-default); exceeding it raises, never returns a partial answer.
+default); one node is one candidate image tried for a coordinate.
+Exceeding the budget raises, never returns a partial answer.
 """
 
 from __future__ import annotations
@@ -141,10 +147,6 @@ class AutElement:
 
     def permutation_part(self) -> tuple[int, ...]:
         return self.sigma
-
-
-def act_on_code(x: AutElement, code: Code) -> Code:
-    return Code(code.m, [x.act(w) for w in code.words])
 
 
 def stabilizes(x: AutElement, code: Code) -> bool:
@@ -292,180 +294,160 @@ def group_order(group: PermGroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate invariants used to prune the backtrack searches.
+# Joint partition refinement of coordinates and codewords.
 
-def _weight_class_columns(words, m: int) -> list[list[int]]:
-    """Per weight class, per coordinate, a bit mask over word indices."""
-    by_weight: dict[int, list[int]] = {}
-    for idx, w in enumerate(words):
-        by_weight.setdefault(w.bit_count(), []).append(idx)
-    classes = []
-    for wt in sorted(by_weight):
-        cols = [0] * m
-        for idx in by_weight[wt]:
-            w = words[idx]
-            j = 0
-            while w:
-                if w & 1:
-                    cols[j] |= 1 << idx
-                w >>= 1
-                j += 1
-        classes.append(cols)
-    return classes
+class _Incidence:
+    """Codeword-by-coordinate 0/1 matrix of one code, with its ones listed."""
+
+    __slots__ = ("bits", "rows", "cols")
+
+    def __init__(self, words, m: int):
+        arr = np.asarray(words, dtype=np.int64)
+        self.bits = (arr[:, None] >> np.arange(m)) & 1
+        self.rows, self.cols = np.nonzero(self.bits)
 
 
-def _refine_colors_joint(words_a, words_b, m: int):
-    """Invariant coloring of coordinates, computed for two codes in lockstep.
+def _joint_ranks(keys_a: np.ndarray, keys_b: np.ndarray):
+    """Dense ranks of the key rows of both sides, shared across the two.
 
-    Colors are shared integer ranks, comparable across the two codes; a
-    coordinate of one code may only map to a coordinate of the other with
-    the same color.  Returns None if the color multisets differ (then no
-    permutation can map the first code onto the second).
+    Rows are ranked in lexicographic order, so a first key column holding
+    the previous colour makes the new partition refine the old one.
+    Returns None if the two sides' rank multisets differ.
     """
-    cols_a = _weight_class_columns(words_a, m)
-    cols_b = _weight_class_columns(words_b, m)
-    if len(cols_a) != len(cols_b):
+    _, ranks = np.unique(
+        np.concatenate((keys_a, keys_b)), axis=0, return_inverse=True
+    )
+    ranks = ranks.reshape(-1)
+    ranks_a, ranks_b = ranks[: len(keys_a)], ranks[len(keys_a):]
+    if not np.array_equal(np.sort(ranks_a), np.sort(ranks_b)):
         return None
+    return ranks_a, ranks_b
 
-    def initial(cols):
-        return [
-            tuple(cls[i].bit_count() for cls in cols) for i in range(m)
-        ]
 
-    keys_a, keys_b = initial(cols_a), initial(cols_b)
-    colors_a = colors_b = None
-    for _ in range(m + 2):
-        ranking = {key: r for r, key in enumerate(sorted(set(keys_a) | set(keys_b)))}
-        new_a = [ranking[k] for k in keys_a]
-        new_b = [ranking[k] for k in keys_b]
-        if new_a == colors_a and new_b == colors_b:
-            break
-        colors_a, colors_b = new_a, new_b
+def _refine(inc_a: _Incidence, inc_b: _Incidence, colors, cells):
+    """Refine a joint partition of two codes to its fixed point.
 
-        def refined(cols, colors):
-            keys = []
-            for i in range(m):
-                pair_counts = sorted(
-                    (
-                        colors[j],
-                        tuple((cls[i] & cls[j]).bit_count() for cls in cols),
-                    )
-                    for j in range(m)
-                    if j != i
-                )
-                keys.append((colors[i], tuple(pair_counts)))
-            return keys
-
-        keys_a = refined(cols_a, colors_a)
-        keys_b = refined(cols_b, colors_b)
-    if sorted(colors_a) != sorted(colors_b):
-        return None
-    return colors_a, colors_b
+    `colors` holds the coordinate colours of both codes and `cells` the
+    codeword cells, each as a pair of integer arrays (side a, side b).  A
+    word's new cell is keyed by its cell and its number of ones in each
+    coordinate colour; a coordinate's new colour by its colour and its
+    number of ones in each word cell.  Ranks are shared by both sides, so
+    a permutation mapping code a onto code b and respecting the input
+    partition maps each colour and cell of a onto the same one of b.
+    Returns the refined (colors, cells), or None as soon as the two sides'
+    colour or cell multisets differ.
+    """
+    colors_a, colors_b = colors
+    cells_a, cells_b = cells
+    n, m = inc_a.bits.shape
+    n_colors = len(np.unique(colors_a))
+    while True:
+        k = int(max(colors_a.max(), colors_b.max())) + 1
+        keys = []
+        for inc, col, cell in ((inc_a, colors_a, cells_a), (inc_b, colors_b, cells_b)):
+            counts = np.bincount(
+                inc.rows * k + col[inc.cols], minlength=n * k
+            ).reshape(n, k)
+            keys.append(np.column_stack((cell, counts)))
+        ranked = _joint_ranks(*keys)
+        if ranked is None:
+            return None
+        cells_a, cells_b = ranked
+        w = int(cells_a.max()) + 1
+        keys = []
+        for inc, col, cell in ((inc_a, colors_a, cells_a), (inc_b, colors_b, cells_b)):
+            counts = np.bincount(
+                inc.cols * w + cell[inc.rows], minlength=m * w
+            ).reshape(m, w)
+            keys.append(np.column_stack((col, counts)))
+        ranked = _joint_ranks(*keys)
+        if ranked is None:
+            return None
+        colors_a, colors_b = ranked
+        # Word cells are a function of the colours, so stable colours mean
+        # the whole partition is stable.
+        refined = int(colors_a.max()) + 1
+        if refined == n_colors:
+            return (colors_a, colors_b), (cells_a, cells_b)
+        n_colors = refined
 
 
 def coordinate_invariant_partition(code: Code) -> tuple[tuple[int, ...], ...]:
     """Coordinates (1-indexed) grouped by iterated invariant refinement.
 
-    Permutation automorphisms of the code preserve the cells.
+    The cells are the coordinate colours of the code refined against
+    itself, so permutation automorphisms of the code preserve them.
     """
-    res = _refine_colors_joint(code.words, code.words, code.m)
-    colors, _ = res
-    cells: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        cells.setdefault(c, []).append(i + 1)
-    return tuple(tuple(cells[c]) for c in sorted(cells))
+    inc = _Incidence(code.words, code.m)
+    colors = np.zeros(code.m, dtype=np.int64)
+    cells = np.zeros(code.size, dtype=np.int64)
+    (colors, _), _ = _refine(inc, inc, (colors, colors), (cells, cells))
+    by_color: dict[int, list[int]] = {}
+    for i, c in enumerate(colors.tolist()):
+        by_color.setdefault(c, []).append(i + 1)
+    return tuple(tuple(by_color[c]) for c in sorted(by_color))
 
 
 # ---------------------------------------------------------------------------
 # Backtrack search for a coordinate permutation mapping one code to another.
 
-def _column_masks(words, m: int) -> list[int]:
-    cols = [0] * m
-    for idx, w in enumerate(words):
-        j = 0
-        while w:
-            if w & 1:
-                cols[j] |= 1 << idx
-            w >>= 1
-            j += 1
-    return cols
-
-
 def _search_permutation(
     words_a, words_b, m: int, prefix, budget: _Budget
 ) -> tuple[int, ...] | None:
-    """First coordinate permutation with words_a^sigma == words_b, or None.
+    """Some coordinate permutation with words_a^sigma == words_b, or None.
 
-    `prefix` is a list of (coordinate, image) pairs fixed in advance.
-    Remaining coordinates are assigned smallest-first with images tried in
-    ascending order.  A partial assignment survives only while the words
-    of both codes, projected onto the assigned coordinates, match as
-    multisets; the multisets are maintained as a refinement of paired
-    index-set blocks, one split per assignment.
+    Individualize and refine (McKay & Piperno, "Practical graph
+    isomorphism II", 2014; Leon, "Permutation group algorithms based on
+    partitions I", 1991).  The search keeps one joint partition of the
+    coordinates and the codewords of both codes and refines it with
+    `_refine`.  The (coordinate, image) pairs of `prefix` are
+    individualized at the root.  At each node it takes the least
+    coordinate of code a in the smallest non-singleton colour and tries
+    each coordinate of code b of that colour as its image, in ascending
+    order: the pair gets a colour of its own and the partition is refined
+    again, which rejects the image as soon as the two sides differ.  Each
+    image tried charges one node to the budget.  Once every colour holds
+    one coordinate per side the permutation is fixed, and it is accepted
+    only if it maps the words of a exactly onto those of b.
     """
     if len(words_a) != len(words_b):
         return None
-    n = len(words_a)
-    colors = _refine_colors_joint(words_a, words_b, m)
-    if colors is None:
-        return None
-    colors_a, colors_b = colors
-    cols_a = _column_masks(words_a, m)
-    cols_b = _column_masks(words_b, m)
+    inc_a, inc_b = _Incidence(words_a, m), _Incidence(words_b, m)
+    target = np.sort(np.asarray(words_b, dtype=np.int64))
+    colors_a = np.zeros(m, dtype=np.int64)
+    colors_b = np.zeros(m, dtype=np.int64)
+    for t, (c, p) in enumerate(prefix, 1):
+        colors_a[c] = t
+        colors_b[p] = t
+    cells = np.zeros(len(words_a), dtype=np.int64)
+    root = _refine(inc_a, inc_b, (colors_a, colors_b), (cells, cells))
 
-    order = [c for c, _ in prefix] + [
-        c for c in range(m) if c not in {c0 for c0, _ in prefix}
-    ]
-    prescribed = dict(prefix)
-    sigma = [-1] * m
-    used = [False] * m
-    full = (1 << n) - 1
-    root_blocks = [(full, full)]
-
-    def split(blocks, ca: int, cb: int):
-        out = []
-        for da, db in blocks:
-            da1 = da & ca
-            db1 = db & cb
-            if da1.bit_count() != db1.bit_count():
-                return None
-            da0 = da & ~ca
-            db0 = db & ~cb
-            if da0:
-                out.append((da0, db0))
-            if da1:
-                out.append((da1, db1))
-        return out
-
-    def extend(depth: int, blocks) -> bool:
-        if depth == m:
-            return True
-        i = order[depth]
-        if i in prescribed:
-            candidates = [prescribed[i]]
-        else:
-            candidates = [
-                p for p in range(m)
-                if not used[p] and colors_b[p] == colors_a[i]
-            ]
-        for p in candidates:
-            if used[p] or colors_b[p] != colors_a[i]:
-                continue
+    def extend(node) -> tuple[int, ...] | None:
+        (colors_a, colors_b), cells = node
+        sizes = np.bincount(colors_a)
+        if sizes.max() == 1:
+            coord_b = np.empty(len(sizes), dtype=np.int64)
+            coord_b[colors_b] = np.arange(m)
+            sigma = coord_b[colors_a]
+            image = np.sort((inc_a.bits << sigma).sum(axis=1))
+            return tuple(sigma.tolist()) if np.array_equal(image, target) else None
+        open_colors = np.flatnonzero(sizes > 1)
+        color = open_colors[np.argmin(sizes[open_colors])]
+        i = int(np.flatnonzero(colors_a == color)[0])
+        for p in np.flatnonzero(colors_b == color).tolist():
             budget.charge()
-            sub = split(blocks, cols_a[i], cols_b[p])
-            if sub is None:
-                continue
-            sigma[i] = p
-            used[p] = True
-            if extend(depth + 1, sub):
-                return True
-            sigma[i] = -1
-            used[p] = False
-        return False
+            single_a = 2 * colors_a
+            single_a[i] += 1
+            single_b = 2 * colors_b
+            single_b[p] += 1
+            child = _refine(inc_a, inc_b, (single_a, single_b), cells)
+            if child is not None:
+                sigma = extend(child)
+                if sigma is not None:
+                    return sigma
+        return None
 
-    if extend(0, root_blocks):
-        return tuple(sigma)
-    return None
+    return None if root is None else extend(root)
 
 
 def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermGroup:
@@ -564,22 +546,22 @@ def translation_kernel(code: Code) -> Code:
 
 
 def assemble_aut_generators(
-    code: Code, budget: int | None = None
+    code: Code, perm_group: PermGroup, budget: int | None = None
 ) -> list[AutElement]:
     """Generators of a subgroup of the code's full stabilizer.
 
-    Combines (a) the permutation stabilizer, (b) a basis of the
-    translation kernel, and (c) for each kernel coset inside the code, one
-    element moving the zero word onto a coset representative (a coordinate
-    permutation followed by the representative's translation).  Every
-    element is re-verified to stabilize the code.
+    Combines (a) the generators of `perm_group`, the code's permutation
+    stabilizer as built by `enumerate_perm_automorphisms`, (b) a basis of
+    the translation kernel, and (c) for each kernel coset inside the code,
+    one element moving the zero word onto a coset representative (a
+    coordinate permutation followed by the representative's translation).
+    Every element is re-verified to stabilize the code.
     """
     if 0 not in code:
         raise ValueError("generator assembly requires the zero word in the code")
     m = code.m
     tracker = _Budget(budget)
     out: list[AutElement] = []
-    perm_group = enumerate_perm_automorphisms(code, budget)
     out.extend(AutElement.permutation(m, g) for g in perm_group.generators)
     kernel = translation_kernel(code)
     out.extend(AutElement.translation(m, b) for b in linear_basis(kernel))

@@ -43,10 +43,10 @@ def pn_perm_group(pn):
 
 
 @pytest.fixture(scope="session")
-def nr_generators(nr):
-    return assemble_aut_generators(nr)
+def nr_generators(nr, nr_perm_group):
+    return assemble_aut_generators(nr, nr_perm_group)
 
 
 @pytest.fixture(scope="session")
-def pn_generators(pn):
-    return assemble_aut_generators(pn)
+def pn_generators(pn, pn_perm_group):
+    return assemble_aut_generators(pn, pn_perm_group)

@@ -4,7 +4,9 @@ Everything here recomputes quantities straight from the definitions,
 deliberately avoiding the code paths it is used to check: regularity by a
 double loop over vertices and spheres, one vertex's distance profile by a
 loop over the codewords, automorphism groups by iterating
-all m! permutations, group orders by multiplicative closure.
+all m! permutations, group orders by multiplicative closure, and
+permutations between two codes by a plain coordinate-by-coordinate
+backtrack.
 """
 
 import itertools
@@ -69,3 +71,66 @@ def mulclose_order(gens, n: int) -> int:
                     fresh.append(r)
         frontier = fresh
     return len(seen)
+
+
+def _column_masks(words, m: int) -> list[int]:
+    """Per coordinate, a bit mask over the indices of the words with a one there."""
+    cols = [0] * m
+    for idx, w in enumerate(words):
+        for j in range(m):
+            if (w >> j) & 1:
+                cols[j] |= 1 << idx
+    return cols
+
+
+def plain_search_permutation(words_a, words_b, m: int, prefix=()):
+    """First coordinate permutation with words_a^sigma == words_b, or None.
+
+    `prefix` is a list of (coordinate, image) pairs fixed in advance.
+    Remaining coordinates are assigned smallest-first with images tried in
+    ascending order.  A partial assignment survives only while the words
+    of both codes, projected onto the assigned coordinates, match as
+    multisets; the multisets are kept as paired index-set blocks, split
+    once per assignment.  A full assignment is therefore a permutation
+    mapping the words of a onto those of b.
+    """
+    if len(words_a) != len(words_b):
+        return None
+    cols_a = _column_masks(words_a, m)
+    cols_b = _column_masks(words_b, m)
+    prescribed = dict(prefix)
+    order = [c for c, _ in prefix] + [c for c in range(m) if c not in prescribed]
+    sigma = [-1] * m
+    used = [False] * m
+    full = (1 << len(words_a)) - 1
+
+    def split(blocks, ca: int, cb: int):
+        out = []
+        for da, db in blocks:
+            da1, db1 = da & ca, db & cb
+            if da1.bit_count() != db1.bit_count():
+                return None
+            if da & ~ca:
+                out.append((da & ~ca, db & ~cb))
+            if da1:
+                out.append((da1, db1))
+        return out
+
+    def extend(depth: int, blocks) -> bool:
+        if depth == m:
+            return True
+        i = order[depth]
+        candidates = [prescribed[i]] if i in prescribed else range(m)
+        for p in candidates:
+            if used[p]:
+                continue
+            sub = split(blocks, cols_a[i], cols_b[p])
+            if sub is None:
+                continue
+            sigma[i], used[p] = p, True
+            if extend(depth + 1, sub):
+                return True
+            sigma[i], used[p] = -1, False
+        return False
+
+    return tuple(sigma) if extend(0, [(full, full)]) else None

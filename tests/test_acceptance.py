@@ -328,7 +328,7 @@ def test_mutation_detects_corruption(nr):
     # criterion 12 breaks: no assembled generator set matches the partition
     from nrcodes.symmetry import assemble_aut_generators
 
-    gens = assemble_aut_generators(corrupted)
+    gens = assemble_aut_generators(corrupted, enumerate_perm_automorphisms(corrupted))
     for g in gens:
         assert stabilizes(g, corrupted)
     assert not verify_complete_transitivity(corrupted, gens).ok

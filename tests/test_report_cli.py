@@ -148,6 +148,14 @@ def test_cli_verify_nr_reports_known_failure(capsys):
     assert re.search(r"FAIL\s+rm\.cr", out.out)
 
 
+def test_cli_verify_budget_exceeded(capsys):
+    code = main(["verify", "pn", "--budget", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "node budget of 1" in err
+    assert "Traceback" not in err
+
+
 def test_cli_feasible(capsys):
     args = [
         "feasible", "-m", "16",

@@ -2,12 +2,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrcodes.codes import Code, project_word, puncture, span, translate
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
     SearchBudgetExceeded,
+    _Budget,
+    _search_permutation,
     assemble_aut_generators,
     coordinate_invariant_partition,
     enumerate_perm_automorphisms,
@@ -25,7 +29,18 @@ from nrcodes.symmetry import (
     vertex_orbits,
     write_aut_elements,
 )
-from oracles import brute_perm_automorphisms, mulclose_order
+from oracles import (
+    brute_perm_automorphisms,
+    mulclose_order,
+    plain_search_permutation,
+)
+
+# Node budget for the regression guard below: every search it covers
+# (the 15 puncture equivalences and the NR and PN permutation stabilizers)
+# must finish within it.  It is at most 10 times the smallest puncture
+# search (3 nodes).
+GUARD_BUDGET = 30
+DETERMINISTIC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def random_element(rng: random.Random, m: int) -> AutElement:
@@ -202,6 +217,130 @@ def test_enumerate_rejects_large_inputs():
 def test_budget_exceeded(nr):
     with pytest.raises(SearchBudgetExceeded):
         enumerate_perm_automorphisms(nr, budget=10)
+
+
+def test_search_node_budget_guard(nr, pn):
+    base = puncture(nr, 1)
+    for p in range(2, 17):
+        assert find_equivalence(puncture(nr, p), base, budget=GUARD_BUDGET) is not None
+    assert enumerate_perm_automorphisms(nr, budget=GUARD_BUDGET).order() == 40320
+    assert enumerate_perm_automorphisms(pn, budget=GUARD_BUDGET).order() == 2520
+
+
+@st.composite
+def small_codes(draw, max_m: int = 8):
+    m = draw(st.integers(2, max_m))
+    return Code(m, draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=10)))
+
+
+@st.composite
+def small_code_pairs(draw):
+    """A small code, an image of it under a random coordinate permutation
+    (sometimes with one word replaced), and a stabilizer-chain prefix."""
+    code = draw(small_codes())
+    m = code.m
+    sigma = draw(st.permutations(range(m)))
+    image = [permute_bits(w, sigma) for w in code.words]
+    if draw(st.booleans()):
+        image[draw(st.integers(0, len(image) - 1))] = draw(st.integers(0, (1 << m) - 1))
+    k = draw(st.integers(0, m - 1))
+    prefix = [(i, i) for i in range(k)] + [(k, draw(st.integers(k, m - 1)))]
+    if draw(st.booleans()):
+        prefix = []
+    return code, Code(m, image), prefix
+
+
+@st.composite
+def cycle_union_pairs(draw):
+    """The edge codes of two disjoint unions of cycles on m vertices, one
+    weight-2 word per edge; the second is sometimes a relabelled copy of
+    the first.  Every coordinate lies in two words, so refinement alone
+    cannot tell cycle lengths apart and the search has to branch."""
+    m = draw(st.integers(6, 10))
+
+    def cycle_code():
+        order = draw(st.permutations(range(m)))
+        words, start = [], 0
+        while start < m:
+            rest = m - start
+            length = rest if rest < 6 else draw(st.integers(3, rest - 3))
+            cycle = order[start : start + length]
+            words += [(1 << u) | (1 << v) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+            start += length
+        return Code(m, words)
+
+    a = cycle_code()
+    if draw(st.booleans()):
+        sigma = draw(st.permutations(range(m)))
+        return a, Code(m, [permute_bits(w, sigma) for w in a.words]), []
+    return a, cycle_code(), []
+
+
+@DETERMINISTIC
+@given(st.one_of(small_code_pairs(), cycle_union_pairs()))
+def test_search_agrees_with_plain_oracle(case):
+    a, b, prefix = case
+    ours = _search_permutation(a.words, b.words, a.m, prefix, _Budget(None))
+    plain = plain_search_permutation(a.words, b.words, a.m, prefix)
+    assert (ours is None) == (plain is None)
+    if ours is not None:
+        assert sorted(permute_bits(w, ours) for w in a.words) == list(b.words)
+        assert all(ours[c] == p for c, p in prefix)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(small_codes(max_m=7))
+def test_enumerate_agrees_with_oracles(code):
+    m = code.m
+    group = enumerate_perm_automorphisms(code)
+    assert group.order() == len(brute_perm_automorphisms(code))
+    # The generators form a strong generating set along the base 0, 1, ...:
+    # those fixing 0..k-1 pointwise move k exactly onto the images that
+    # some automorphism fixing 0..k-1 gives it.
+    for k in range(m):
+        fixing = [g for g in group.generators if g[:k] == tuple(range(k))]
+        orbit = {k}
+        queue = [k]
+        for pt in queue:
+            for g in fixing:
+                if g[pt] not in orbit:
+                    orbit.add(g[pt])
+                    queue.append(g[pt])
+        for p in range(k, m):
+            prefix = [(i, i) for i in range(k)] + [(k, p)]
+            exists = plain_search_permutation(code.words, code.words, m, prefix) is not None
+            assert exists == (p in orbit)
+
+
+def _act_by_definition(beta: int, sigma, v: int) -> int:
+    """Translate by beta, then move bit j to position sigma[j]."""
+    return sum((((v ^ beta) >> j) & 1) << sj for j, sj in enumerate(sigma))
+
+
+@pytest.mark.parametrize("name", ["rm", "pn", "nr"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_find_equivalence_on_random_images(name, seed, request):
+    code = request.getfixturevalue(name)
+    m = code.m
+    rng = random.Random(seed)
+    beta = rng.randrange(1 << m)
+    sigma = list(range(m))
+    rng.shuffle(sigma)
+    image = Code(m, [_act_by_definition(beta, sigma, w) for w in code.words])
+    x = find_equivalence(code, image)
+    assert x is not None
+    assert sorted(_act_by_definition(x.beta, x.sigma, w) for w in code.words) == list(image.words)
+
+    # Move one word one step towards its nearest neighbour: the minimum
+    # distance drops, so no automorphism of the Hamming graph can match.
+    words = list(image.words)
+    w = words[rng.randrange(len(words))]
+    u = min((v for v in words if v != w), key=lambda v: (v ^ w).bit_count())
+    j = ((u ^ w) & -(u ^ w)).bit_length() - 1
+    words[words.index(w)] = w ^ (1 << j)
+    broken = Code(m, words)
+    assert broken.size == image.size and broken.min_distance < image.min_distance
+    assert find_equivalence(code, broken) is None
 
 
 def test_translation_kernel(nr, pn, rm):
