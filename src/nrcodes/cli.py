@@ -13,25 +13,15 @@ import argparse
 import json
 import sys
 
-from .codes import (
-    Code,
-    CodeFileError,
-    code_predicates,
-    golay24,
-    nordstrom_robinson,
-    puncture,
-    read_code,
-    reed_muller_subcode,
-    write_code,
-)
+from .codes import CodeFileError, code_predicates, named_code, read_code, write_code
 from .report import Workbench, fmt, run_verification, transitivity_certificate
 from .spectrum import (
     FeasibilityError,
+    RegularityWorkExceeded,
     completely_regular_check,
     distance_distribution,
     distance_partition,
     feasible_distributions,
-    is_linear,
     macwilliams_transform,
 )
 from .symmetry import SearchBudgetExceeded
@@ -41,29 +31,9 @@ EXIT_CLAIM_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _named_code(name: str) -> Code:
-    if name == "golay24":
-        return golay24()
-    if name == "reed_muller":
-        return reed_muller_subcode()
-    if name == "nr":
-        return nordstrom_robinson()
-    if name == "pn":
-        return puncture(nordstrom_robinson(), 1)
-    if name.startswith("pn@"):
-        try:
-            p = int(name[3:])
-        except ValueError:
-            raise KeyError(name) from None
-        if not 1 <= p <= 16:
-            raise KeyError(name)
-        return puncture(nordstrom_robinson(), p)
-    raise KeyError(name)
-
-
 def cmd_construct(args) -> int:
     try:
-        code = _named_code(args.name)
+        code = named_code(args.name)
     except KeyError:
         print(f"error: unknown code name {args.name!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -82,7 +52,13 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     dd = distance_distribution(code)
-    partition = distance_partition(code)
+    try:
+        res = completely_regular_check(code)
+        rho, cell_sizes = res.rho, res.cell_sizes
+    except RegularityWorkExceeded:
+        res = None
+        partition = distance_partition(code)
+        rho, cell_sizes = partition.rho, partition.cell_sizes
     preds = code_predicates(code)
     doc = {
         "m": str(code.m),
@@ -91,21 +67,20 @@ def cmd_analyze(args) -> int:
         "weight_histogram": fmt(list(code.weight_histogram)),
         "distance_distribution": fmt(list(dd.a)),
         "macwilliams_transform": fmt(list(macwilliams_transform(dd))),
-        "covering_radius": str(partition.rho),
-        "cell_sizes": fmt(list(partition.cell_sizes)),
+        "covering_radius": str(rho),
+        "cell_sizes": fmt(list(cell_sizes)),
         "predicates": {
             "is_linear": preds.is_linear,
             "is_even": preds.is_even,
             "is_antipodal": preds.is_antipodal,
         },
     }
-    if (1 << code.m) * code.size > (1 << 25) and not is_linear(code):
+    if res is None:
         doc["completely_regular"] = None
         doc["regularity_note"] = (
             "skipped: full profile scan too large for a nonlinear code"
         )
     else:
-        res = completely_regular_check(code)
         doc["completely_regular"] = res.ok
         if res.ok:
             doc["intersection_table"] = [fmt(list(r)) for r in res.table.rows]

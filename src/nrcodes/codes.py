@@ -167,6 +167,52 @@ def linear_basis(code: Code) -> tuple[int, ...]:
     return tuple(sorted(basis))
 
 
+# Words whose translations screen the kernel candidates before any is
+# confirmed against the whole code.
+_KERNEL_PROBES = 8
+
+
+def kernel_basis(code: Code) -> tuple[int, ...]:
+    """Reduced echelon basis of the translation kernel {beta : C + beta = C}.
+
+    Each pivot is the leading bit of its basis vector and appears in no
+    other basis vector; the basis is sorted ascending.  The code need not
+    contain the zero word.  Every kernel element is c + c0 for the least
+    word c0 and some word c, so those are the candidates.  They are
+    screened by a few probe words w (w + beta must be a word), kept
+    reduced modulo the basis found so far, and confirmed in ascending
+    order on all words; a candidate that fails adds the word it fails on
+    as a probe, which removes every other candidate failing there.
+    """
+    arr = code.words_u32()
+    n = len(arr)
+
+    def members(x: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(arr, x)
+        pos[pos == n] = 0
+        return arr[pos] == x
+
+    cand = arr ^ arr[0]
+    for w in arr[np.linspace(0, n - 1, min(n, _KERNEL_PROBES)).astype(np.intp)]:
+        cand = cand[members(cand ^ w)]
+    cand = np.unique(cand[cand != 0])
+    basis: list[int] = []
+    while len(cand):
+        beta, cand = int(cand[0]), cand[1:]
+        bad = ~members(arr ^ np.uint32(beta))
+        if bad.any():
+            cand = cand[members(cand ^ arr[int(np.argmax(bad))])]
+            continue
+        # beta is the least nonzero kernel vector that is zero on every
+        # pivot so far, so its pivot p is above them all and no earlier
+        # basis vector has bit p: the basis stays reduced and ascending.
+        p = beta.bit_length() - 1
+        basis.append(beta)
+        cand = cand ^ (((cand >> np.uint32(p)) & np.uint32(1)) * np.uint32(beta))
+        cand = np.unique(cand[cand != 0])
+    return tuple(basis)
+
+
 def span(generators, m: int) -> Code:
     """Code spanned by the given generator words."""
     words = [0]
@@ -368,6 +414,32 @@ def reed_muller_subcode() -> Code:
 def punctured_nr(p: int = 1) -> Code:
     """The (15,256,5) code obtained by deleting coordinate p."""
     return puncture(nordstrom_robinson(), p)
+
+
+# The codes the command line and the claim manifest know by name.
+_NAMED_CODES = {
+    "golay24": golay24,
+    "reed_muller": reed_muller_subcode,
+    "nr": nordstrom_robinson,
+    "pn": punctured_nr,
+}
+
+
+def named_code(name: str) -> Code:
+    """golay24, reed_muller, nr, pn, or pn@<p> (NR punctured at p in 1..16).
+
+    Raises KeyError for any other name.
+    """
+    if name in _NAMED_CODES:
+        return _NAMED_CODES[name]()
+    if name.startswith("pn@"):
+        try:
+            p = int(name[3:])
+        except ValueError:
+            raise KeyError(name) from None
+        if 1 <= p <= 16:
+            return punctured_nr(p)
+    raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------

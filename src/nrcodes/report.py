@@ -22,10 +22,8 @@ from . import __version__
 from .codes import (
     Code,
     code_predicates,
-    golay24,
-    nordstrom_robinson,
+    named_code,
     puncture,
-    reed_muller_subcode,
     translate,
 )
 from .spectrum import (
@@ -82,19 +80,19 @@ class Workbench:
 
     @cached_property
     def golay(self) -> Code:
-        return golay24()
+        return named_code("golay24")
 
     @cached_property
     def nr(self) -> Code:
-        return nordstrom_robinson()
+        return named_code("nr")
 
     @cached_property
     def rm(self) -> Code:
-        return reed_muller_subcode()
+        return named_code("reed_muller")
 
     @cached_property
     def pn(self) -> Code:
-        return puncture(self.nr, 1)
+        return named_code("pn")
 
     @cached_property
     def nr_partition(self):

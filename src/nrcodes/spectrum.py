@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, is_linear, linear_basis
-from .hamming import all_vertices, krawtchouk_table, weight_masks
+from .codes import PAIR_BLOCK, Code, kernel_basis
+from .hamming import krawtchouk_table, weight_masks
 
 INF_DIST = 64  # sentinel above any achievable distance, safe in uint8 arithmetic
 
@@ -85,12 +85,10 @@ def distance_partition(code: Code) -> DistancePartition:
         np.minimum(d[:, 0, :], d[:, 1, :] + 1, out=d[:, 0, :])
         np.minimum(d[:, 1, :], d[:, 0, :] + 1, out=d[:, 1, :])
     rho = int(dist.max())
-    sizes = np.bincount(dist, minlength=rho + 1)
+    # np.bincount would first copy the uint8 array to int64, 8x its size
+    sizes = tuple(int(np.count_nonzero(dist == i)) for i in range(rho + 1))
     dist.setflags(write=False)
-    return DistancePartition(
-        m=m, dist_to_code=dist, rho=rho,
-        cell_sizes=tuple(int(s) for s in sizes),
-    )
+    return DistancePartition(m=m, dist_to_code=dist, rho=rho, cell_sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -119,93 +117,111 @@ class RegularityWitness:
     profile_b: tuple[int, ...]
 
 
+# Vertex-word pairs that completely_regular_check may scan.  Linear codes
+# stay within it: their kernel is the code, so the scan is 2^m <= 2^24 pairs.
+CR_WORK_LIMIT = 1 << 25
+
+
+class RegularityWorkExceeded(ValueError):
+    """The profile scan of a complete-regularity check is too large."""
+
+    def __init__(self, estimate: int):
+        super().__init__(
+            f"complete-regularity scan needs {estimate} vertex-word pairs, "
+            f"above the limit of {CR_WORK_LIMIT}"
+        )
+        self.estimate = estimate
+
+
 @dataclass(frozen=True)
 class CompleteRegularityResult:
     ok: bool
     table: IntersectionTable | None
     witness: RegularityWitness | None
+    rho: int
+    cell_sizes: tuple[int, ...]
 
 
 def completely_regular_check(code: Code) -> CompleteRegularityResult:
     """Decide complete regularity, returning the table or a witness pair.
 
-    Nonlinear codes get a full vertex scan (profile of every vertex against
-    every codeword).  Linear codes with a vertex space too large for that
-    are handled through their cosets: profile and cell are constant on each
-    coset, so one representative per coset suffices.
+    The profile of a vertex v (codewords at each distance 0..m) and its
+    cell d(v, C) are constant on v + K, for the translation kernel
+    K = {beta : C + beta = C}.  With K in reduced echelon form, the
+    vertices that are zero on every pivot are exactly the least vertex of
+    each coset, so they are scanned in ascending order and stand for the
+    whole of F_2^m.  The witness is therefore the one a scan of every
+    vertex finds: in the least cell with two profiles, the least vertex of
+    the cell and the least vertex whose profile differs from it.  The
+    covering radius and the cell sizes (|K| times the representative
+    counts) are returned whatever the verdict.
+
+    Profiles are streamed in blocks of about PAIR_BLOCK vertex-word pairs;
+    only the first profile and the first deviating representative of each
+    cell are kept.  The scan takes (2^m / |K|) * |C| pairs; above
+    CR_WORK_LIMIT, RegularityWorkExceeded is raised before any profile is
+    computed.
     """
-    if (1 << code.m) * code.size > (1 << 25) and is_linear(code):
-        return _cr_check_linear(code)
-    return _cr_check_dense(code)
-
-
-def _cr_check_dense(code: Code) -> CompleteRegularityResult:
     m = code.m
-    n = 1 << m
-    verts = all_vertices(m)
-    counts = np.zeros((n, m + 1), dtype=np.uint16)
-    rows = np.arange(n)
-    for w in code.words:
-        counts[rows, np.bitwise_count(verts ^ np.uint32(w))] += 1
-    partition = distance_partition(code)
-    table_rows = []
-    for i in range(partition.rho + 1):
-        cell = partition.cell(i)
-        sub = counts[cell]
-        mismatch = (sub != sub[0]).any(axis=1)
-        if mismatch.any():
-            b = int(np.argmax(mismatch))
-            return CompleteRegularityResult(
-                ok=False, table=None,
-                witness=RegularityWitness(
-                    cell=i,
-                    vertex_a=int(cell[0]),
-                    vertex_b=int(cell[b]),
-                    profile_a=tuple(int(x) for x in sub[0]),
-                    profile_b=tuple(int(x) for x in sub[b]),
-                ),
-            )
-        table_rows.append(tuple(int(x) for x in sub[0]))
-    table = IntersectionTable(
-        m=m, rho=partition.rho, size=code.size, rows=tuple(table_rows)
-    )
-    return CompleteRegularityResult(ok=True, table=table, witness=None)
-
-
-def _cr_check_linear(code: Code) -> CompleteRegularityResult:
-    """Coset route: one profile per coset of the code in its vertex space."""
-    m = code.m
-    basis = linear_basis(code)
-    pivots = [b.bit_length() - 1 for b in basis]
-    free = [q for q in range(m) if q not in set(pivots)]
+    basis = kernel_basis(code)
+    nreps = 1 << (m - len(basis))
+    estimate = nreps * code.size
+    if estimate > CR_WORK_LIMIT:
+        raise RegularityWorkExceeded(estimate)
+    pivots = {b.bit_length() - 1 for b in basis}
+    free = [q for q in range(m) if q not in pivots]
     arr = code.words_u32()
-    reps_by_minwt: dict[int, tuple[int, tuple[int, ...]]] = {}
-    rows_by_minwt: dict[int, tuple[int, ...]] = {}
-    for cid in range(1 << len(free)):
-        rep = 0
-        for t, q in enumerate(free):
-            rep |= ((cid >> t) & 1) << q
-        d = np.bitwise_count(np.uint32(rep) ^ arr)
-        profile = tuple(int(x) for x in np.bincount(d, minlength=m + 1))
-        minwt = int(d.min())
-        if minwt not in rows_by_minwt:
-            rows_by_minwt[minwt] = profile
-            reps_by_minwt[minwt] = (rep, profile)
-        elif rows_by_minwt[minwt] != profile:
-            first_rep, first_profile = reps_by_minwt[minwt]
-            return CompleteRegularityResult(
-                ok=False, table=None,
-                witness=RegularityWitness(
-                    cell=minwt, vertex_a=first_rep, vertex_b=rep,
-                    profile_a=first_profile, profile_b=profile,
-                ),
-            )
-    rho = max(rows_by_minwt)
-    table = IntersectionTable(
-        m=m, rho=rho, size=code.size,
-        rows=tuple(rows_by_minwt[i] for i in range(rho + 1)),
+    first: dict[int, tuple[int, tuple[int, ...]]] = {}
+    deviant: dict[int, tuple[int, tuple[int, ...]]] = {}
+    counts = [0] * (m + 1)
+    step = max(1, PAIR_BLOCK // code.size)
+    for lo in range(0, nreps, step):
+        reps = _deposit(np.arange(lo, min(lo + step, nreps), dtype=np.uint32), free)
+        profiles = _profiles(reps, arr, m)
+        cells = (profiles != 0).argmax(axis=1)
+        for c in np.unique(cells).tolist():
+            idx = np.nonzero(cells == c)[0]
+            counts[c] += len(idx)
+            if c not in first:
+                first[c] = (int(reps[idx[0]]), tuple(profiles[idx[0]].tolist()))
+            if c not in deviant:
+                off = (profiles[idx] != first[c][1]).any(axis=1)
+                if off.any():
+                    j = idx[np.argmax(off)]
+                    deviant[c] = (int(reps[j]), tuple(profiles[j].tolist()))
+    rho = max(first)
+    cell_sizes = tuple(counts[i] << len(basis) for i in range(rho + 1))
+    table = witness = None
+    if deviant:
+        cell = min(deviant)
+        (va, pa), (vb, pb) = first[cell], deviant[cell]
+        witness = RegularityWitness(
+            cell=cell, vertex_a=va, vertex_b=vb, profile_a=pa, profile_b=pb
+        )
+    else:
+        table = IntersectionTable(
+            m=m, rho=rho, size=code.size,
+            rows=tuple(first[i][1] for i in range(rho + 1)),
+        )
+    return CompleteRegularityResult(
+        ok=not deviant, table=table, witness=witness, rho=rho, cell_sizes=cell_sizes
     )
-    return CompleteRegularityResult(ok=True, table=table, witness=None)
+
+
+def _deposit(t: np.ndarray, positions: list[int]) -> np.ndarray:
+    """Spread bit i of each t onto bit positions[i]."""
+    out = np.zeros_like(t)
+    for i, q in enumerate(positions):
+        out |= ((t >> np.uint32(i)) & np.uint32(1)) << np.uint32(q)
+    return out
+
+
+def _profiles(verts: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
+    """Row r: the number of words of `arr` at each distance 0..m from verts[r]."""
+    d = np.bitwise_count(verts[:, None] ^ arr[None, :])
+    offsets = np.arange(len(verts), dtype=np.intp)[:, None] * (m + 1)
+    counts = np.bincount((d + offsets).ravel(), minlength=len(verts) * (m + 1))
+    return counts.reshape(len(verts), m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import Code, linear_basis
+from .codes import Code, kernel_basis, linear_basis, span
 from .hamming import all_vertices, check_vertex, from_string, to_string
 from .spectrum import distance_partition
 
@@ -537,12 +537,7 @@ def translation_kernel(code: Code) -> Code:
     """All words beta with C + beta = C; a linear subcode of C."""
     if 0 not in code:
         raise ValueError("translation kernel requires the zero word in the code")
-    kernel = [
-        beta
-        for beta in code.words
-        if all((w ^ beta) in code for w in code.words)
-    ]
-    return Code(code.m, kernel)
+    return span(kernel_basis(code), code.m)
 
 
 def assemble_aut_generators(

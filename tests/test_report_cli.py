@@ -1,10 +1,12 @@
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
 from nrcodes.cli import main
+from nrcodes.codes import Code, write_code
 from nrcodes.report import (
     VerificationReport,
     Workbench,
@@ -12,6 +14,7 @@ from nrcodes.report import (
     fmt,
     run_verification,
 )
+from nrcodes.spectrum import distance_partition
 
 
 def test_fmt_serialization():
@@ -124,6 +127,20 @@ def test_cli_analyze_small_witness(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["completely_regular"] is False
     assert "witness" in doc
+
+
+def test_cli_analyze_over_regularity_guard(tmp_path, capsys):
+    # 40 random words at m=20: trivial kernel, so 2^20 * 40 pairs > 2^25
+    words = random.Random(20).sample(range(1 << 20), 40)
+    path = tmp_path / "big.code"
+    write_code(Code(20, words), path)
+    assert main(["analyze", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["completely_regular"] is None
+    assert doc["regularity_note"].startswith("skipped")
+    partition = distance_partition(Code(20, words))
+    assert doc["covering_radius"] == str(partition.rho)
+    assert doc["cell_sizes"] == [str(s) for s in partition.cell_sizes]
 
 
 def test_cli_verify_pn(tmp_path, capsys):

@@ -1,15 +1,19 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nrcodes.codes import Code, span
+from nrcodes import spectrum
+from nrcodes.codes import Code, kernel_basis, span
 from nrcodes.hamming import from_string, krawtchouk
 from nrcodes.spectrum import (
+    CR_WORK_LIMIT,
     ConstraintRow,
     FeasibilityError,
-    _cr_check_dense,
-    _cr_check_linear,
+    RegularityWorkExceeded,
     _propagate_bounds,
     completely_regular_check,
     design_arithmetic,
@@ -20,7 +24,7 @@ from nrcodes.spectrum import (
     lambda_upper_bound,
     macwilliams_transform,
 )
-from oracles import brute_regularity
+from oracles import brute_profile, brute_regularity
 
 NR_DIST = (1, 0, 0, 0, 0, 0, 112, 0, 30, 0, 112, 0, 0, 0, 0, 0, 1)
 PN_DIST = (1, 0, 0, 0, 0, 42, 70, 15, 15, 70, 42, 0, 0, 0, 0, 1)
@@ -182,14 +186,93 @@ def test_regularity_matches_definitional_oracle(make):
         assert res.table.rows == extra
 
 
-@pytest.mark.parametrize("make", [hamming7, rm13])
-def test_linear_coset_route_agrees_with_dense_scan(make, rm):
-    for code in (make(), rm):
-        a = _cr_check_dense(code)
-        b = _cr_check_linear(code)
-        assert a.ok == b.ok
-        if a.ok:
-            assert a.table == b.table
+@st.composite
+def regularity_codes(draw):
+    """Random codes, translated spans, and unions of cosets of a random
+    subspace (a nontrivial translation kernel), with m <= 10."""
+    m = draw(st.integers(1, 10))
+    word = st.integers(0, (1 << m) - 1)
+    kind = draw(st.sampled_from(["random", "span", "cosets"]))
+    if kind == "random":
+        return Code(m, draw(st.lists(word, min_size=2, max_size=40)))
+    gens = draw(st.lists(word, min_size=1, max_size=m))
+    subspace = span(gens, m).words
+    if kind == "span":
+        beta = draw(word)
+        return Code(m, [v ^ beta for v in subspace])
+    reps = draw(st.lists(word, min_size=1, max_size=6))
+    return Code(m, [v ^ r for r in reps for v in subspace])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(regularity_codes())
+def test_quotient_route_matches_brute_force(code):
+    res = completely_regular_check(code)
+    ok, extra = brute_regularity(code)
+    assert res.ok == ok
+    if ok:
+        assert res.table.rows == extra
+    else:
+        w = res.witness
+        bad_cell = brute_profile(code, extra[0])[0]
+        assert (w.cell, w.vertex_a, w.vertex_b) == (bad_cell, *extra)
+        assert brute_profile(code, w.vertex_a) == (w.cell, w.profile_a)
+        assert brute_profile(code, w.vertex_b) == (w.cell, w.profile_b)
+    partition = distance_partition(code)
+    assert (res.rho, res.cell_sizes) == (partition.rho, partition.cell_sizes)
+
+    kernel = {
+        beta for beta in range(1 << code.m)
+        if all((c ^ beta) in code for c in code.words)
+    }
+    basis = kernel_basis(code)
+    assert set(span(basis, code.m).words) == kernel
+    assert list(basis) == sorted(basis)
+    for b in basis:
+        pivot = b.bit_length() - 1
+        assert [c for c in basis if (c >> pivot) & 1] == [b]
+
+
+def test_kernel_basis_confirms_candidates_beyond_the_probes():
+    # 32 words of a subspace and the word 1, which sits at index 1 where
+    # no probe looks: every nonzero subspace word passes the probes, but
+    # none maps 1 into the code, so the kernel is trivial.
+    subspace = span([0b0000100000, 0b0001000000, 0b0010000000,
+                     0b0100000000, 0b1000000000], 10)
+    code = Code(10, subspace.words + (1,))
+    assert kernel_basis(code) == ()
+    assert kernel_basis(Code(10, subspace.words)) == (
+        0b0000100000, 0b0001000000, 0b0010000000, 0b0100000000, 0b1000000000
+    )
+
+
+def test_regularity_guard_raises_before_any_profile(monkeypatch):
+    def no_profiles(*args):
+        raise AssertionError("a profile was computed")
+
+    monkeypatch.setattr(spectrum, "_profiles", no_profiles)
+    code = Code(24, [0, 1, 6, 1 << 23])
+    assert kernel_basis(code) == ()
+    with pytest.raises(RegularityWorkExceeded) as info:
+        completely_regular_check(code)
+    assert info.value.estimate == 4 << 24 > CR_WORK_LIMIT
+    assert isinstance(info.value, ValueError)
+
+
+def test_golay_regularity_within_guard(golay):
+    res = completely_regular_check(golay)
+    assert res.ok and res.rho == 4
+    assert res.cell_sizes == (4096, 98304, 1130496, 8290304, 7254016)
+
+
+def test_distance_partition_memory(golay):
+    tracemalloc.start()
+    try:
+        distance_partition(golay)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 def test_design_check_nr(nr):
