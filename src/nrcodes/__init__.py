@@ -34,7 +34,6 @@ from .symmetry import (
     coordinate_invariant_partition,
     enumerate_perm_automorphisms,
     find_equivalence,
-    group_order,
     orbits_on_sphere,
     project_automorphism,
     translation_kernel,

@@ -10,7 +10,7 @@ computations) consumes the immutable Code objects built here.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .hamming import (
-    all_vertices,
     check_length,
     check_vertex,
     from_string,
     to_string,
-    weight,
+    unpermute_bits,
 )
 
 
@@ -240,25 +239,6 @@ def _golay_block_rows() -> list[int]:
     return rows
 
 
-def _relocate(words: list[int], src_coords: tuple[int, ...], m: int) -> list[int]:
-    """Move the 1-indexed src_coords to positions 1..len(src), keeping the
-    relative order of moved and unmoved coordinates alike."""
-    rest = [i for i in range(1, m + 1) if i not in src_coords]
-    new_pos = {}
-    for t, i in enumerate(src_coords, start=1):
-        new_pos[i] = t
-    for t, i in enumerate(rest, start=len(src_coords) + 1):
-        new_pos[i] = t
-    out = []
-    for w in words:
-        x = 0
-        for i in range(1, m + 1):
-            if (w >> (i - 1)) & 1:
-                x |= 1 << (new_pos[i] - 1)
-        out.append(x)
-    return out
-
-
 @lru_cache(maxsize=1)
 def golay24() -> Code:
     """The [24,12,8] extended binary Golay code containing (1^8, 0^16).
@@ -273,9 +253,12 @@ def golay24() -> Code:
     raw = span(gens, 24)
     if len(raw) != 4096:
         raise ConstructionError("Golay span does not have 2^12 words")
+    # new coordinate t takes old coordinate order[t]: the support of the
+    # least weight-8 word first, then the rest, each in its old order
     least_w8 = next(w for w in raw.words if w.bit_count() == 8)
-    sup = tuple(i + 1 for i in range(24) if (least_w8 >> i) & 1)
-    code = Code(24, _relocate(list(raw.words), sup, 24))
+    sup = [i for i in range(24) if (least_w8 >> i) & 1]
+    order = sup + [i for i in range(24) if i not in sup]
+    code = Code(24, unpermute_bits(raw.words_u32(), order).tolist())
     gamma = (1 << 8) - 1
     if gamma not in code:
         raise ConstructionError("relocation lost the (1^8, 0^16) codeword")
@@ -289,8 +272,6 @@ def golay24() -> Code:
     return code
 
 
-JSTAR = tuple(range(1, 9))
-J16 = tuple(range(9, 25))
 _JSTAR_MASK = (1 << 8) - 1
 
 
@@ -307,8 +288,6 @@ class CosetDecomposition:
     D: Code
     reps: tuple[int, ...]
     u_vectors: tuple[int, ...]
-    jstar: tuple[int, ...] = JSTAR
-    j: tuple[int, ...] = J16
 
     def cosets(self) -> list[tuple[int, ...]]:
         """Word lists of D = D^0, D^1, ..., D^7, canonical order each."""
@@ -345,27 +324,15 @@ def coset_decomposition(G: Code) -> CosetDecomposition:
 
 def project(code: Code, coords) -> Code:
     """Projection onto the given ordered 1-indexed coordinate subset."""
-    coords = tuple(coords)
+    coords = tuple(map(operator.index, coords))
     if not coords:
         raise ValueError("projection coordinate set must be nonempty")
     if any(not 1 <= i <= code.m for i in coords):
         raise ValueError(f"projection coordinates outside 1..{code.m}")
     if len(set(coords)) != len(coords):
         raise ValueError("projection coordinates must be distinct")
-    out = []
-    for w in code.words:
-        x = 0
-        for t, i in enumerate(coords):
-            x |= ((w >> (i - 1)) & 1) << t
-        out.append(x)
-    return Code(len(coords), out)
-
-
-def project_word(w: int, coords) -> int:
-    x = 0
-    for t, i in enumerate(coords):
-        x |= ((w >> (i - 1)) & 1) << t
-    return x
+    words = unpermute_bits(code.words_u32(), [i - 1 for i in coords])
+    return Code(len(coords), words.tolist())
 
 
 def puncture(code: Code, p: int) -> Code:

@@ -6,6 +6,12 @@ coordinate i (1-indexed) lives at bit position i-1, so the text form
 are capped at 24 coordinates; every scan over the full vertex set then fits
 comfortably in memory.
 
+Every coordinate move on words goes through one pair of helpers:
+`permute_bits` moves bit j to bit positions[j] and `unpermute_bits` moves
+bit positions[j] back to bit j.  They serve relabelling, projection,
+deposit and the permutation part of an automorphism alike, on one word or
+elementwise on a numpy array of words.
+
 Krawtchouk values are exact arbitrary-precision integers.  No floating
 point is used anywhere in this module: downstream feasibility arguments
 rest on exact sign decisions.
@@ -60,6 +66,32 @@ def support(v: int) -> tuple[int, ...]:
         v >>= 1
         i += 1
     return tuple(out)
+
+
+def permute_bits(v, positions):
+    """Move bit j of v to bit positions[j], for every j.
+
+    v is an int or a numpy integer array (elementwise, keeping its dtype).
+    Positions are distinct Python ints, since a numpy integer would promote
+    the array's dtype.  They need not cover 0..m-1, so this also deposits
+    the low len(positions) bits onto a subset; bits of v at
+    j >= len(positions) are dropped.
+    """
+    out = v & 0
+    for j, p in enumerate(positions):
+        out |= ((v >> j) & 1) << p
+    return out
+
+
+def unpermute_bits(v, positions):
+    """Move bit positions[j] of v to bit j: the inverse of permute_bits.
+
+    On a subset of positions this projects v onto them, in their order.
+    """
+    out = v & 0
+    for j, p in enumerate(positions):
+        out |= ((v >> p) & 1) << j
+    return out
 
 
 def covers(nu: int, beta: int) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import PAIR_BLOCK, Code, kernel_basis
-from .hamming import krawtchouk_table, weight_masks
+from .hamming import krawtchouk_table, permute_bits, weight_masks
 
 INF_DIST = 64  # sentinel above any achievable distance, safe in uint8 arithmetic
 
@@ -176,7 +176,7 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     counts = [0] * (m + 1)
     step = max(1, PAIR_BLOCK // code.size)
     for lo in range(0, nreps, step):
-        reps = _deposit(np.arange(lo, min(lo + step, nreps), dtype=np.uint32), free)
+        reps = permute_bits(np.arange(lo, min(lo + step, nreps), dtype=np.uint32), free)
         profiles = _profiles(reps, arr, m)
         cells = (profiles != 0).argmax(axis=1)
         for c in np.unique(cells).tolist():
@@ -206,14 +206,6 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     return CompleteRegularityResult(
         ok=not deviant, table=table, witness=witness, rho=rho, cell_sizes=cell_sizes
     )
-
-
-def _deposit(t: np.ndarray, positions: list[int]) -> np.ndarray:
-    """Spread bit i of each t onto bit positions[i]."""
-    out = np.zeros_like(t)
-    for i, q in enumerate(positions):
-        out |= ((t >> np.uint32(i)) & np.uint32(1)) << np.uint32(q)
-    return out
 
 
 def _profiles(verts: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:

@@ -21,6 +21,7 @@ Exceeding the budget raises, never returns a partial answer.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .codes import Code, kernel_basis, linear_basis, span
-from .hamming import all_vertices, check_vertex, from_string, to_string
+from .hamming import (
+    all_vertices,
+    check_vertex,
+    from_string,
+    permute_bits,
+    to_string,
+    unpermute_bits,
+)
 from .spectrum import distance_partition
 
 DEFAULT_BUDGET = 10**8
@@ -76,26 +84,12 @@ def _perm_inv(p) -> tuple[int, ...]:
 
 
 def _check_perm(p, n: int) -> tuple[int, ...]:
-    p = tuple(p)
+    # plain ints: numpy integer images would promote the dtype of a word
+    # array shifted by them
+    p = tuple(map(operator.index, p))
     if sorted(p) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {p}")
     return p
-
-
-def permute_bits(v: int, sigma) -> int:
-    """Move the bit at coordinate j to coordinate sigma[j]."""
-    out = 0
-    for j, sj in enumerate(sigma):
-        out |= ((v >> j) & 1) << sj
-    return out
-
-
-def unpermute_bits(v: int, sigma) -> int:
-    """Inverse of permute_bits for the same sigma."""
-    out = 0
-    for j, sj in enumerate(sigma):
-        out |= ((v >> sj) & 1) << j
-    return out
 
 
 @dataclass(frozen=True)
@@ -145,12 +139,14 @@ class AutElement:
     def is_identity(self) -> bool:
         return self.beta == 0 and self.sigma == _perm_identity(self.m)
 
-    def permutation_part(self) -> tuple[int, ...]:
-        return self.sigma
-
 
 def stabilizes(x: AutElement, code: Code) -> bool:
-    return all(x.act(w) in code for w in code.words)
+    """Does x map the words of the code onto themselves?"""
+    if x.m != code.m:
+        raise ValueError("element and code lengths differ")
+    words = code.words_u32()
+    image = np.sort(permute_bits(words ^ x.beta, x.sigma))
+    return np.array_equal(image, words)
 
 
 def project_automorphism(x: AutElement, coords) -> AutElement:
@@ -164,10 +160,7 @@ def project_automorphism(x: AutElement, coords) -> AutElement:
     if any(x.sigma[c] not in pos for c in zero_based):
         raise ValueError("permutation part does not stabilize the coordinate set")
     new_sigma = tuple(pos[x.sigma[c]] for c in zero_based)
-    new_beta = 0
-    for t, c in enumerate(zero_based):
-        new_beta |= ((x.beta >> c) & 1) << t
-    return AutElement(len(coords), new_beta, new_sigma)
+    return AutElement(len(coords), unpermute_bits(x.beta, zero_based), new_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +277,6 @@ class PermGroup:
         for lvl in self._build_chain():
             n *= len(lvl["transversal"])
         return n
-
-    def base(self) -> tuple[int, ...]:
-        return tuple(lvl["base"] for lvl in self._build_chain())
-
-
-def group_order(group: PermGroup) -> int:
-    return group.order()
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +399,7 @@ def _search_permutation(
     if len(words_a) != len(words_b):
         return None
     inc_a, inc_b = _Incidence(words_a, m), _Incidence(words_b, m)
+    source = np.asarray(words_a, dtype=np.int64)
     target = np.sort(np.asarray(words_b, dtype=np.int64))
     colors_a = np.zeros(m, dtype=np.int64)
     colors_b = np.zeros(m, dtype=np.int64)
@@ -428,9 +415,9 @@ def _search_permutation(
         if sizes.max() == 1:
             coord_b = np.empty(len(sizes), dtype=np.int64)
             coord_b[colors_b] = np.arange(m)
-            sigma = coord_b[colors_a]
-            image = np.sort((inc_a.bits << sigma).sum(axis=1))
-            return tuple(sigma.tolist()) if np.array_equal(image, target) else None
+            sigma = tuple(coord_b[colors_a].tolist())
+            image = np.sort(permute_bits(source, sigma))
+            return sigma if np.array_equal(image, target) else None
         open_colors = np.flatnonzero(sizes > 1)
         color = open_colors[np.argmin(sizes[open_colors])]
         i = int(np.flatnonzero(colors_a == color)[0])
@@ -493,8 +480,7 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
         order *= len(orbit)
     group = PermGroup(m, gens)
     for g in gens:
-        permuted = Code(m, [permute_bits(w, g) for w in words])
-        if permuted.words != words:
+        if not stabilizes(AutElement.permutation(m, g), code):
             raise RuntimeError("backtrack produced a non-automorphism")
     if group.order() != order:
         raise RuntimeError(
@@ -596,14 +582,6 @@ class OrbitPartition:
     sizes: tuple[int, ...]  # by ascending orbit label
 
 
-def _action_table(x: AutElement) -> np.ndarray:
-    verts = all_vertices(x.m) ^ np.uint32(x.beta)
-    out = np.zeros(1 << x.m, dtype=np.uint32)
-    for j, sj in enumerate(x.sigma):
-        out |= ((verts >> np.uint32(j)) & np.uint32(1)) << np.uint32(sj)
-    return out
-
-
 def vertex_orbits(gens, m: int) -> OrbitPartition:
     """Orbits of the generated group on all 2^m vertices.
 
@@ -615,7 +593,7 @@ def vertex_orbits(gens, m: int) -> OrbitPartition:
         if g.m != m:
             raise ValueError("generator length does not match the vertex space")
     labels = np.arange(1 << m, dtype=np.uint32)
-    tables = [_action_table(g) for g in gens]
+    tables = [permute_bits(all_vertices(m) ^ g.beta, g.sigma) for g in gens]
     for _ in range(1 << m):
         before = labels.copy()
         for t in tables:

@@ -12,8 +12,7 @@ backtrack.
 import itertools
 
 from nrcodes.codes import Code
-from nrcodes.hamming import sphere
-from nrcodes.symmetry import permute_bits
+from nrcodes.hamming import permute_bits, sphere
 
 
 def brute_sphere(center: int, k: int, m: int) -> list[int]:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nrcodes.codes import (
@@ -21,6 +23,10 @@ from nrcodes.codes import (
 
 JSTAR_MASK = (1 << 8) - 1
 
+# sha256 of the comma-joined Golay words.  Every later claim is stated in
+# this coordinate labelling, so a refactor must keep it.
+GOLAY_WORDS_SHA256 = "ba686935ba26b8da7808098782fee00d4f8c481366c4796294f4f3fb7592c883"
+
 
 def test_golay_parameters(golay):
     assert golay.m == 24
@@ -43,6 +49,8 @@ def test_golay_construction_deterministic():
     a = golay24.__wrapped__()
     b = golay24.__wrapped__()
     assert a.words == b.words
+    digest = hashlib.sha256(",".join(map(str, a.words)).encode()).hexdigest()
+    assert digest == GOLAY_WORDS_SHA256
 
 
 def test_coset_decomposition(golay):

@@ -1,18 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrcodes.hamming import (
+    MAX_LENGTH,
     KrawtchoukTable,
     complement,
     covers,
     distance,
     from_string,
     krawtchouk,
+    permute_bits,
     sphere,
     support,
     to_string,
+    unpermute_bits,
     weight,
     weight_masks,
 )
@@ -141,3 +147,33 @@ def test_text_form_round_trip():
     assert to_string(1, 4) == "1000"  # coordinate 1 is leftmost
     with pytest.raises(ValueError):
         from_string("01x0")
+
+
+@st.composite
+def words_and_positions(draw):
+    m = draw(st.integers(1, MAX_LENGTH))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=8))
+    sigma = draw(st.permutations(range(m)))
+    subset = draw(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+    )
+    return m, words, sigma, subset
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(words_and_positions())
+def test_bit_permutation_helpers(case):
+    """Array and int paths agree; unpermute inverts permute; on a subset,
+    unpermute is the projection read off the text form."""
+    m, words, sigma, subset = case
+    arr = np.asarray(words, dtype=np.uint32)
+    for positions in (sigma, subset):
+        for f in (permute_bits, unpermute_bits):
+            out = f(arr, positions)
+            assert out.dtype == np.uint32
+            assert out.tolist() == [f(v, positions) for v in words]
+    for v in words:
+        assert unpermute_bits(permute_bits(v, sigma), sigma) == v
+        text = to_string(v, m)
+        projected, _ = from_string("".join(text[i] for i in subset))
+        assert unpermute_bits(v, subset) == projected

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -76,13 +77,20 @@ def test_report_json_round_trip():
     assert again == report
 
 
+# sha256 of `verify all`'s deterministic report (every wall_time "0"):
+# refactors must leave it byte-identical.
+REPORT_ALL_SHA256 = "cf2831a5285ec87b540f578583fcf99efb3efac795d744e7c255264eda9be2cb"
+
+
 def test_reports_identical_apart_from_wall_time():
     a = run_verification("nr")
     b = run_verification("nr")
-    for report in (a, b):
+    c = run_verification("all")
+    for report in (a, b, c):
         for entry in report.entries:
             entry.wall_time = "0"
     assert a.to_json() == b.to_json()
+    assert hashlib.sha256(c.to_json().encode()).hexdigest() == REPORT_ALL_SHA256
 
 
 def test_cli_construct_and_analyze(tmp_path, capsys):
