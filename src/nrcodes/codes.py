@@ -20,6 +20,7 @@ import numpy as np
 from .hamming import (
     check_length,
     check_vertex,
+    distance_profiles,
     from_string,
     to_string,
     unpermute_bits,
@@ -37,12 +38,14 @@ class CodeFileError(ValueError):
 class Code:
     """Immutable, deduplicated, canonically ordered set of equal-length words.
 
-    Canonical order is ascending integer value of the bit word.  Minimum
-    distance is computed by exhaustive pair scan at construction time and
-    cached, as are the weight histogram and a hash set for membership.
+    Canonical order is ascending integer value of the bit word.  Building
+    one runs no pair scan: the translation kernel K, the pair distance
+    counts, the minimum distance read off them and the weight histogram
+    are computed lazily on first read and shared by every later reader.
+    The pair counts are taken over C/K, (|C|/|K|)*|C| word pairs.
     """
 
-    __slots__ = ("m", "words", "size", "min_distance", "_member", "_hist")
+    __slots__ = ("m", "words", "size", "_member", "_hist", "_kernel", "_counts")
 
     def __init__(self, m: int, words):
         check_length(m)
@@ -56,7 +59,8 @@ class Code:
         self.size = len(self.words)
         self._member = frozenset(self.words)
         self._hist = None
-        self.min_distance = _min_distance(self.words) if self.size >= 2 else None
+        self._kernel = None
+        self._counts = None
 
     def __len__(self) -> int:
         return self.size
@@ -85,6 +89,39 @@ class Code:
         return np.asarray(self.words, dtype=np.uint32)
 
     @property
+    def kernel(self) -> tuple[int, ...]:
+        """Reduced echelon basis of the translation kernel (kernel_basis)."""
+        if self._kernel is None:
+            self._kernel = kernel_basis(self)
+        return self._kernel
+
+    @property
+    def distance_counts(self) -> tuple[int, ...]:
+        """Ordered pairs of words at each distance 0..m.
+
+        The profile of a word is constant on its coset of K, and the words
+        zero on every pivot of the kernel basis are one per coset, so their
+        summed profiles times |K| count every pair.
+        """
+        if self._counts is None:
+            m, arr = self.m, self.words_u32()
+            pivots = sum(1 << (b.bit_length() - 1) for b in self.kernel)
+            reps = arr[(arr & np.uint32(pivots)) == 0]
+            counts = np.zeros(m + 1, dtype=np.int64)
+            step = max(1, PAIR_BLOCK // self.size)
+            for lo in range(0, len(reps), step):
+                counts += distance_profiles(reps[lo : lo + step], arr, m).sum(axis=0)
+            self._counts = tuple(int(c) << len(self.kernel) for c in counts)
+        return self._counts
+
+    @property
+    def min_distance(self) -> int | None:
+        """Least distance between two distinct words; None for one word."""
+        if self.size < 2:
+            return None
+        return next(k for k, c in enumerate(self.distance_counts) if k and c)
+
+    @property
     def weight_histogram(self) -> tuple[int, ...]:
         """Count of words per weight, indexed 0..m."""
         if self._hist is None:
@@ -105,22 +142,6 @@ class Code:
 # passes in one process peaked at 72 MB, against 47 MB with these blocks,
 # which are no slower.
 PAIR_BLOCK = 1 << 17
-
-
-def _min_distance(words) -> int:
-    """Exhaustive minimum over distinct pairs, chunked for large codes."""
-    arr = np.asarray(words, dtype=np.uint32)
-    n = len(arr)
-    best = np.iinfo(np.uint8).max
-    step = max(1, PAIR_BLOCK // n)
-    for lo in range(0, n, step):
-        block = arr[lo : lo + step]
-        d = np.bitwise_count(block[:, None] ^ arr[None, :])
-        # mask the diagonal of self-pairs inside this block
-        idx = np.arange(lo, min(lo + step, n))
-        d[idx - lo, idx] = 255
-        best = min(best, int(d.min()))
-    return best
 
 
 @dataclass(frozen=True)
@@ -147,23 +168,12 @@ def code_predicates(code: Code) -> CodePredicates:
 
 
 def is_linear(code: Code) -> bool:
-    """Contains zero and is closed under coordinatewise sum."""
-    if 0 not in code:
-        return False
-    basis = linear_basis(code)
-    return len(code) == 1 << len(basis)
+    """Contains zero and is closed under coordinatewise sum.
 
-
-def linear_basis(code: Code) -> tuple[int, ...]:
-    """Row-reduced basis of the span of the code words."""
-    basis: list[int] = []
-    for w in code.words:
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-    return tuple(sorted(basis))
+    A code containing zero is a union of cosets of its translation kernel
+    K, which it contains; it is linear exactly when it is K.
+    """
+    return 0 in code and len(code) == 1 << len(code.kernel)
 
 
 # Words whose translations screen the kernel candidates before any is

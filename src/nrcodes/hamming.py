@@ -105,17 +105,18 @@ def to_string(v: int, m: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(m))
 
 
+_DROP_BITS = str.maketrans("", "", "01")
+
+
 def from_string(s: str) -> tuple[int, int]:
     """Parse the text form; returns (word, length)."""
     m = len(s)
     check_length(m)
-    v = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            v |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid character {ch!r} in vertex string")
-    return v, m
+    # int() alone would also accept '_', '+', whitespace and other digits
+    bad = s.translate(_DROP_BITS)
+    if bad:
+        raise ValueError(f"invalid character {bad[0]!r} in vertex string")
+    return int(s[::-1], 2), m
 
 
 def weight_masks(m: int, k: int) -> Iterator[int]:
@@ -187,3 +188,15 @@ def all_vertices(m: int) -> np.ndarray:
     arr = np.arange(1 << m, dtype=np.uint32)
     arr.setflags(write=False)
     return arr
+
+
+def distance_profiles(verts: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
+    """Row r: the number of words of `arr` at each distance 0..m from verts[r].
+
+    This is the one all-pairs kernel: every pair scan over a code, for
+    distances between codewords or from vertices to a code, counts here.
+    """
+    d = np.bitwise_count(verts[:, None] ^ arr[None, :])
+    offsets = np.arange(len(verts), dtype=np.intp)[:, None] * (m + 1)
+    counts = np.bincount((d + offsets).ravel(), minlength=len(verts) * (m + 1))
+    return counts.reshape(len(verts), m + 1)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, kernel_basis
-from .hamming import krawtchouk_table, permute_bits, weight_masks
+from .codes import PAIR_BLOCK, Code
+from .hamming import distance_profiles, krawtchouk_table, permute_bits, weight_masks
 
 INF_DIST = 64  # sentinel above any achievable distance, safe in uint8 arithmetic
 
@@ -36,23 +36,22 @@ class DistanceDistribution:
 
 
 def distance_distribution(code: Code) -> DistanceDistribution:
-    arr = code.words_u32()
-    n = len(arr)
-    counts = np.zeros(code.m + 1, dtype=np.int64)
-    step = max(1, PAIR_BLOCK // n)
-    for lo in range(0, n, step):
-        d = np.bitwise_count(arr[lo : lo + step, None] ^ arr[None, :])
-        counts += np.bincount(d.ravel(), minlength=code.m + 1)
-    pair_counts = tuple(int(c) for c in counts)
+    """The code's cached pair counts (Code.distance_counts), normalized."""
+    n = code.size
+    pair_counts = code.distance_counts
     a = tuple(Fraction(c, n) for c in pair_counts)
     return DistanceDistribution(m=code.m, size=n, pair_counts=pair_counts, a=a)
 
 
 def macwilliams_transform(dist: DistanceDistribution) -> tuple[Fraction, ...]:
-    """Krawtchouk transform of the normalized distance distribution."""
+    """Krawtchouk transform of the normalized distance distribution.
+
+    Summed over the integer pair counts and divided by |C| once, which is
+    the same rational as the sum over the normalized a_i.
+    """
     kt = krawtchouk_table(dist.m)
     return tuple(
-        sum((ai * kt(k, i) for i, ai in enumerate(dist.a)), start=Fraction(0))
+        Fraction(sum(c * kt(k, i) for i, c in enumerate(dist.pair_counts)), dist.size)
         for k in range(dist.m + 1)
     )
 
@@ -163,7 +162,7 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     computed.
     """
     m = code.m
-    basis = kernel_basis(code)
+    basis = code.kernel
     nreps = 1 << (m - len(basis))
     estimate = nreps * code.size
     if estimate > CR_WORK_LIMIT:
@@ -177,7 +176,7 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     step = max(1, PAIR_BLOCK // code.size)
     for lo in range(0, nreps, step):
         reps = permute_bits(np.arange(lo, min(lo + step, nreps), dtype=np.uint32), free)
-        profiles = _profiles(reps, arr, m)
+        profiles = distance_profiles(reps, arr, m)
         cells = (profiles != 0).argmax(axis=1)
         for c in np.unique(cells).tolist():
             idx = np.nonzero(cells == c)[0]
@@ -206,14 +205,6 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     return CompleteRegularityResult(
         ok=not deviant, table=table, witness=witness, rho=rho, cell_sizes=cell_sizes
     )
-
-
-def _profiles(verts: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
-    """Row r: the number of words of `arr` at each distance 0..m from verts[r]."""
-    d = np.bitwise_count(verts[:, None] ^ arr[None, :])
-    offsets = np.arange(len(verts), dtype=np.intp)[:, None] * (m + 1)
-    counts = np.bincount((d + offsets).ravel(), minlength=len(verts) * (m + 1))
-    return counts.reshape(len(verts), m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import Code, kernel_basis, linear_basis, span
+from .codes import Code, span
 from .hamming import (
     all_vertices,
     check_vertex,
@@ -523,7 +523,7 @@ def translation_kernel(code: Code) -> Code:
     """All words beta with C + beta = C; a linear subcode of C."""
     if 0 not in code:
         raise ValueError("translation kernel requires the zero word in the code")
-    return span(kernel_basis(code), code.m)
+    return span(code.kernel, code.m)
 
 
 def assemble_aut_generators(
@@ -545,7 +545,7 @@ def assemble_aut_generators(
     out: list[AutElement] = []
     out.extend(AutElement.permutation(m, g) for g in perm_group.generators)
     kernel = translation_kernel(code)
-    out.extend(AutElement.translation(m, b) for b in linear_basis(kernel))
+    out.extend(AutElement.translation(m, b) for b in code.kernel)
     seen: set[int] = set()
     reps = []
     for w in code.words:

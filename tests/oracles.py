@@ -3,7 +3,8 @@
 Everything here recomputes quantities straight from the definitions,
 deliberately avoiding the code paths it is used to check: regularity by a
 double loop over vertices and spheres, one vertex's distance profile by a
-loop over the codewords, automorphism groups by iterating
+loop over the codewords, pair counts and linearity by a double loop over
+the codewords, automorphism groups by iterating
 all m! permutations, group orders by multiplicative closure, and
 permutations between two codes by a plain coordinate-by-coordinate
 backtrack.
@@ -26,6 +27,20 @@ def brute_profile(code: Code, v: int) -> tuple[int, tuple[int, ...]]:
         histogram[(v ^ w).bit_count()] += 1
     distance = next(k for k, count in enumerate(histogram) if count)
     return distance, tuple(histogram)
+
+
+def brute_distance_counts(code: Code) -> tuple[int, ...]:
+    """Ordered pairs of codewords at each distance 0..m, by a double loop."""
+    counts = [0] * (code.m + 1)
+    for u in code.words:
+        for w in code.words:
+            counts[(u ^ w).bit_count()] += 1
+    return tuple(counts)
+
+
+def brute_is_linear(code: Code) -> bool:
+    """Contains zero and every sum of two codewords."""
+    return 0 in code and all((u ^ w) in code for u in code.words for w in code.words)
 
 
 def brute_regularity(code: Code):

@@ -1,7 +1,11 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nrcodes import codes
 from nrcodes.codes import (
     Code,
     CodeFileError,
@@ -9,7 +13,6 @@ from nrcodes.codes import (
     coset_decomposition,
     golay24,
     is_linear,
-    linear_basis,
     nordstrom_robinson,
     project,
     puncture,
@@ -20,6 +23,8 @@ from nrcodes.codes import (
     translate,
     write_code,
 )
+from nrcodes.spectrum import distance_distribution
+from oracles import brute_distance_counts, brute_is_linear
 
 JSTAR_MASK = (1 << 8) - 1
 
@@ -42,7 +47,7 @@ def test_golay_parameters(golay):
 
 def test_golay_is_linear(golay):
     assert is_linear(golay)
-    assert len(linear_basis(golay)) == 12
+    assert len(golay.kernel) == 12
 
 
 def test_golay_construction_deterministic():
@@ -202,3 +207,48 @@ def test_code_file_reader_rejects(tmp_path, content):
     path.write_text(content)
     with pytest.raises(CodeFileError):
         read_code(path)
+
+
+@st.composite
+def pair_scan_codes(draw):
+    """Random codes, translated spans, unions of cosets of a random
+    subspace (a nontrivial translation kernel) and one-word codes, m <= 10."""
+    m = draw(st.integers(1, 10))
+    word = st.integers(0, (1 << m) - 1)
+    kind = draw(st.sampled_from(["random", "span", "cosets", "single"]))
+    if kind == "random":
+        return Code(m, draw(st.lists(word, min_size=1, max_size=40)))
+    if kind == "single":
+        return Code(m, [draw(word)])
+    subspace = span(draw(st.lists(word, min_size=1, max_size=m)), m).words
+    if kind == "span":
+        beta = draw(word)
+        return Code(m, [v ^ beta for v in subspace])
+    reps = draw(st.lists(word, min_size=1, max_size=6))
+    return Code(m, [v ^ r for r in reps for v in subspace])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair_scan_codes())
+def test_pair_counts_match_all_pairs_oracle(code):
+    counts = brute_distance_counts(code)
+    assert code.distance_counts == counts
+    assert distance_distribution(code).pair_counts == counts
+    nonzero = [k for k, c in enumerate(counts) if k and c]
+    assert code.min_distance == (min(nonzero) if nonzero else None)
+    assert is_linear(code) == brute_is_linear(code)
+
+
+def test_code_construction_runs_no_pair_scan(monkeypatch):
+    class Scanned(Exception):
+        pass
+
+    def no_scan(*args):
+        raise Scanned
+
+    monkeypatch.setattr(codes, "distance_profiles", no_scan)
+    words = random.Random(24).sample(range(1 << 24), 3000)
+    code = Code(24, words)
+    assert code.size == 3000
+    with pytest.raises(Scanned):
+        code.min_distance

@@ -145,8 +145,9 @@ def test_text_form_round_trip():
     assert m == 16
     assert to_string(v, m) == s
     assert to_string(1, 4) == "1000"  # coordinate 1 is leftmost
-    with pytest.raises(ValueError):
-        from_string("01x0")
+    for bad in ("01x0", "01_0", "+010", "01 0"):
+        with pytest.raises(ValueError, match="invalid character"):
+            from_string(bad)
 
 
 @st.composite

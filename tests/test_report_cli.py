@@ -109,6 +109,27 @@ def test_cli_construct_and_analyze(tmp_path, capsys):
     assert doc["predicates"]["is_antipodal"] is True
 
 
+# sha256 of `analyze` stdout on each `construct` file: the pair counts,
+# minimum distance and linearity read the cached kernel quotient, and the
+# output must stay byte-identical to the all-pairs scan's.
+ANALYZE_SHA256 = {
+    "golay24": "4b6e0a940d6067d33100a608611286fd5edbe1a52589183145a9292103985c03",
+    "nr": "36e6159f705366570246fb1c707a5d8dc4bbb288dc946869f824dce7b94963bd",
+    "pn": "79d4d4b514b1dfa248d6feb46970d6a6e0ea5aa2863bca65465a7f5ac3b98833",
+    "reed_muller": "1cf18278fcedf6ba668e2847681b63041c49d510796cdd052c9650a059ba7440",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_cli_analyze_output_pinned(tmp_path, capsys, name):
+    out = tmp_path / f"{name}.code"
+    assert main(["construct", name, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
 def test_cli_construct_pn_variants(tmp_path):
     for name, m in (("pn", 15), ("pn@3", 15), ("golay24", 24), ("reed_muller", 16)):
         out = tmp_path / f"{name.replace('@', '_')}.code"

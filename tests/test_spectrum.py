@@ -250,7 +250,7 @@ def test_regularity_guard_raises_before_any_profile(monkeypatch):
     def no_profiles(*args):
         raise AssertionError("a profile was computed")
 
-    monkeypatch.setattr(spectrum, "_profiles", no_profiles)
+    monkeypatch.setattr(spectrum, "distance_profiles", no_profiles)
     code = Code(24, [0, 1, 6, 1 << 23])
     assert kernel_basis(code) == ()
     with pytest.raises(RegularityWorkExceeded) as info:
