@@ -99,14 +99,12 @@ class Code:
     def distance_counts(self) -> tuple[int, ...]:
         """Ordered pairs of words at each distance 0..m.
 
-        The profile of a word is constant on its coset of K, and the words
-        zero on every pivot of the kernel basis are one per coset, so their
-        summed profiles times |K| count every pair.
+        The profile of a word is constant on its coset of K, so the summed
+        profiles of the coset leaders times |K| count every pair.
         """
         if self._counts is None:
             m, arr = self.m, self.words_u32()
-            pivots = sum(1 << (b.bit_length() - 1) for b in self.kernel)
-            reps = arr[(arr & np.uint32(pivots)) == 0]
+            reps = coset_leaders(self)
             counts = np.zeros(m + 1, dtype=np.int64)
             step = max(1, PAIR_BLOCK // self.size)
             for lo in range(0, len(reps), step):
@@ -220,6 +218,18 @@ def kernel_basis(code: Code) -> tuple[int, ...]:
         cand = cand ^ (((cand >> np.uint32(p)) & np.uint32(1)) * np.uint32(beta))
         cand = np.unique(cand[cand != 0])
     return tuple(basis)
+
+
+def coset_leaders(code: Code) -> np.ndarray:
+    """The least word of each coset of the translation kernel K in C.
+
+    These are the words zero on every pivot of the reduced echelon kernel
+    basis: the leading bit of a nonzero kernel vector is a pivot, so adding
+    it to such a word gives a larger one.  Returned ascending, as uint32.
+    """
+    arr = code.words_u32()
+    pivots = sum(1 << (b.bit_length() - 1) for b in code.kernel)
+    return arr[(arr & np.uint32(pivots)) == 0]
 
 
 def span(generators, m: int) -> Code:

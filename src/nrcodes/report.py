@@ -11,27 +11,31 @@ losslessly.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 from . import __version__
 from .codes import Code, code_predicates, named_code, puncture
 from .spectrum import (
+    CompleteRegularityResult,
+    FeasibilityResult,
     completely_regular_check,
     design_arithmetic,
     design_check,
     distance_distribution,
-    distance_partition,
     feasible_distributions,
     lambda_upper_bound,
     macwilliams_transform,
 )
 from .symmetry import (
+    AutElement,
+    OrbitPartition,
     PermGroup,
+    TransitivityResult,
     assemble_aut_generators,
     enumerate_perm_automorphisms,
     find_equivalence,
@@ -39,6 +43,7 @@ from .symmetry import (
     orbits_on_sphere,
     translation_kernel,
     verify_complete_transitivity,
+    vertex_orbits,
 )
 
 NR_TEMPLATE = (1, 0, 0, 0, 0, 0, 112, None, None, None, 112, 0, 0, 0, 0, 0, 1)
@@ -66,67 +71,67 @@ def fmt(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# The distance-distribution template and length of each code's
+# feasibility claims.
+_FEASIBILITY = {"nr": (16, NR_TEMPLATE), "pn": (15, PN_TEMPLATE)}
+
+
+def _stage(build):
+    """Build a Workbench stage once per code name and keep the result."""
+
+    @functools.wraps(build)
+    def stage(self, name: str):
+        key = (build.__name__, name)
+        if key not in self._built:
+            self._built[key] = build(self, name)
+        return self._built[key]
+
+    return stage
+
+
 class Workbench:
-    """Lazily built shared state for one verification run."""
+    """Lazily built shared state for one verification run.
+
+    Each method answers one question about the code it is given by name
+    (see `named_code`) and is computed at most once per name.
+    """
 
     def __init__(self, budget: int | None = None):
         self.budget = budget
+        self._built: dict[tuple[str, str], object] = {}
 
-    @cached_property
-    def golay(self) -> Code:
-        return named_code("golay24")
+    @_stage
+    def code(self, name: str) -> Code:
+        return named_code(name)
 
-    @cached_property
-    def nr(self) -> Code:
-        return named_code("nr")
+    @_stage
+    def regularity(self, name: str) -> CompleteRegularityResult:
+        return completely_regular_check(self.code(name))
 
-    @cached_property
-    def rm(self) -> Code:
-        return named_code("reed_muller")
+    @_stage
+    def perm_group(self, name: str) -> PermGroup:
+        return enumerate_perm_automorphisms(self.code(name), self.budget)
 
-    @cached_property
-    def pn(self) -> Code:
-        return named_code("pn")
+    @_stage
+    def perm_orbits(self, name: str) -> OrbitPartition:
+        group = self.perm_group(name)
+        gens = [AutElement.permutation(group.degree, g) for g in group.generators]
+        return vertex_orbits(gens, group.degree)
 
-    @cached_property
-    def nr_partition(self):
-        return distance_partition(self.nr)
+    @_stage
+    def generators(self, name: str) -> list[AutElement]:
+        return assemble_aut_generators(
+            self.code(name), self.perm_group(name), self.budget
+        )
 
-    @cached_property
-    def pn_partition(self):
-        return distance_partition(self.pn)
+    @_stage
+    def transitivity(self, name: str) -> TransitivityResult:
+        return verify_complete_transitivity(self.code(name), self.generators(name))
 
-    @cached_property
-    def nr_perm_group(self) -> PermGroup:
-        return enumerate_perm_automorphisms(self.nr, self.budget)
-
-    @cached_property
-    def pn_perm_group(self) -> PermGroup:
-        return enumerate_perm_automorphisms(self.pn, self.budget)
-
-    @cached_property
-    def nr_generators(self):
-        return assemble_aut_generators(self.nr, self.nr_perm_group, self.budget)
-
-    @cached_property
-    def pn_generators(self):
-        return assemble_aut_generators(self.pn, self.pn_perm_group, self.budget)
-
-    @cached_property
-    def nr_transitivity(self):
-        return verify_complete_transitivity(self.nr, self.nr_generators)
-
-    @cached_property
-    def pn_transitivity(self):
-        return verify_complete_transitivity(self.pn, self.pn_generators)
-
-    @cached_property
-    def nr_feasibility(self):
-        return feasible_distributions(16, NR_TEMPLATE, antipodal=True)
-
-    @cached_property
-    def pn_feasibility(self):
-        return feasible_distributions(15, PN_TEMPLATE, antipodal=True)
+    @_stage
+    def feasibility(self, name: str) -> FeasibilityResult:
+        m, template = _FEASIBILITY[name]
+        return feasible_distributions(m, template, antipodal=True)
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,8 @@ class Claim:
     note: str | None = None
 
 
-def _cr_summary(code: Code):
-    res = completely_regular_check(code)
+def _cr_summary(wb: Workbench, name: str):
+    res = wb.regularity(name)
     if not res.ok:
         w = res.witness
         return [
@@ -150,7 +155,7 @@ def _cr_summary(code: Code):
             str(w.vertex_a),
             str(w.vertex_b),
         ]
-    row_sums_ok = all(s == code.size for s in res.table.row_sums())
+    row_sums_ok = all(s == res.table.size for s in res.table.row_sums())
     return ["completely regular", "row sums |C|" if row_sums_ok else "row sums bad"]
 
 
@@ -178,22 +183,22 @@ def _lambda_elimination(m: int, delta: int, t: int):
 
 
 def _puncture_equivalences(wb: Workbench) -> str:
-    base = puncture(wb.nr, 1)
+    base = puncture(wb.code("nr"), 1)
     found = 0
     for p in range(2, 17):
-        x = find_equivalence(puncture(wb.nr, p), base, wb.budget)
+        x = find_equivalence(puncture(wb.code("nr"), p), base, wb.budget)
         if x is not None:
             found += 1
     return f"equivalent for {found}/15 puncture positions"
 
 
 def _kernel_summary(wb: Workbench) -> list:
-    kernel = translation_kernel(wb.nr)
-    return [str(kernel.size), kernel == wb.rm]
+    kernel = translation_kernel(wb.code("nr"))
+    return [str(kernel.size), kernel == wb.code("reed_muller")]
 
 
 def _mu_image_order(wb: Workbench) -> str:
-    sigmas = sorted(set(g.sigma for g in wb.nr_generators))
+    sigmas = sorted(set(g.sigma for g in wb.generators("nr")))
     return str(PermGroup(16, sigmas).order())
 
 
@@ -204,31 +209,31 @@ def build_manifest() -> tuple[Claim, ...]:
     claims = [
         Claim(
             "golay.size", "extended Golay code has 4096 words", nr_t,
-            expected="4096", compute=lambda wb: str(wb.golay.size),
+            expected="4096", compute=lambda wb: str(wb.code("golay24").size),
         ),
         Claim(
             "golay.delta", "extended Golay code has minimum distance 8", nr_t,
-            expected="8", compute=lambda wb: str(wb.golay.min_distance),
+            expected="8", compute=lambda wb: str(wb.code("golay24").min_distance),
         ),
         Claim(
             "golay.contains_gamma",
             "the weight-8 word on coordinates 1..8 is a Golay codeword", nr_t,
-            expected=True, compute=lambda wb: ((1 << 8) - 1) in wb.golay,
+            expected=True, compute=lambda wb: ((1 << 8) - 1) in wb.code("golay24"),
         ),
         Claim(
             "golay.weights",
             "Golay weight enumerator counts at weights 8, 12, 16", nr_t,
             expected=["759", "2576", "759"],
             compute=lambda wb: fmt([
-                wb.golay.weight_histogram[8],
-                wb.golay.weight_histogram[12],
-                wb.golay.weight_histogram[16],
+                wb.code("golay24").weight_histogram[8],
+                wb.code("golay24").weight_histogram[12],
+                wb.code("golay24").weight_histogram[16],
             ]),
         ),
         Claim(
             "golay.cr", "Golay code is completely regular", nr_t,
             expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb.golay),
+            compute=lambda wb: _cr_summary(wb, "golay24"),
         ),
         Claim(
             "golay.selfdual.transform",
@@ -237,58 +242,60 @@ def build_manifest() -> tuple[Claim, ...]:
             compute=lambda wb: (
                 lambda dd: macwilliams_transform(dd)
                 == tuple(4096 * a for a in dd.a)
-            )(distance_distribution(wb.golay)),
+            )(distance_distribution(wb.code("golay24"))),
         ),
         Claim(
             "nr.params", "construction yields a (16, 256, 6) code", nr_t,
             expected=["16", "256", "6"],
-            compute=lambda wb: fmt([wb.nr.m, wb.nr.size, wb.nr.min_distance]),
+            compute=lambda wb: (
+                lambda c: fmt([c.m, c.size, c.min_distance])
+            )(wb.code("nr")),
         ),
         Claim(
             "nr.even", "every codeword has even weight", nr_t,
             expected=True,
-            compute=lambda wb: code_predicates(wb.nr).is_even,
+            compute=lambda wb: code_predicates(wb.code("nr")).is_even,
         ),
         Claim(
             "nr.antipodal", "the code is closed under complement", nr_t,
             expected=True,
-            compute=lambda wb: code_predicates(wb.nr).is_antipodal,
+            compute=lambda wb: code_predicates(wb.code("nr")).is_antipodal,
         ),
         Claim(
             "nr.dist", "distance distribution of the (16, 256, 6) code", nr_t,
             expected=fmt(list(NR_DISTRIBUTION)),
             compute=lambda wb: fmt(
-                [a for a in distance_distribution(wb.nr).a]
+                [a for a in distance_distribution(wb.code("nr")).a]
             ),
         ),
         Claim(
             "nr.rho", "covering radius 4", nr_t,
-            expected="4", compute=lambda wb: str(wb.nr_partition.rho),
+            expected="4", compute=lambda wb: str(wb.regularity("nr").rho),
         ),
         Claim(
             "nr.cells", "distance-partition cell sizes", nr_t,
             expected=["256", "4096", "30720", "28672", "1792"],
-            compute=lambda wb: fmt(list(wb.nr_partition.cell_sizes)),
+            compute=lambda wb: fmt(list(wb.regularity("nr").cell_sizes)),
         ),
         Claim(
             "nr.cr", "the code is completely regular", nr_t,
             expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb.nr),
+            compute=lambda wb: _cr_summary(wb, "nr"),
         ),
         Claim(
             "nr.design.w6", "weight-6 words form a 3-design with 112 blocks", nr_t,
             expected=["4", "112"],
-            compute=lambda wb: _design_summary(wb.nr, 6, 3),
+            compute=lambda wb: _design_summary(wb.code("nr"), 6, 3),
         ),
         Claim(
             "nr.design.w8", "weight-8 words form a 3-design", nr_t,
             expected=["3", "30"],
-            compute=lambda wb: _design_summary(wb.nr, 8, 3),
+            compute=lambda wb: _design_summary(wb.code("nr"), 8, 3),
         ),
         Claim(
             "nr.design.w10", "weight-10 words form a 3-design", nr_t,
             expected=["24", "112"],
-            compute=lambda wb: _design_summary(wb.nr, 10, 3),
+            compute=lambda wb: _design_summary(wb.code("nr"), 10, 3),
         ),
         Claim(
             "nr.kernel", "translation kernel equals the [16,5,8] subcode", nr_t,
@@ -299,15 +306,17 @@ def build_manifest() -> tuple[Claim, ...]:
             "nr.kernel.strict",
             "no word outside the kernel translates the code onto itself", nr_t,
             expected=True,
-            compute=lambda wb: all(
-                any((w ^ b) not in wb.nr for w in wb.nr.words)
-                for b in wb.nr.words
-                if b not in wb.rm
-            ),
+            compute=lambda wb: (
+                lambda nr, rm: all(
+                    any((w ^ b) not in nr for w in nr.words)
+                    for b in nr.words
+                    if b not in rm
+                )
+            )(wb.code("nr"), wb.code("reed_muller")),
         ),
         Claim(
             "nr.perm.order", "permutation stabilizer has order 40320", nr_t,
-            expected="40320", compute=lambda wb: str(wb.nr_perm_group.order()),
+            expected="40320", compute=lambda wb: str(wb.perm_group("nr").order()),
         ),
         Claim(
             "nr.mu.order",
@@ -319,7 +328,7 @@ def build_manifest() -> tuple[Claim, ...]:
             "permutation stabilizer has 2 orbits on weight-4 vertices", nr_t,
             expected="2",
             compute=lambda wb: str(
-                orbits_on_sphere(wb.nr_perm_group, 16, 4).orbit_count
+                orbits_on_sphere(wb.perm_orbits("nr"), 4).orbit_count
             ),
         ),
         Claim(
@@ -327,7 +336,7 @@ def build_manifest() -> tuple[Claim, ...]:
             "permutation stabilizer is transitive on weights 1, 2, 3", nr_t,
             expected=["1", "1", "1"],
             compute=lambda wb: [
-                str(orbits_on_sphere(wb.nr_perm_group, 16, k).orbit_count)
+                str(orbits_on_sphere(wb.perm_orbits("nr"), k).orbit_count)
                 for k in (1, 2, 3)
             ],
         ),
@@ -335,23 +344,23 @@ def build_manifest() -> tuple[Claim, ...]:
             "nr.ct", "orbits of the stabilizer equal the distance partition", nr_t,
             expected=[True, "5"],
             compute=lambda wb: [
-                wb.nr_transitivity.ok, str(len(wb.nr_transitivity.cells))
+                wb.transitivity("nr").ok, str(len(wb.transitivity("nr").cells))
             ],
         ),
         Claim(
             "rm.params", "kernel subcode is a linear [16,5,8] subset", nr_t,
             expected=["32", "8", True, True],
             compute=lambda wb: [
-                str(wb.rm.size),
-                str(wb.rm.min_distance),
-                code_predicates(wb.rm).is_linear,
-                all(w in wb.nr for w in wb.rm.words),
+                str(wb.code("reed_muller").size),
+                str(wb.code("reed_muller").min_distance),
+                code_predicates(wb.code("reed_muller")).is_linear,
+                all(w in wb.code("nr") for w in wb.code("reed_muller").words),
             ],
         ),
         Claim(
             "rm.cr", "the [16,5,8] subcode is completely regular", nr_t,
             expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb.rm),
+            compute=lambda wb: _cr_summary(wb, "reed_muller"),
             note=(
                 "expected to fail: two vertices at distance 4 from the "
                 "subcode have different codeword-distance profiles, so the "
@@ -364,21 +373,21 @@ def build_manifest() -> tuple[Claim, ...]:
             "transform nonnegativity forces the unknown entries to (0, 30)", nr_t,
             expected=[["0", "30"]],
             compute=lambda wb: [
-                [str(s[7]), str(s[8])] for s in wb.nr_feasibility.solutions
+                [str(s[7]), str(s[8])] for s in wb.feasibility("nr").solutions
             ],
         ),
         Claim(
             "feas.nr.row_k2", "derived constraint row at k = 2", nr_t,
             expected="240 - 12*a7 - 8*a8 >= 0",
-            compute=lambda wb: wb.nr_feasibility.rows[2].render(
-                wb.nr_feasibility.names
+            compute=lambda wb: wb.feasibility("nr").rows[2].render(
+                wb.feasibility("nr").names
             ),
         ),
         Claim(
             "feas.nr.row_k4", "derived constraint row at k = 4", nr_t,
             expected="-840 + 28*a7 + 28*a8 >= 0",
-            compute=lambda wb: wb.nr_feasibility.rows[4].render(
-                wb.nr_feasibility.names
+            compute=lambda wb: wb.feasibility("nr").rows[4].render(
+                wb.feasibility("nr").names
             ),
             note=(
                 "the a7 coefficient of this derived row is +28; a commonly "
@@ -395,66 +404,68 @@ def build_manifest() -> tuple[Claim, ...]:
         Claim(
             "pn.params", "puncturing yields a (15, 256, 5) code", pn_t,
             expected=["15", "256", "5"],
-            compute=lambda wb: fmt([wb.pn.m, wb.pn.size, wb.pn.min_distance]),
+            compute=lambda wb: (
+                lambda c: fmt([c.m, c.size, c.min_distance])
+            )(wb.code("pn")),
         ),
         Claim(
             "pn.weight5.count", "42 words of weight 5", pn_t,
             expected="42",
-            compute=lambda wb: str(wb.pn.weight_histogram[5]),
+            compute=lambda wb: str(wb.code("pn").weight_histogram[5]),
         ),
         Claim(
             "pn.dist", "distance distribution of the (15, 256, 5) code", pn_t,
             expected=fmt(list(PN_DISTRIBUTION)),
             compute=lambda wb: fmt(
-                [a for a in distance_distribution(wb.pn).a]
+                [a for a in distance_distribution(wb.code("pn")).a]
             ),
         ),
         Claim(
             "pn.antipodal", "the punctured code is closed under complement", pn_t,
             expected=True,
-            compute=lambda wb: code_predicates(wb.pn).is_antipodal,
+            compute=lambda wb: code_predicates(wb.code("pn")).is_antipodal,
         ),
         Claim(
             "pn.rho", "covering radius 3", pn_t,
-            expected="3", compute=lambda wb: str(wb.pn_partition.rho),
+            expected="3", compute=lambda wb: str(wb.regularity("pn").rho),
         ),
         Claim(
             "pn.cells", "distance-partition cell sizes", pn_t,
             expected=["256", "3840", "26880", "1792"],
-            compute=lambda wb: fmt(list(wb.pn_partition.cell_sizes)),
+            compute=lambda wb: fmt(list(wb.regularity("pn").cell_sizes)),
         ),
         Claim(
             "pn.cr", "the punctured code is completely regular", pn_t,
             expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb.pn),
+            compute=lambda wb: _cr_summary(wb, "pn"),
         ),
         Claim(
             "pn.design.w5", "weight-5 words form a 2-design with 42 blocks", pn_t,
             expected=["4", "42"],
-            compute=lambda wb: _design_summary(wb.pn, 5, 2),
+            compute=lambda wb: _design_summary(wb.code("pn"), 5, 2),
         ),
         Claim(
             "pn.kernel.size", "translation kernel has 32 words", pn_t,
             expected="32",
-            compute=lambda wb: str(translation_kernel(wb.pn).size),
+            compute=lambda wb: str(translation_kernel(wb.code("pn")).size),
         ),
         Claim(
             "pn.perm.order", "permutation stabilizer has order 2520", pn_t,
-            expected="2520", compute=lambda wb: str(wb.pn_perm_group.order()),
+            expected="2520", compute=lambda wb: str(wb.perm_group("pn").order()),
         ),
         Claim(
             "pn.orbits.sphere3",
             "permutation stabilizer has 2 orbits on weight-3 vertices", pn_t,
             expected="2",
             compute=lambda wb: str(
-                orbits_on_sphere(wb.pn_perm_group, 15, 3).orbit_count
+                orbits_on_sphere(wb.perm_orbits("pn"), 3).orbit_count
             ),
         ),
         Claim(
             "pn.ct", "orbits of the stabilizer equal the distance partition", pn_t,
             expected=[True, "4"],
             compute=lambda wb: [
-                wb.pn_transitivity.ok, str(len(wb.pn_transitivity.cells))
+                wb.transitivity("pn").ok, str(len(wb.transitivity("pn").cells))
             ],
         ),
         Claim(
@@ -468,7 +479,7 @@ def build_manifest() -> tuple[Claim, ...]:
             "transform nonnegativity forces the unknown entries to (70, 15)", pn_t,
             expected=[["70", "15"]],
             compute=lambda wb: [
-                [str(s[6]), str(s[7])] for s in wb.pn_feasibility.solutions
+                [str(s[6]), str(s[7])] for s in wb.feasibility("pn").solutions
             ],
         ),
         Claim(
@@ -581,20 +592,12 @@ def run_verification(
             continue
         start = time.perf_counter()
         if claim.compute is None:
-            entry = ReportEntry(
-                claim_id=claim.claim_id,
-                statement=claim.statement,
-                expected=None,
-                computed=None,
-                status="external-fact",
-                wall_time=f"{time.perf_counter() - start:.6f}",
-                citation=claim.citation,
-                note=claim.note,
-            )
+            computed, status = None, "external-fact"
         else:
             computed = claim.compute(wb)
             status = "pass" if computed == claim.expected else "fail"
-            entry = ReportEntry(
+        report.entries.append(
+            ReportEntry(
                 claim_id=claim.claim_id,
                 statement=claim.statement,
                 expected=claim.expected,
@@ -604,16 +607,13 @@ def run_verification(
                 citation=claim.citation,
                 note=claim.note,
             )
-        report.entries.append(entry)
+        )
     return report
 
 
 def transitivity_certificate(wb: Workbench, which: str) -> dict:
     """Orbit-versus-cell certificate with the generators in text form."""
-    if which == "nr":
-        res, gens = wb.nr_transitivity, wb.nr_generators
-    else:
-        res, gens = wb.pn_transitivity, wb.pn_generators
+    res, gens = wb.transitivity(which), wb.generators(which)
     return {
         "matched_cells": [
             {

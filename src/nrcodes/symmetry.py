@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import Code, span
+from .codes import Code, coset_leaders, span
 from .hamming import (
     all_vertices,
     check_vertex,
@@ -140,13 +140,15 @@ class AutElement:
         return self.beta == 0 and self.sigma == _perm_identity(self.m)
 
 
-def stabilizes(x: AutElement, code: Code) -> bool:
-    """Does x map the words of the code onto themselves?"""
-    if x.m != code.m:
+def maps_onto(x: AutElement, code_a: Code, code_b: Code) -> bool:
+    """Does x map the words of code_a onto those of code_b?
+
+    maps_onto(x, code, code) says whether x stabilizes the code.
+    """
+    if x.m != code_a.m or x.m != code_b.m:
         raise ValueError("element and code lengths differ")
-    words = code.words_u32()
-    image = np.sort(permute_bits(words ^ x.beta, x.sigma))
-    return np.array_equal(image, words)
+    image = np.sort(permute_bits(code_a.words_u32() ^ x.beta, x.sigma))
+    return np.array_equal(image, code_b.words_u32())
 
 
 def project_automorphism(x: AutElement, coords) -> AutElement:
@@ -480,7 +482,7 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
         order *= len(orbit)
     group = PermGroup(m, gens)
     for g in gens:
-        if not stabilizes(AutElement.permutation(m, g), code):
+        if not maps_onto(AutElement.permutation(m, g), code, code):
             raise RuntimeError("backtrack produced a non-automorphism")
     if group.order() != order:
         raise RuntimeError(
@@ -489,33 +491,43 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     return group
 
 
+def _word_mover(
+    code_a: Code, c: int, code_b: Code, c2: int, tracker: _Budget
+) -> AutElement | None:
+    """Some automorphism mapping code_a onto code_b and c onto c2, or None.
+
+    Searches for a coordinate permutation sigma taking code_a + c onto
+    code_b + c2; then x = (c + unpermute(c2, sigma), sigma) sends c to c2
+    and code_a onto code_b, which is checked before x is returned.
+    """
+    shifted_a = np.sort(code_a.words_u32() ^ np.uint32(c))
+    shifted_b = np.sort(code_b.words_u32() ^ np.uint32(c2))
+    sigma = _search_permutation(shifted_a, shifted_b, code_a.m, [], tracker)
+    if sigma is None:
+        return None
+    x = AutElement(code_a.m, c ^ unpermute_bits(c2, sigma), sigma)
+    if x.act(c) != c2 or not maps_onto(x, code_a, code_b):
+        raise RuntimeError("permutation search produced a wrong word mover")
+    return x
+
+
 def find_equivalence(
     code_a: Code, code_b: Code, budget: int | None = None
 ) -> AutElement | None:
     """Some Hamming-graph automorphism mapping code_a onto code_b, or None.
 
-    Fixes the least word of code_a, tries each word of code_b as its
-    image, and searches for the coordinate permutation between the two
-    translated codes.
+    Fixes the least word of code_a and tries each word of code_b as its
+    image (`_word_mover`).
     """
     if code_a.m != code_b.m:
         raise ValueError("codes must have the same length")
     if code_a.size != code_b.size:
         return None
-    m = code_a.m
     tracker = _Budget(budget)
-    c = code_a.words[0]
-    shifted_a = tuple(sorted(w ^ c for w in code_a.words))
     for c2 in code_b.words:
-        shifted_b = tuple(sorted(w ^ c2 for w in code_b.words))
-        sigma = _search_permutation(shifted_a, shifted_b, m, [], tracker)
-        if sigma is None:
-            continue
-        beta = c ^ unpermute_bits(c2, sigma)
-        x = AutElement(m, beta, sigma)
-        if not all(x.act(w) in code_b for w in code_a.words):
-            raise RuntimeError("equivalence search produced a wrong element")
-        return x
+        x = _word_mover(code_a, code_a.words[0], code_b, c2, tracker)
+        if x is not None:
+            return x
     return None
 
 
@@ -533,10 +545,11 @@ def assemble_aut_generators(
 
     Combines (a) the generators of `perm_group`, the code's permutation
     stabilizer as built by `enumerate_perm_automorphisms`, (b) a basis of
-    the translation kernel, and (c) for each kernel coset inside the code,
-    one element moving the zero word onto a coset representative (a
-    coordinate permutation followed by the representative's translation).
-    Every element is re-verified to stabilize the code.
+    the translation kernel, and (c) for each other kernel coset inside the
+    code, one element moving the zero word onto the coset's least word
+    (`coset_leaders`), if the search finds one: a coordinate permutation
+    followed by the translation by that word.  Every element is
+    re-verified to stabilize the code.
     """
     if 0 not in code:
         raise ValueError("generator assembly requires the zero word in the code")
@@ -544,27 +557,13 @@ def assemble_aut_generators(
     tracker = _Budget(budget)
     out: list[AutElement] = []
     out.extend(AutElement.permutation(m, g) for g in perm_group.generators)
-    kernel = translation_kernel(code)
     out.extend(AutElement.translation(m, b) for b in code.kernel)
-    seen: set[int] = set()
-    reps = []
-    for w in code.words:
-        if w not in seen:
-            reps.append(w)
-            seen.update(w ^ kw for kw in kernel.words)
-    for rep in reps:
-        if rep == 0:
-            continue
-        target = tuple(sorted(w ^ rep for w in code.words))
-        sigma = _search_permutation(code.words, target, m, [], tracker)
-        if sigma is None:
-            continue
-        x = AutElement(m, unpermute_bits(rep, sigma), sigma)
-        if x.act(0) != rep:
-            raise RuntimeError("coset mover does not send 0 to its representative")
-        out.append(x)
+    for rep in coset_leaders(code).tolist()[1:]:
+        x = _word_mover(code, 0, code, rep, tracker)
+        if x is not None:
+            out.append(x)
     for x in out:
-        if not stabilizes(x, code):
+        if not maps_onto(x, code, code):
             raise RuntimeError("assembled generator does not stabilize the code")
     return out
 
@@ -615,14 +614,10 @@ class SphereOrbits:
     sizes: tuple[int, ...]
 
 
-def orbits_on_sphere(group: PermGroup, m: int, k: int) -> SphereOrbits:
-    """Orbits of a permutation group on the weight-k vertices."""
-    if group.degree != m:
-        raise ValueError("group degree does not match the vertex length")
-    gens = [AutElement.permutation(m, g) for g in group.generators]
-    partition = vertex_orbits(gens, m)
-    weights = np.bitwise_count(all_vertices(m))
-    labs = partition.labels[weights == k]
+def orbits_on_sphere(orbits: OrbitPartition, k: int) -> SphereOrbits:
+    """The orbits of a group on the weight-k vertices, from its vertex orbits."""
+    weights = np.bitwise_count(all_vertices(orbits.m))
+    labs = orbits.labels[weights == k]
     uniq, counts = np.unique(labs, return_counts=True)
     return SphereOrbits(
         k=k, orbit_count=len(uniq), sizes=tuple(int(c) for c in counts)
@@ -652,7 +647,7 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     on failure it returns two same-cell vertices in different orbits.
     """
     for x in gens:
-        if not stabilizes(x, code):
+        if not maps_onto(x, code, code):
             raise ValueError("generator does not stabilize the code")
     partition = distance_partition(code)
     orbits = vertex_orbits(gens, code.m)

@@ -4,10 +4,10 @@ Everything here recomputes quantities straight from the definitions,
 deliberately avoiding the code paths it is used to check: regularity by a
 double loop over vertices and spheres, one vertex's distance profile by a
 loop over the codewords, pair counts and linearity by a double loop over
-the codewords, automorphism groups by iterating
-all m! permutations, group orders by multiplicative closure, and
-permutations between two codes by a plain coordinate-by-coordinate
-backtrack.
+the codewords, coset leaders from a kernel found by trying every
+translation, automorphism groups by iterating all m! permutations, group
+orders by multiplicative closure, and permutations between two codes by a
+plain coordinate-by-coordinate backtrack.
 """
 
 import itertools
@@ -41,6 +41,15 @@ def brute_distance_counts(code: Code) -> tuple[int, ...]:
 def brute_is_linear(code: Code) -> bool:
     """Contains zero and every sum of two codewords."""
     return 0 in code and all((u ^ w) in code for u in code.words for w in code.words)
+
+
+def brute_coset_leaders(code: Code) -> list[int]:
+    """Least word of each coset of the translation kernel in the code, with
+    the kernel found by trying every vertex as a translation."""
+    kernel = [
+        b for b in range(1 << code.m) if all((w ^ b) in code for w in code.words)
+    ]
+    return sorted({min(w ^ b for b in kernel) for w in code.words})
 
 
 def brute_regularity(code: Code):

@@ -28,8 +28,8 @@ from nrcodes.symmetry import (
     PermGroup,
     enumerate_perm_automorphisms,
     find_equivalence,
+    maps_onto,
     orbits_on_sphere,
-    stabilizes,
     translation_kernel,
     verify_complete_transitivity,
     vertex_orbits,
@@ -219,13 +219,13 @@ def test_criterion_10_group_orders(nr_perm_group, pn_perm_group, nr_generators):
     assert mu_image.order() == 322560  # 2^4 * |A_8|
 
 
-def test_criterion_11_sphere_orbits(nr_perm_group, pn_perm_group):
+def test_criterion_11_sphere_orbits(nr_perm_orbits, pn_perm_orbits):
     t0 = time.perf_counter()
     ok = (
-        orbits_on_sphere(nr_perm_group, 16, 4).orbit_count == 2
-        and orbits_on_sphere(pn_perm_group, 15, 3).orbit_count == 2
+        orbits_on_sphere(nr_perm_orbits, 4).orbit_count == 2
+        and orbits_on_sphere(pn_perm_orbits, 3).orbit_count == 2
         and all(
-            orbits_on_sphere(nr_perm_group, 16, k).orbit_count == 1
+            orbits_on_sphere(nr_perm_orbits, k).orbit_count == 1
             for k in (1, 2, 3)
         )
     )
@@ -330,6 +330,6 @@ def test_mutation_detects_corruption(nr):
 
     gens = assemble_aut_generators(corrupted, enumerate_perm_automorphisms(corrupted))
     for g in gens:
-        assert stabilizes(g, corrupted)
+        assert maps_onto(g, corrupted, corrupted)
     assert not verify_complete_transitivity(corrupted, gens).ok
     report(0, "mutation detection (criteria 2, 5, 12)", True, t0)

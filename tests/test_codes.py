@@ -11,6 +11,7 @@ from nrcodes.codes import (
     CodeFileError,
     code_predicates,
     coset_decomposition,
+    coset_leaders,
     golay24,
     is_linear,
     nordstrom_robinson,
@@ -24,7 +25,7 @@ from nrcodes.codes import (
     write_code,
 )
 from nrcodes.spectrum import distance_distribution
-from oracles import brute_distance_counts, brute_is_linear
+from oracles import brute_coset_leaders, brute_distance_counts, brute_is_linear
 
 JSTAR_MASK = (1 << 8) - 1
 
@@ -237,6 +238,7 @@ def test_pair_counts_match_all_pairs_oracle(code):
     nonzero = [k for k, c in enumerate(counts) if k and c]
     assert code.min_distance == (min(nonzero) if nonzero else None)
     assert is_linear(code) == brute_is_linear(code)
+    assert coset_leaders(code).tolist() == brute_coset_leaders(code)
 
 
 def test_code_construction_runs_no_pair_scan(monkeypatch):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from nrcodes import report as report_module
+from nrcodes import symmetry
 from nrcodes.cli import main
 from nrcodes.codes import Code, write_code
 from nrcodes.report import (
@@ -56,18 +58,51 @@ def test_run_verification_pn_passes():
     assert not any(i.startswith("nr.") for i in statuses)
 
 
-def test_corrupted_code_fails_claims(nr):
-    from nrcodes.codes import Code
-
+def test_corrupted_code_fails_claims(nr, monkeypatch):
     words = list(nr.words)
     words[10] ^= 1
-    wb = Workbench()
-    wb.__dict__["nr"] = Code(16, words)
-    report = run_verification("nr", workbench=wb)
+    corrupted = Code(16, words)
+    named_code = report_module.named_code
+    monkeypatch.setattr(
+        report_module,
+        "named_code",
+        lambda name: corrupted if name == "nr" else named_code(name),
+    )
+    report = run_verification("nr", workbench=Workbench())
     failing = set(report.failing_ids())
     assert "nr.params" in failing  # minimum distance drops
     assert "nr.even" in failing
     assert "nr.cr" in failing
+
+
+# Calls per `verify all`: NR and PN each build their permutation-group
+# orbits once and the transitivity check's orbits and distance partition
+# once; the four codes with a regularity claim are checked once each.
+STAGE_CALLS = {
+    "vertex_orbits": 4,
+    "distance_partition": 2,
+    "translation_kernel": 2,
+    "completely_regular_check": 4,
+    "enumerate_perm_automorphisms": 2,
+}
+
+
+def test_verify_all_builds_each_stage_once(monkeypatch):
+    calls = dict.fromkeys(STAGE_CALLS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (report_module, symmetry):
+        for name in STAGE_CALLS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    run_verification("all")
+    assert calls == STAGE_CALLS
 
 
 def test_report_json_round_trip():

@@ -18,11 +18,11 @@ from nrcodes.symmetry import (
     enumerate_perm_automorphisms,
     find_equivalence,
     format_aut_element,
+    maps_onto,
     orbits_on_sphere,
     parse_aut_element,
     project_automorphism,
     read_aut_elements,
-    stabilizes,
     translation_kernel,
     verify_complete_transitivity,
     vertex_orbits,
@@ -105,7 +105,7 @@ def test_project_automorphism_commutes_with_projection(nr, nr_generators):
     assert fixing  # kernel translations at least
     for g in fixing:
         chi = project_automorphism(g, coords)
-        assert stabilizes(chi, pnc)
+        assert maps_onto(chi, pnc, pnc)
         for _ in range(25):
             v = rng.randrange(1 << 16)
             assert unpermute_bits(g.act(v), positions) == chi.act(
@@ -357,11 +357,15 @@ def test_translation_kernel(nr, pn, rm):
 
 def test_find_equivalence_identity_and_translation(nr):
     x = find_equivalence(nr, nr)
-    assert x is not None and stabilizes(x, nr)
+    assert x is not None and maps_onto(x, nr, nr)
     gamma = nr.words[5]
     y = find_equivalence(nr, translate(nr, gamma))
     assert y is not None
     assert all(y.act(w) ^ gamma in nr for w in nr.words)
+    # a source code without the zero word: its least word is moved
+    shifted = translate(nr, 1)
+    z = find_equivalence(shifted, nr)
+    assert z is not None and maps_onto(z, shifted, nr)
 
 
 def test_find_equivalence_punctures(nr):
@@ -386,7 +390,7 @@ def test_assembled_generators(nr, rm, nr_generators):
     assert n_trans == 5  # dim of the kernel
     assert len(nr_generators) == n_perm + n_trans + 7
     for g in nr_generators:
-        assert stabilizes(g, nr)
+        assert maps_onto(g, nr, nr)
 
 
 def test_assembled_generators_reach_every_kernel_coset(nr, nr_generators):
@@ -431,13 +435,13 @@ def test_vertex_orbits_respect_distance_partition(nr, nr_perm_group):
         assert len(np.unique(dist[members])) == 1
 
 
-def test_orbits_on_spheres(nr_perm_group, pn_perm_group):
-    res = orbits_on_sphere(nr_perm_group, 16, 4)
+def test_orbits_on_spheres(nr_perm_orbits, pn_perm_orbits):
+    res = orbits_on_sphere(nr_perm_orbits, 4)
     assert res.orbit_count == 2
     assert sorted(res.sizes) == [140, 1680]
     for k in (1, 2, 3):
-        assert orbits_on_sphere(nr_perm_group, 16, k).orbit_count == 1
-    res3 = orbits_on_sphere(pn_perm_group, 15, 3)
+        assert orbits_on_sphere(nr_perm_orbits, k).orbit_count == 1
+    res3 = orbits_on_sphere(pn_perm_orbits, 3)
     assert res3.orbit_count == 2
     assert sorted(res3.sizes) == [35, 420]
 
