@@ -82,8 +82,7 @@ class Code:
         return hash((self.m, self.words))
 
     def __repr__(self) -> str:
-        d = self.min_distance
-        return f"Code(m={self.m}, size={self.size}, min_distance={d})"
+        return f"Code(m={self.m}, size={self.size})"
 
     def words_u32(self) -> np.ndarray:
         return np.asarray(self.words, dtype=np.uint32)
@@ -147,8 +146,6 @@ class CodePredicates:
     is_linear: bool
     is_even: bool
     is_antipodal: bool
-    min_distance: int | None
-    weight_histogram: tuple[int, ...]
 
 
 def code_predicates(code: Code) -> CodePredicates:
@@ -160,8 +157,6 @@ def code_predicates(code: Code) -> CodePredicates:
         is_linear=is_linear(code),
         is_even=is_even,
         is_antipodal=is_antipodal,
-        min_distance=code.min_distance,
-        weight_histogram=code.weight_histogram,
     )
 
 

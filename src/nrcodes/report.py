@@ -205,7 +205,6 @@ def _mu_image_order(wb: Workbench) -> str:
 def build_manifest() -> tuple[Claim, ...]:
     nr_t = frozenset({"nr"})
     pn_t = frozenset({"pn"})
-    both = nr_t | pn_t
     claims = [
         Claim(
             "golay.size", "extended Golay code has 4096 words", nr_t,
@@ -579,13 +578,16 @@ class VerificationReport:
 
 def run_verification(
     target: str = "all",
-    budget: int | None = None,
     workbench: Workbench | None = None,
 ) -> VerificationReport:
-    """Evaluate every claim for the target and collect exact comparisons."""
+    """Evaluate every claim for the target and collect exact comparisons.
+
+    Searches run under the node budget of `workbench` (default: a new
+    `Workbench()`).
+    """
     if target not in TARGETS:
         raise ValueError(f"unknown verification target {target!r}")
-    wb = workbench if workbench is not None else Workbench(budget=budget)
+    wb = workbench if workbench is not None else Workbench()
     report = VerificationReport(version=__version__, target=target)
     for claim in build_manifest():
         if target != "all" and target not in claim.targets:

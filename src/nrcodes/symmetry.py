@@ -4,15 +4,15 @@ An automorphism of the Hamming graph on m coordinates is a translation
 followed by a coordinate permutation.  One backtrack search answers every
 question here: is there a coordinate permutation, extending some fixed
 (coordinate, image) pairs, that maps one code onto another?  It works by
-individualization and refinement.  A joint partition of the coordinates
-and codewords of both codes is refined to a fixed point; a coordinate of
+individualization and refinement.  One partition of the coordinates and
+codewords of both codes is refined to a fixed point; a coordinate of
 the smallest open colour is then paired with each candidate image in
 turn, and every branch whose two sides stop matching is cut at once.
 On top of that search the module finds the permutation stabilizer of a
 code, assembles generators of its full stabilizer including translations,
 finds equivalences between codes, computes exact permutation-group orders
-through a deterministic stabilizer chain, and certifies complete
-transitivity by matching vertex orbits against the distance partition.
+from a Sims table, and certifies complete transitivity by matching vertex
+orbits against the distance partition.
 
 Searches are bounded by an explicit node budget (NRCODES_BUDGET or 10^8 by
 default); one node is one candidate image tried for a coordinate.
@@ -21,6 +21,8 @@ Exceeding the budget raises, never returns a partial answer.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -198,14 +200,17 @@ def read_aut_elements(path) -> list[AutElement]:
 
 
 # ---------------------------------------------------------------------------
-# Permutation groups with a deterministic stabilizer chain.
+# Permutation groups as Sims tables.
 
 class PermGroup:
-    """Permutation group given by generators; order via stabilizer chain.
+    """Permutation group given by generators; order from a Sims table.
 
-    Base points are chosen as the smallest moved point at each level and
-    transversals grow by breadth-first Schreier generation, so the chain
-    (and therefore the reported order) is reproducible.
+    Knuth, "Efficient representation of perm groups" (Combinatorica 11,
+    1991), over the base 0, 1, ..., degree - 1: row k maps each point j of
+    the orbit of k under the stabilizer of 0..k-1 to an element that fixes
+    0..k-1 and sends k to j.  Every element of the group is, in exactly one
+    way, a product of one element of each row, so the order is the product
+    of the row lengths.
     """
 
     def __init__(self, degree: int, generators):
@@ -213,150 +218,114 @@ class PermGroup:
         self.generators = tuple(
             _check_perm(g, degree) for g in generators
         )
-        self._chain: list[dict] | None = None
 
-    def _build_chain(self) -> list[dict]:
-        if self._chain is not None:
-            return self._chain
-        degree = self.degree
-        identity = _perm_identity(degree)
-        levels: list[dict] = []
+    @functools.cached_property
+    def _reps(self) -> list[dict[int, tuple[int, ...]]]:
+        n = self.degree
+        identity = _perm_identity(n)
+        reps = [{k: identity} for k in range(n)]
+        gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
 
-        def level_gens(i: int) -> list[tuple]:
-            # strong generators fixing bases 0..i-1: those assigned at level >= i
-            return [g for lvl in levels[i:] for g in lvl["gens"]]
-
-        def rebuild(i: int) -> None:
-            lvl = levels[i]
-            gens = level_gens(i)
-            transversal = {lvl["base"]: identity}
-            queue = [lvl["base"]]
-            for pt in queue:
-                for g in gens:
-                    npt = g[pt]
-                    if npt not in transversal:
-                        transversal[npt] = _perm_mult(transversal[pt], g)
-                        queue.append(npt)
-            lvl["transversal"] = transversal
-
-        def strip(g, start: int):
-            for idx in range(start, len(levels)):
-                lvl = levels[idx]
-                x = g[lvl["base"]]
-                rep = lvl["transversal"].get(x)
+        def sifts(g, k: int) -> bool:
+            # is g, which fixes 0..k-1, a product of elements of rows k..?
+            for i in range(k, n):
+                rep = reps[i].get(g[i])
                 if rep is None:
-                    return g, idx
+                    return False
                 g = _perm_mult(g, _perm_inv(rep))
-            return g, len(levels)
+            return True
 
-        stack = [(g, 0) for g in reversed(self.generators)]
-        while stack:
-            g, start = stack.pop()
-            residue, j = strip(g, start)
-            if residue == identity:
+        # Knuth's add(g, k): g joins the generators of level k unless rows
+        # k.. already hold it; extend(h, k) then enters each product h of a
+        # row-k element and a level-k generator in row k, or passes its
+        # residue modulo row k on to add(., k + 1).
+        todo = [(g, 0) for g in reversed(self.generators)]
+        while todo:
+            g, k = todo.pop()
+            if sifts(g, k):
                 continue
-            if j == len(levels):
-                base = next(i for i in range(degree) if residue[i] != i)
-                levels.append({"base": base, "gens": [], "transversal": {}})
-            levels[j]["gens"].append(residue)
-            # the new generator enlarges every level up to j
-            for i in range(j, -1, -1):
-                rebuild(i)
-                lvl = levels[i]
-                gens = level_gens(i)
-                for pt in sorted(lvl["transversal"]):
-                    rep = lvl["transversal"][pt]
-                    for h in gens:
-                        target = lvl["transversal"][h[pt]]
-                        schreier = _perm_mult(_perm_mult(rep, h), _perm_inv(target))
-                        if schreier != identity:
-                            stack.append((schreier, i + 1))
-        self._chain = levels
-        return levels
+            gens[k].append(g)
+            orbit = [_perm_mult(rep, g) for rep in reps[k].values()]
+            while orbit:
+                h = orbit.pop()
+                rep = reps[k].get(h[k])
+                if rep is not None:
+                    todo.append((_perm_mult(h, _perm_inv(rep)), k + 1))
+                else:
+                    reps[k][h[k]] = h
+                    orbit.extend(_perm_mult(h, s) for s in gens[k])
+        return reps
 
     def order(self) -> int:
-        n = 1
-        for lvl in self._build_chain():
-            n *= len(lvl["transversal"])
-        return n
+        return math.prod(len(row) for row in self._reps)
 
 
 # ---------------------------------------------------------------------------
-# Joint partition refinement of coordinates and codewords.
+# Partition refinement of two codes' coordinates and codewords.
 
 class _Incidence:
-    """Codeword-by-coordinate 0/1 matrix of one code, with its ones listed."""
+    """The ones of two codes' codeword-by-coordinate 0/1 matrices.
 
-    __slots__ = ("bits", "rows", "cols")
+    The two codes sit side by side: the n words and m coordinates of code
+    a are numbered 0..n-1 and 0..m-1, those of code b n..2n-1 and m..2m-1.
+    """
 
-    def __init__(self, words, m: int):
-        arr = np.asarray(words, dtype=np.int64)
-        self.bits = (arr[:, None] >> np.arange(m)) & 1
-        self.rows, self.cols = np.nonzero(self.bits)
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, words_a, words_b, m: int):
+        arr = np.concatenate(
+            (np.asarray(words_a, dtype=np.int64), np.asarray(words_b, dtype=np.int64))
+        )
+        self.rows, cols = np.nonzero((arr[:, None] >> np.arange(m)) & 1)
+        self.cols = cols + m * (self.rows >= len(words_a))
 
 
-def _joint_ranks(keys_a: np.ndarray, keys_b: np.ndarray):
-    """Dense ranks of the key rows of both sides, shared across the two.
+def _ranks(keys: np.ndarray):
+    """Dense ranks of the key rows, or None if the two codes' ranks differ.
 
     Rows are ranked in lexicographic order, so a first key column holding
-    the previous colour makes the new partition refine the old one.
-    Returns None if the two sides' rank multisets differ.
+    the previous colour makes the new partition refine the old one.  The
+    first half of the rows belongs to code a and the second to code b;
+    None means that the two halves' rank multisets differ.
     """
-    _, ranks = np.unique(
-        np.concatenate((keys_a, keys_b)), axis=0, return_inverse=True
-    )
+    _, ranks = np.unique(keys, axis=0, return_inverse=True)
     ranks = ranks.reshape(-1)
-    ranks_a, ranks_b = ranks[: len(keys_a)], ranks[len(keys_a):]
-    if not np.array_equal(np.sort(ranks_a), np.sort(ranks_b)):
+    half = len(ranks) // 2
+    if not np.array_equal(np.sort(ranks[:half]), np.sort(ranks[half:])):
         return None
-    return ranks_a, ranks_b
+    return ranks
 
 
-def _refine(inc_a: _Incidence, inc_b: _Incidence, colors, cells):
-    """Refine a joint partition of two codes to its fixed point.
+def _refine(inc: _Incidence, colors, cells):
+    """Refine a partition of two codes' coordinates and words to its fixed point.
 
-    `colors` holds the coordinate colours of both codes and `cells` the
-    codeword cells, each as a pair of integer arrays (side a, side b).  A
-    word's new cell is keyed by its cell and its number of ones in each
-    coordinate colour; a coordinate's new colour by its colour and its
-    number of ones in each word cell.  Ranks are shared by both sides, so
-    a permutation mapping code a onto code b and respecting the input
-    partition maps each colour and cell of a onto the same one of b.
-    Returns the refined (colors, cells), or None as soon as the two sides'
-    colour or cell multisets differ.
+    `colors` holds the colours of the 2m coordinates and `cells` the cells
+    of the 2n codewords, numbered as in `inc`.  A word's new cell is keyed
+    by its cell and its number of ones in each coordinate colour; a
+    coordinate's new colour by its colour and its number of ones in each
+    word cell.  Ranks are shared by both codes, so a permutation mapping
+    code a onto code b and respecting the input partition maps each colour
+    and cell of a onto the same one of b.  Returns the refined
+    (colors, cells), or None as soon as the two codes' colour or cell
+    multisets differ.
     """
-    colors_a, colors_b = colors
-    cells_a, cells_b = cells
-    n, m = inc_a.bits.shape
-    n_colors = len(np.unique(colors_a))
+    n_colors = len(np.unique(colors))
     while True:
-        k = int(max(colors_a.max(), colors_b.max())) + 1
-        keys = []
-        for inc, col, cell in ((inc_a, colors_a, cells_a), (inc_b, colors_b, cells_b)):
-            counts = np.bincount(
-                inc.rows * k + col[inc.cols], minlength=n * k
-            ).reshape(n, k)
-            keys.append(np.column_stack((cell, counts)))
-        ranked = _joint_ranks(*keys)
-        if ranked is None:
+        k = int(colors.max()) + 1
+        counts = np.bincount(inc.rows * k + colors[inc.cols], minlength=len(cells) * k)
+        cells = _ranks(np.column_stack((cells, counts.reshape(-1, k))))
+        if cells is None:
             return None
-        cells_a, cells_b = ranked
-        w = int(cells_a.max()) + 1
-        keys = []
-        for inc, col, cell in ((inc_a, colors_a, cells_a), (inc_b, colors_b, cells_b)):
-            counts = np.bincount(
-                inc.cols * w + cell[inc.rows], minlength=m * w
-            ).reshape(m, w)
-            keys.append(np.column_stack((col, counts)))
-        ranked = _joint_ranks(*keys)
-        if ranked is None:
+        w = int(cells.max()) + 1
+        counts = np.bincount(inc.cols * w + cells[inc.rows], minlength=len(colors) * w)
+        colors = _ranks(np.column_stack((colors, counts.reshape(-1, w))))
+        if colors is None:
             return None
-        colors_a, colors_b = ranked
         # Word cells are a function of the colours, so stable colours mean
         # the whole partition is stable.
-        refined = int(colors_a.max()) + 1
+        refined = int(colors.max()) + 1
         if refined == n_colors:
-            return (colors_a, colors_b), (cells_a, cells_b)
+            return colors, cells
         n_colors = refined
 
 
@@ -366,12 +335,12 @@ def coordinate_invariant_partition(code: Code) -> tuple[tuple[int, ...], ...]:
     The cells are the coordinate colours of the code refined against
     itself, so permutation automorphisms of the code preserve them.
     """
-    inc = _Incidence(code.words, code.m)
-    colors = np.zeros(code.m, dtype=np.int64)
-    cells = np.zeros(code.size, dtype=np.int64)
-    (colors, _), _ = _refine(inc, inc, (colors, colors), (cells, cells))
+    inc = _Incidence(code.words, code.words, code.m)
+    colors = np.zeros(2 * code.m, dtype=np.int64)
+    cells = np.zeros(2 * code.size, dtype=np.int64)
+    colors, _ = _refine(inc, colors, cells)
     by_color: dict[int, list[int]] = {}
-    for i, c in enumerate(colors.tolist()):
+    for i, c in enumerate(colors[: code.m].tolist()):
         by_color.setdefault(c, []).append(i + 1)
     return tuple(tuple(by_color[c]) for c in sorted(by_color))
 
@@ -386,7 +355,7 @@ def _search_permutation(
 
     Individualize and refine (McKay & Piperno, "Practical graph
     isomorphism II", 2014; Leon, "Permutation group algorithms based on
-    partitions I", 1991).  The search keeps one joint partition of the
+    partitions I", 1991).  The search keeps one partition of the
     coordinates and the codewords of both codes and refines it with
     `_refine`.  The (coordinate, image) pairs of `prefix` are
     individualized at the root.  At each node it takes the least
@@ -400,43 +369,42 @@ def _search_permutation(
     """
     if len(words_a) != len(words_b):
         return None
-    inc_a, inc_b = _Incidence(words_a, m), _Incidence(words_b, m)
+    inc = _Incidence(words_a, words_b, m)
     source = np.asarray(words_a, dtype=np.int64)
     target = np.sort(np.asarray(words_b, dtype=np.int64))
-    colors_a = np.zeros(m, dtype=np.int64)
-    colors_b = np.zeros(m, dtype=np.int64)
+    colors = np.zeros(2 * m, dtype=np.int64)
     for t, (c, p) in enumerate(prefix, 1):
-        colors_a[c] = t
-        colors_b[p] = t
-    cells = np.zeros(len(words_a), dtype=np.int64)
-    root = _refine(inc_a, inc_b, (colors_a, colors_b), (cells, cells))
+        colors[c] = t
+        colors[m + p] = t
+    root = _refine(inc, colors, np.zeros(2 * len(words_a), dtype=np.int64))
 
     def extend(node) -> tuple[int, ...] | None:
-        (colors_a, colors_b), cells = node
-        sizes = np.bincount(colors_a)
+        colors, cells = node
+        sizes = np.bincount(colors[:m])
         if sizes.max() == 1:
             coord_b = np.empty(len(sizes), dtype=np.int64)
-            coord_b[colors_b] = np.arange(m)
-            sigma = tuple(coord_b[colors_a].tolist())
+            coord_b[colors[m:]] = np.arange(m)
+            sigma = tuple(coord_b[colors[:m]].tolist())
             image = np.sort(permute_bits(source, sigma))
             return sigma if np.array_equal(image, target) else None
         open_colors = np.flatnonzero(sizes > 1)
         color = open_colors[np.argmin(sizes[open_colors])]
-        i = int(np.flatnonzero(colors_a == color)[0])
-        for p in np.flatnonzero(colors_b == color).tolist():
+        i = int(np.flatnonzero(colors[:m] == color)[0])
+        for p in np.flatnonzero(colors[m:] == color).tolist():
             budget.charge()
-            single_a = 2 * colors_a
-            single_a[i] += 1
-            single_b = 2 * colors_b
-            single_b[p] += 1
-            child = _refine(inc_a, inc_b, (single_a, single_b), cells)
+            single = 2 * colors
+            single[i] += 1
+            single[m + p] += 1
+            child = _refine(inc, single, cells)
             if child is not None:
                 sigma = extend(child)
                 if sigma is not None:
                     return sigma
         return None
 
-    return None if root is None else extend(root)
+    found = None if root is None else extend(root)
+    del extend  # it refers to itself: free its arrays now, not at the next gc
+    return found
 
 
 def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermGroup:

@@ -252,5 +252,6 @@ def test_code_construction_runs_no_pair_scan(monkeypatch):
     words = random.Random(24).sample(range(1 << 24), 3000)
     code = Code(24, words)
     assert code.size == 3000
+    assert repr(code) == "Code(m=24, size=3000)"
     with pytest.raises(Scanned):
         code.min_distance

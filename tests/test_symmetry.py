@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from nrcodes.codes import Code, puncture, span, translate
 from nrcodes.hamming import permute_bits, unpermute_bits
@@ -129,26 +131,54 @@ def test_perm_group_small_orders():
     assert PermGroup(3, [(1, 0, 2), (0, 2, 1)]).order() == 6
     assert PermGroup(5, [(1, 2, 3, 4, 0)]).order() == 5
     assert PermGroup(2, [(1, 0)]).order() == 2
+    n = 24
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    assert PermGroup(n, [swap, cycle]).order() == math.factorial(n)
+    three_cycle = (1, 2, 0) + tuple(range(3, n))
+    long_cycle = (0,) + tuple(range(2, n)) + (1,)  # a 23-cycle, so even
+    assert PermGroup(n, [three_cycle, long_cycle]).order() == math.factorial(n) // 2
 
 
-def test_perm_group_order_matches_closure():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randrange(3, 7)
-        gens = []
-        for _ in range(rng.randrange(1, 4)):
-            p = list(range(n))
-            rng.shuffle(p)
-            gens.append(tuple(p))
-        assert PermGroup(n, gens).order() == mulclose_order(gens, n)
+@st.composite
+def perm_generators(draw, max_degree: int):
+    """A degree n <= max_degree and one to three permutations of 0..n-1,
+    each shuffling a random subset of at least two points."""
+    n = draw(st.integers(2, max_degree))
+    rng = draw(st.randoms(use_true_random=True))
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        points = rng.sample(range(n), rng.randint(2, n))
+        g = list(range(n))
+        for a, b in zip(sorted(points), points):
+            g[a] = b
+        gens.append(tuple(g))
+    return n, gens
+
+
+@settings(DETERMINISTIC, max_examples=50)  # the closure of S_6 takes 0.1 s
+@given(perm_generators(6))
+def test_perm_group_order_matches_closure(case):
+    n, gens = case
+    assert PermGroup(n, gens).order() == mulclose_order(gens, n)
+
+
+@DETERMINISTIC
+@given(perm_generators(24))
+def test_perm_group_order_matches_sympy(case):
+    n, gens = case
+    group = PermutationGroup([Permutation(list(g)) for g in gens])
+    assert PermGroup(n, gens).order() == group.order()
 
 
 def test_perm_group_order_is_transversal_product(nr_perm_group):
-    chain = nr_perm_group._build_chain()
+    rows = nr_perm_group._reps
     prod = 1
-    for lvl in chain:
-        prod *= len(lvl["transversal"])
-    assert prod == nr_perm_group.order()
+    for k, row in enumerate(rows):
+        for j, rep in row.items():
+            assert rep[:k] == tuple(range(k)) and rep[k] == j
+        prod *= len(row)
+    assert prod == nr_perm_group.order() == 40320
 
 
 def test_invariant_partition(nr):
