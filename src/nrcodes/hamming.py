@@ -190,13 +190,22 @@ def all_vertices(m: int) -> np.ndarray:
     return arr
 
 
-def distance_profiles(verts: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
+def distance_profiles(
+    verts: np.ndarray, arr: np.ndarray, m: int, keys=None, nkeys: int = 1
+) -> np.ndarray:
     """Row r: the number of words of `arr` at each distance 0..m from verts[r].
+
+    With `keys` (an int array giving each word of `arr` a key in
+    [0, nkeys)), the counts are split by key as well: entry [k, r, d] of
+    the (nkeys, len(verts), m+1) result counts the words with key k at
+    distance d from verts[r].
 
     This is the one all-pairs kernel: every pair scan over a code, for
     distances between codewords or from vertices to a code, counts here.
     """
+    shape = (len(verts), m + 1) if keys is None else (nkeys, len(verts), m + 1)
     d = np.bitwise_count(verts[:, None] ^ arr[None, :])
-    offsets = np.arange(len(verts), dtype=np.intp)[:, None] * (m + 1)
-    counts = np.bincount((d + offsets).ravel(), minlength=len(verts) * (m + 1))
-    return counts.reshape(len(verts), m + 1)
+    index = d + np.arange(len(verts), dtype=np.intp)[:, None] * (m + 1)
+    if keys is not None:
+        index += np.asarray(keys, dtype=np.intp) * (len(verts) * (m + 1))
+    return np.bincount(index.ravel(), minlength=math.prod(shape)).reshape(shape)

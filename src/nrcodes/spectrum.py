@@ -2,8 +2,11 @@
 
 Arithmetic in this module is exact throughout: pair counts and Krawtchouk
 values are Python ints, normalized quantities are `fractions.Fraction`.
-numpy is used only for counting scans over the vertex space, never for
-the arithmetic whose signs decide feasibility.
+numpy counts pairs, and the complete-regularity check turns those counts
+into vertex profiles by exact int64 character sums (Walsh-Hadamard
+transforms against Krawtchouk values) whose every value stays within
+2^50 in magnitude; the arithmetic whose signs decide feasibility never
+touches numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import PAIR_BLOCK, Code
-from .hamming import distance_profiles, krawtchouk_table, permute_bits, weight_masks
+from .hamming import (
+    distance_profiles,
+    krawtchouk_table,
+    permute_bits,
+    unpermute_bits,
+    weight_masks,
+)
 
 INF_DIST = 64  # sentinel above any achievable distance, safe in uint8 arithmetic
 
@@ -141,6 +150,63 @@ class CompleteRegularityResult:
     cell_sizes: tuple[int, ...]
 
 
+def _transform_width(size: int, m: int, free: int) -> int:
+    """How many of the f free coordinates completely_regular_check transforms.
+
+    f1 = min(f, floor(log2(|C| / (m+1)))), and 0 below that.  A block of
+    2^f1 representatives then costs |C| vertex-word pairs plus about
+    2^f1 (m+1) f1 transform steps, which balance near 2^f1 = |C| / (m+1).
+    """
+    return max(0, min(free, (size // (m + 1)).bit_length() - 1))
+
+
+def _walsh_hadamard(x: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform of C-contiguous x along its
+    first axis, of length 2^k, in place."""
+    h = 1
+    while h < len(x):
+        y = x.reshape(-1, 2, h * x[0].size)
+        low, high = y[:, 0], y[:, 1]
+        diff = low - high
+        low += high
+        high[...] = diff
+        h *= 2
+
+
+def _profile_block(arr: np.ndarray, m: int, free: list[int], width: int,
+                   lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Profiles of the representatives whose high part is lo..hi-1.
+
+    Representative i is permute_bits(i, free): its low `width` bits sit
+    on the low free coordinates L and the rest on the high ones.  For a
+    word c, d(r, c) = a + wt(r_L + c_L), where a is the weight of r + c
+    off L.  Counting the words of each high part by (c_L, a) is one keyed
+    pair scan; the sum over c_L is then an XOR-convolution with the
+    weight-(t - a) indicator over F_2^width, whose transform is the
+    Krawtchouk value K_{t-a}(wt s).  Returns the representatives,
+    ascending, and their profiles, one row of m+1 counts each.
+    """
+    reps = permute_bits(np.arange(lo << width, hi << width, dtype=np.uint32), free)
+    if not width:
+        return reps, distance_profiles(reps, arr, m)
+    n = 1 << width
+    low = free[:width]
+    heads = permute_bits(np.arange(lo, hi, dtype=np.uint32), free[width:])
+    off_low = ((1 << m) - 1) ^ permute_bits(n - 1, low)
+    counts = distance_profiles(
+        heads, arr & off_low, m - width, unpermute_bits(arr, low), n
+    )
+    _walsh_hadamard(counts)
+    wt = np.bitwise_count(np.arange(n, dtype=np.uint32))
+    kraw = np.array(krawtchouk_table(width).values, dtype=np.int64)[:, wt]
+    profiles = np.zeros((n, hi - lo, m + 1), dtype=np.int64)
+    for j in range(width + 1):
+        profiles[:, :, j : j + m - width + 1] += counts * kraw[j][:, None, None]
+    _walsh_hadamard(profiles)
+    profiles >>= width
+    return reps, profiles.transpose(1, 0, 2).reshape(-1, m + 1)
+
+
 def completely_regular_check(code: Code) -> CompleteRegularityResult:
     """Decide complete regularity, returning the table or a witness pair.
 
@@ -148,18 +214,27 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     cell d(v, C) are constant on v + K, for the translation kernel
     K = {beta : C + beta = C}.  With K in reduced echelon form, the
     vertices that are zero on every pivot are exactly the least vertex of
-    each coset, so they are scanned in ascending order and stand for the
-    whole of F_2^m.  The witness is therefore the one a scan of every
-    vertex finds: in the least cell with two profiles, the least vertex of
-    the cell and the least vertex whose profile differs from it.  The
-    covering radius and the cell sizes (|K| times the representative
-    counts) are returned whatever the verdict.
+    each coset, so they stand for the whole of F_2^m.  They are indexed
+    by their bits on the f free coordinates; the low f1 of those
+    (_transform_width) are handled by transform, the rest by scan.  For
+    each high part, one pair scan counts the words by their distance off
+    the low coordinates and by their low part; Walsh-Hadamard transforms
+    over F_2^f1 then give the profiles of all 2^f1 representatives with
+    that high part.  With f1 = 0 this is the plain pair scan.
 
-    Profiles are streamed in blocks of about PAIR_BLOCK vertex-word pairs;
-    only the first profile and the first deviating representative of each
-    cell are kept.  The scan takes (2^m / |K|) * |C| pairs; above
-    CR_WORK_LIMIT, RegularityWorkExceeded is raised before any profile is
-    computed.
+    Profiles arrive in ascending representative order, in blocks of about
+    PAIR_BLOCK pairs; only the first profile and the first deviating
+    representative of each cell are kept.  The witness is therefore the
+    one a scan of every vertex finds: in the least cell with two
+    profiles, the least vertex of the cell and the least vertex whose
+    profile differs from it.  The covering radius and the cell sizes (|K|
+    times the representative counts) are returned whatever the verdict.
+
+    All arithmetic is exact in int64.  Within CR_WORK_LIMIT,
+    2^f1 |C| <= 2^25, and no value in a transform exceeds
+    |C| 4^f1 <= 2^50 in magnitude.  The check costs 2^(f-f1) |C| pairs;
+    when 2^f |C| exceeds CR_WORK_LIMIT, RegularityWorkExceeded is raised
+    before any profile is computed.
     """
     m = code.m
     basis = code.kernel
@@ -169,14 +244,15 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
         raise RegularityWorkExceeded(estimate)
     pivots = {b.bit_length() - 1 for b in basis}
     free = [q for q in range(m) if q not in pivots]
+    width = _transform_width(code.size, m, len(free))
     arr = code.words_u32()
     first: dict[int, tuple[int, tuple[int, ...]]] = {}
     deviant: dict[int, tuple[int, tuple[int, ...]]] = {}
     counts = [0] * (m + 1)
     step = max(1, PAIR_BLOCK // code.size)
-    for lo in range(0, nreps, step):
-        reps = permute_bits(np.arange(lo, min(lo + step, nreps), dtype=np.uint32), free)
-        profiles = distance_profiles(reps, arr, m)
+    nheads = nreps >> width
+    for lo in range(0, nheads, step):
+        reps, profiles = _profile_block(arr, m, free, width, lo, min(lo + step, nheads))
         cells = (profiles != 0).argmax(axis=1)
         for c in np.unique(cells).tolist():
             idx = np.nonzero(cells == c)[0]

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from nrcodes import cli
 from nrcodes import report as report_module
 from nrcodes import symmetry
-from nrcodes.cli import main
+from nrcodes.cli import build_parser, main
 from nrcodes.codes import Code, write_code
 from nrcodes.report import (
     VerificationReport,
@@ -260,3 +261,38 @@ def test_cli_feasible_pn(capsys):
 def test_cli_feasible_bad_template(capsys):
     assert main(["feasible", "-m", "4", "-t", "9=1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _run_cli(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cli_parser_built_once_and_reusable(tmp_path, capsys):
+    path = tmp_path / "nr.code"
+    assert main(["construct", "nr", "-o", str(path)]) == 0
+    commands = [
+        ["analyze", str(path)],
+        ["feasible", "-m", "15", "-t", "5=42,6=?,7=?,10=42,15=1", "--antipodal"],
+        ["bogus"],
+    ]
+    alone = []
+    for argv in commands:
+        build_parser.cache_clear()
+        alone.append(_run_cli(argv, capsys))
+    build_parser.cache_clear()
+    in_sequence = [_run_cli(argv, capsys) for argv in commands]
+    assert build_parser.cache_info().misses == 1
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 2]
+    assert "invalid choice: 'bogus'" in alone[2][2]
+
+
+def test_cli_runs_the_handler_bound_at_call_time(monkeypatch):
+    build_parser()  # the cached parser exists before the rebinding
+    monkeypatch.setattr(cli, "cmd_feasible", lambda args: 7)
+    assert main(["feasible", "-m", "4", "-t", "0=1"]) == 7

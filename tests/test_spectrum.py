@@ -1,20 +1,24 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrcodes import spectrum
+from nrcodes import golay24, spectrum
 from nrcodes.codes import Code, kernel_basis, span
-from nrcodes.hamming import from_string, krawtchouk
+from nrcodes.hamming import from_string, krawtchouk, permute_bits
 from nrcodes.spectrum import (
     CR_WORK_LIMIT,
     ConstraintRow,
     FeasibilityError,
     RegularityWorkExceeded,
+    _profile_block,
     _propagate_bounds,
+    _transform_width,
     completely_regular_check,
     design_arithmetic,
     design_check,
@@ -231,6 +235,88 @@ def test_quotient_route_matches_brute_force(code):
     for b in basis:
         pivot = b.bit_length() - 1
         assert [c for c in basis if (c >> pivot) & 1] == [b]
+
+
+def _free_coordinates(code):
+    pivots = {b.bit_length() - 1 for b in code.kernel}
+    return [q for q in range(code.m) if q not in pivots]
+
+
+def _block_profiles(code, free, width, step):
+    """Every representative's profile, from _profile_block in blocks of
+    `step` high parts."""
+    nheads = 1 << (len(free) - width)
+    reps, rows = [], []
+    for lo in range(0, nheads, step):
+        r, p = _profile_block(code.words_u32(), code.m, free, width, lo,
+                              min(lo + step, nheads))
+        assert p.dtype == np.int64
+        reps += r.tolist()
+        rows += [tuple(row) for row in p.tolist()]
+    return reps, rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(regularity_codes())
+def test_profile_block_matches_brute_force_at_every_width(code):
+    free = _free_coordinates(code)
+    expected = [brute_profile(code, permute_bits(i, free))[1]
+                for i in range(1 << len(free))]
+    for width in range(len(free) + 1):
+        for step in (1, 3, 1 << (len(free) - width)):
+            reps, rows = _block_profiles(code, free, width, step)
+            assert reps == [permute_bits(i, free) for i in range(1 << len(free))]
+            assert rows == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_regularity_of_the_whole_space(m):
+    # K = F_2^m, so there are no free coordinates and one representative;
+    # the transform width is 0 and krawtchouk_table(0) is never asked for.
+    code = Code(m, range(1 << m))
+    assert _free_coordinates(code) == []
+    assert _transform_width(code.size, m, 0) == 0
+    assert _block_profiles(code, [], 0, 1) == ([0], [brute_profile(code, 0)[1]])
+    res = completely_regular_check(code)
+    assert res.ok and res.rho == 0 and res.cell_sizes == (1 << m,)
+    assert res.table.rows == (tuple(math.comb(m, k) for k in range(m + 1)),)
+
+
+def test_transform_width_keeps_int64_exact():
+    # Every (m, |C|, dim K) that the work limit admits: |C| is a multiple
+    # of |K| = 2^dim, at most 2^m, and 2^(m - dim) |C| <= CR_WORK_LIMIT.
+    cases = 0
+    for m in range(1, 25):
+        for dim in range(m + 1):
+            free = m - dim
+            largest = min(1 << m, CR_WORK_LIMIT >> free)
+            for size in range(1 << dim, largest + 1, 1 << dim):
+                width = _transform_width(size, m, free)
+                assert 0 <= width <= free
+                assert width == 0 or (m + 1) << width <= size
+                assert size << width <= CR_WORK_LIMIT == 1 << 25
+                assert size << (2 * width) <= 1 << 50
+                cases += 1
+    assert cases > 10_000
+    assert _transform_width(4096, 24, 12) == 7  # Golay
+    assert _transform_width(256, 16, 11) == 3  # NR
+    assert _transform_width(32, 16, 11) == 0  # RM(1,4)
+
+
+@pytest.mark.parametrize(
+    "make", [golay24, lambda: Code(22, [0, (1 << 21) | 5])], ids=["golay", "m22"]
+)
+def test_regularity_check_memory(make):
+    # m22 has 2^21 representatives: all their rows would take 386 MB
+    code = make()
+    code.kernel
+    tracemalloc.start()
+    try:
+        completely_regular_check(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 def test_kernel_basis_confirms_candidates_beyond_the_probes():
