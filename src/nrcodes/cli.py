@@ -25,7 +25,7 @@ from .spectrum import (
     feasible_distributions,
     macwilliams_transform,
 )
-from .symmetry import SearchBudgetExceeded
+from .symmetry import SearchBudgetExceeded, parse_budget
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -193,6 +193,13 @@ def cmd_feasible(args) -> int:
     return EXIT_OK
 
 
+def _node_budget(text: str) -> int:
+    try:
+        return parse_budget(text, "node budget")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["nr", "pn", "all"])
     p.add_argument("--json", help="also write the JSON report to this path")
     p.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_node_budget, default=None,
         help="node budget of each permutation search; one node is one "
         "candidate image tried for a coordinate (default: NRCODES_BUDGET "
         "or 10^8)",

@@ -6,8 +6,9 @@ double loop over vertices and spheres, one vertex's distance profile by a
 loop over the codewords, pair counts and linearity by a double loop over
 the codewords, coset leaders from a kernel found by trying every
 translation, automorphism groups by iterating all m! permutations, group
-orders by multiplicative closure, and permutations between two codes by a
-plain coordinate-by-coordinate backtrack.
+orders by multiplicative closure, permutations between two codes by a
+plain coordinate-by-coordinate backtrack, and the ranks of refinement keys
+by sorting their distinct rows as Python tuples.
 """
 
 import itertools
@@ -69,6 +70,18 @@ def brute_regularity(code: Code):
         return True, rows
     bad = next(i for i in sorted(by_cell) if len(by_cell[i]) > 1)
     return False, sorted(by_cell[bad].values())[:2]
+
+
+def brute_ranks(keys) -> list[int] | None:
+    """Dense lexicographic ranks of the rows of `keys`, or None when the
+    sorted ranks of its first and second halves differ."""
+    rows = [tuple(row) for row in keys.tolist()]
+    rank = {row: r for r, row in enumerate(sorted(set(rows)))}
+    ranks = [rank[row] for row in rows]
+    half = len(ranks) // 2
+    if sorted(ranks[:half]) != sorted(ranks[half:]):
+        return None
+    return ranks
 
 
 def brute_perm_automorphisms(code: Code) -> list[tuple[int, ...]]:

@@ -17,6 +17,7 @@ from nrcodes.report import (
     build_manifest,
     fmt,
     run_verification,
+    transitivity_certificate,
 )
 from nrcodes.spectrum import distance_partition
 
@@ -129,6 +130,21 @@ def test_reports_identical_apart_from_wall_time():
     assert hashlib.sha256(c.to_json().encode()).hexdigest() == REPORT_ALL_SHA256
 
 
+# sha256 of each transitivity certificate as `json.dumps(cert, sort_keys=True)`:
+# the searches must return exactly these generators and orbit sizes.
+CERTIFICATE_SHA256 = {
+    "nr": "49ab1824ff4992aca73f837c66c37be0aff91fec07f55de7fb5a1bd4748f849b",
+    "pn": "29275338ad6557678e44f7a8f0afb2193c5256f4617d1be3721e7c573cc8fad7",
+}
+
+
+def test_transitivity_certificates_pinned():
+    wb = Workbench()
+    for which, digest in CERTIFICATE_SHA256.items():
+        cert = json.dumps(transitivity_certificate(wb, which), sort_keys=True)
+        assert hashlib.sha256(cert.encode()).hexdigest() == digest
+
+
 def test_cli_construct_and_analyze(tmp_path, capsys):
     out = tmp_path / "nr.code"
     assert main(["construct", "nr", "-o", str(out)]) == 0
@@ -236,6 +252,23 @@ def test_cli_verify_budget_exceeded(capsys):
     assert code == 2
     assert err.startswith("error: ") and "node budget of 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", ""])
+def test_cli_verify_bad_budget_variable(value, monkeypatch, capsys):
+    monkeypatch.setenv("NRCODES_BUDGET", value)
+    code = main(["verify", "pn"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: NRCODES_BUDGET must be a non-negative integer, got {value!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_cli_verify_bad_budget_option(value, capsys):
+    code, _, err = _run_cli(["verify", "pn", "--budget", value], capsys)
+    assert code == 2
+    assert "argument --budget: node budget must be a non-negative integer" in err
 
 
 def test_cli_feasible(capsys):

@@ -14,6 +14,7 @@ from nrcodes.symmetry import (
     PermGroup,
     SearchBudgetExceeded,
     _Budget,
+    _ranks,
     _search_permutation,
     assemble_aut_generators,
     coordinate_invariant_partition,
@@ -32,6 +33,7 @@ from nrcodes.symmetry import (
 )
 from oracles import (
     brute_perm_automorphisms,
+    brute_ranks,
     mulclose_order,
     plain_search_permutation,
 )
@@ -257,6 +259,25 @@ def test_search_node_budget_guard(nr, pn):
     assert enumerate_perm_automorphisms(pn, budget=GUARD_BUDGET).order() == 2520
 
 
+def test_search_node_counts(nr, pn):
+    # A search takes exactly n nodes when it finishes within a budget of n
+    # and runs out of a budget of n - 1.
+    def assert_nodes(search, n):
+        search(n)
+        with pytest.raises(SearchBudgetExceeded):
+            search(n - 1)
+
+    assert_nodes(lambda b: enumerate_perm_automorphisms(nr, budget=b), 26)
+    assert_nodes(lambda b: enumerate_perm_automorphisms(pn, budget=b), 11)
+    for p in range(2, 17):  # 45 nodes over the 15 puncture equivalences
+        assert_nodes(lambda b: find_equivalence(puncture(nr, p), pn, budget=b), 3)
+
+
+def test_negative_budget_rejected(nr):
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_perm_automorphisms(nr, budget=-1)
+
+
 @st.composite
 def small_codes(draw, max_m: int = 8):
     m = draw(st.integers(2, max_m))
@@ -316,6 +337,52 @@ def test_search_agrees_with_plain_oracle(case):
     if ours is not None:
         assert sorted(permute_bits(w, ours) for w in a.words) == list(b.words)
         assert all(ours[c] == p for c, p in prefix)
+
+
+@st.composite
+def key_matrices(draw):
+    """int64 key matrices of the shapes `_refine` ranks: 2x1, tall
+    (2n x (1+k)), wide (2m x (1+w), w up to 513), all rows equal, or rows
+    that tie everywhere but in the last column.  The second half is a row
+    permutation of the first, the same with one entry changed, or drawn
+    on its own, so the two halves' row multisets agree only sometimes."""
+    kind = draw(st.sampled_from(["pair", "tall", "wide", "equal", "last"]))
+    if kind == "pair":
+        half, cols = 1, 1
+    elif kind == "wide":
+        half, cols = draw(st.integers(1, 16)), 1 + draw(st.integers(0, 513))
+    else:
+        half, cols = draw(st.integers(1, 40)), 1 + draw(st.integers(0, 8))
+    high = draw(st.sampled_from([1, 2, 3, 2**62]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_half():
+        keys = rng.integers(0, high, size=(half, cols), dtype=np.int64)
+        if kind == "equal":
+            keys[:] = keys[0]
+        elif kind == "last":
+            keys[:, :-1] = keys[0, :-1]
+        return keys
+
+    a = draw_half()
+    second = draw(st.sampled_from(["permuted", "changed", "own"]))
+    if second == "own":
+        b = draw_half()
+    else:
+        b = a[rng.permutation(half)]
+        if second == "changed":
+            b[rng.integers(half), rng.integers(cols)] += 1
+    return np.concatenate((a, b))
+
+
+@DETERMINISTIC
+@given(key_matrices())
+def test_ranks_agree_with_brute_force(keys):
+    ours = _ranks(keys[:, 0], keys[:, 1:])
+    expected = brute_ranks(keys)
+    assert (ours is None) == (expected is None)
+    if ours is not None:
+        assert ours.tolist() == expected
 
 
 @settings(DETERMINISTIC, max_examples=60)
