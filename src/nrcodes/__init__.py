@@ -16,7 +16,7 @@ from .codes import (
     translate,
     write_code,
 )
-from .hamming import krawtchouk, sphere, weight, distance, covers
+from .hamming import krawtchouk, sphere, weight, distance
 from .spectrum import (
     completely_regular_check,
     design_arithmetic,
@@ -31,14 +31,11 @@ from .symmetry import (
     AutElement,
     PermGroup,
     assemble_aut_generators,
-    coordinate_invariant_partition,
     enumerate_perm_automorphisms,
     find_equivalence,
     orbits_on_sphere,
-    project_automorphism,
     translation_kernel,
     verify_complete_transitivity,
-    vertex_orbits,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -94,11 +94,6 @@ def unpermute_bits(v, positions):
     return out
 
 
-def covers(nu: int, beta: int) -> bool:
-    """True iff every non-zero coordinate of nu is also set in beta."""
-    return nu & beta == nu
-
-
 def to_string(v: int, m: int) -> str:
     """Text form: '0'/'1' per coordinate, coordinate 1 leftmost."""
     check_vertex(v, m)
@@ -179,16 +174,7 @@ def krawtchouk_table(m: int) -> KrawtchoukTable:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized helpers for full vertex-space scans.
-
-@lru_cache(maxsize=None)
-def all_vertices(m: int) -> np.ndarray:
-    """The 2^m vertex set as a read-only uint32 array."""
-    check_length(m)
-    arr = np.arange(1 << m, dtype=np.uint32)
-    arr.setflags(write=False)
-    return arr
-
+# The pair-scan kernel.
 
 def distance_profiles(
     verts: np.ndarray, arr: np.ndarray, m: int, keys=None, nkeys: int = 1

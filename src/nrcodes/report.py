@@ -33,7 +33,6 @@ from .spectrum import (
 )
 from .symmetry import (
     AutElement,
-    OrbitPartition,
     PermGroup,
     TransitivityResult,
     assemble_aut_generators,
@@ -43,7 +42,6 @@ from .symmetry import (
     orbits_on_sphere,
     translation_kernel,
     verify_complete_transitivity,
-    vertex_orbits,
 )
 
 NR_TEMPLATE = (1, 0, 0, 0, 0, 0, 112, None, None, None, 112, 0, 0, 0, 0, 0, 1)
@@ -111,12 +109,6 @@ class Workbench:
     @_stage
     def perm_group(self, name: str) -> PermGroup:
         return enumerate_perm_automorphisms(self.code(name), self.budget)
-
-    @_stage
-    def perm_orbits(self, name: str) -> OrbitPartition:
-        group = self.perm_group(name)
-        gens = [AutElement.permutation(group.degree, g) for g in group.generators]
-        return vertex_orbits(gens, group.degree)
 
     @_stage
     def generators(self, name: str) -> list[AutElement]:
@@ -327,7 +319,7 @@ def build_manifest() -> tuple[Claim, ...]:
             "permutation stabilizer has 2 orbits on weight-4 vertices", nr_t,
             expected="2",
             compute=lambda wb: str(
-                orbits_on_sphere(wb.perm_orbits("nr"), 4).orbit_count
+                orbits_on_sphere(wb.perm_group("nr"), 4).orbit_count
             ),
         ),
         Claim(
@@ -335,7 +327,7 @@ def build_manifest() -> tuple[Claim, ...]:
             "permutation stabilizer is transitive on weights 1, 2, 3", nr_t,
             expected=["1", "1", "1"],
             compute=lambda wb: [
-                str(orbits_on_sphere(wb.perm_orbits("nr"), k).orbit_count)
+                str(orbits_on_sphere(wb.perm_group("nr"), k).orbit_count)
                 for k in (1, 2, 3)
             ],
         ),
@@ -457,7 +449,7 @@ def build_manifest() -> tuple[Claim, ...]:
             "permutation stabilizer has 2 orbits on weight-3 vertices", pn_t,
             expected="2",
             compute=lambda wb: str(
-                orbits_on_sphere(wb.perm_orbits("pn"), 3).orbit_count
+                orbits_on_sphere(wb.perm_group("pn"), 3).orbit_count
             ),
         ),
         Claim(

@@ -11,8 +11,9 @@ turn, and every branch whose two sides stop matching is cut at once.
 On top of that search the module finds the permutation stabilizer of a
 code, assembles generators of its full stabilizer including translations,
 finds equivalences between codes, computes exact permutation-group orders
-from a Sims table, and certifies complete transitivity by matching vertex
-orbits against the distance partition.
+from a Sims table, counts the orbits of a permutation group on a weight
+sphere, and certifies complete transitivity by matching the orbits on the
+cosets of the group's translations against the distance partition.
 
 Searches are bounded by an explicit node budget (NRCODES_BUDGET or 10^8 by
 default); one node is one candidate image tried for a coordinate.
@@ -30,16 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import Code, coset_leaders, span
+from .codes import PAIR_BLOCK, Code, coset_leaders, span
 from .hamming import (
-    all_vertices,
     check_vertex,
+    distance_profiles,
     from_string,
     permute_bits,
+    sphere,
     to_string,
     unpermute_bits,
 )
-from .spectrum import distance_partition
 
 DEFAULT_BUDGET = 10**8
 _BUDGET_ENV = "NRCODES_BUDGET"
@@ -167,20 +168,6 @@ def maps_onto(x: AutElement, code_a: Code, code_b: Code) -> bool:
     return np.array_equal(image, code_b.words_u32())
 
 
-def project_automorphism(x: AutElement, coords) -> AutElement:
-    """Induced action on the projection onto the 1-indexed coords.
-
-    Requires the permutation part to stabilize the coordinate set.
-    """
-    coords = tuple(coords)
-    zero_based = [i - 1 for i in coords]
-    pos = {c: t for t, c in enumerate(zero_based)}
-    if any(x.sigma[c] not in pos for c in zero_based):
-        raise ValueError("permutation part does not stabilize the coordinate set")
-    new_sigma = tuple(pos[x.sigma[c]] for c in zero_based)
-    return AutElement(len(coords), unpermute_bits(x.beta, zero_based), new_sigma)
-
-
 # ---------------------------------------------------------------------------
 # Automorphism file format: one element per line,
 # "beta=<0/1 string> sigma=<space-separated images of 1..m>".
@@ -238,15 +225,17 @@ class PermGroup:
         n = self.degree
         identity = _perm_identity(n)
         reps = [{k: identity} for k in range(n)]
+        # the inverse of each row element, stored when the element is entered
+        invs = [{k: identity} for k in range(n)]
         gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
 
         def sifts(g, k: int) -> bool:
             # is g, which fixes 0..k-1, a product of elements of rows k..?
             for i in range(k, n):
-                rep = reps[i].get(g[i])
-                if rep is None:
+                inv = invs[i].get(g[i])
+                if inv is None:
                     return False
-                g = _perm_mult(g, _perm_inv(rep))
+                g = _perm_mult(g, inv)
             return True
 
         # Knuth's add(g, k): g joins the generators of level k unless rows
@@ -262,11 +251,12 @@ class PermGroup:
             orbit = [_perm_mult(rep, g) for rep in reps[k].values()]
             while orbit:
                 h = orbit.pop()
-                rep = reps[k].get(h[k])
-                if rep is not None:
-                    todo.append((_perm_mult(h, _perm_inv(rep)), k + 1))
+                inv = invs[k].get(h[k])
+                if inv is not None:
+                    todo.append((_perm_mult(h, inv), k + 1))
                 else:
                     reps[k][h[k]] = h
+                    invs[k][h[k]] = _perm_inv(h)
                     orbit.extend(_perm_mult(h, s) for s in gens[k])
         return reps
 
@@ -352,22 +342,6 @@ def _refine(inc: _Incidence, colors, cells):
         if refined == n_colors:
             return colors, cells
         n_colors = refined
-
-
-def coordinate_invariant_partition(code: Code) -> tuple[tuple[int, ...], ...]:
-    """Coordinates (1-indexed) grouped by iterated invariant refinement.
-
-    The cells are the coordinate colours of the code refined against
-    itself, so permutation automorphisms of the code preserve them.
-    """
-    inc = _Incidence(code.words, code.words, code.m)
-    colors = np.zeros(2 * code.m, dtype=np.int64)
-    cells = np.zeros(2 * code.size, dtype=np.int64)
-    colors, _ = _refine(inc, colors, cells)
-    by_color: dict[int, list[int]] = {}
-    for i, c in enumerate(colors[: code.m].tolist()):
-        by_color.setdefault(c, []).append(i + 1)
-    return tuple(tuple(by_color[c]) for c in sorted(by_color))
 
 
 # ---------------------------------------------------------------------------
@@ -562,59 +536,84 @@ def assemble_aut_generators(
 
 
 # ---------------------------------------------------------------------------
-# Orbits on the vertex space.
+# Orbits on invariant vertex sets: the kernel quotient and weight spheres.
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Orbit labels (smallest member of each orbit) for every vertex."""
+def _orbit_labels(tables, n: int) -> np.ndarray:
+    """Orbit labels on the points 0..n-1 of a set the generators permute.
 
-    m: int
-    labels: np.ndarray  # uint32, read-only
-    orbit_count: int
-    sizes: tuple[int, ...]  # by ascending orbit label
-
-
-def vertex_orbits(gens, m: int) -> OrbitPartition:
-    """Orbits of the generated group on all 2^m vertices.
-
-    Labels converge to the smallest vertex of each orbit by repeated
-    minimum propagation along every generator's action table, so the
-    labeling is canonical regardless of generator order.
+    tables[j][i] is the image of point i under generator j.  Each label
+    converges to the least point of its orbit by repeated minimum
+    propagation along every table, so the labeling does not depend on the
+    generator order.  Tables that fix every point are skipped.
     """
-    for g in gens:
-        if g.m != m:
-            raise ValueError("generator length does not match the vertex space")
-    labels = np.arange(1 << m, dtype=np.uint32)
-    tables = [permute_bits(all_vertices(m) ^ g.beta, g.sigma) for g in gens]
-    for _ in range(1 << m):
+    points = np.arange(n, dtype=np.intp)
+    tables = [
+        t for t in (np.asarray(t, dtype=np.intp) for t in tables)
+        if not np.array_equal(t, points)
+    ]
+    labels = points.copy()
+    while True:
         before = labels.copy()
         for t in tables:
             np.minimum(labels, labels[t], out=labels)
-        if (labels == before).all():
-            break
-    uniq, counts = np.unique(labels, return_counts=True)
-    labels.setflags(write=False)
-    return OrbitPartition(
-        m=m, labels=labels, orbit_count=len(uniq),
-        sizes=tuple(int(c) for c in counts),
-    )
+        if np.array_equal(labels, before):
+            return labels
 
 
 @dataclass(frozen=True)
 class SphereOrbits:
     k: int
     orbit_count: int
-    sizes: tuple[int, ...]
+    sizes: tuple[int, ...]  # by ascending least member
 
 
-def orbits_on_sphere(orbits: OrbitPartition, k: int) -> SphereOrbits:
-    """The orbits of a group on the weight-k vertices, from its vertex orbits."""
-    weights = np.bitwise_count(all_vertices(orbits.m))
-    labs = orbits.labels[weights == k]
-    uniq, counts = np.unique(labs, return_counts=True)
+def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
+    """The orbits of a permutation group on the weight-k vertices.
+
+    A coordinate permutation keeps the weight, so it permutes the
+    C(degree, k) weight-k vertices; each image is found in their ascending
+    list by binary search.
+    """
+    verts = np.fromiter(sphere(0, k, group.degree), dtype=np.uint32)
+    tables = [np.searchsorted(verts, permute_bits(verts, g)) for g in group.generators]
+    _, counts = np.unique(_orbit_labels(tables, len(verts)), return_counts=True)
     return SphereOrbits(
-        k=k, orbit_count=len(uniq), sizes=tuple(int(c) for c in counts)
+        k=k, orbit_count=len(counts), sizes=tuple(int(c) for c in counts)
     )
+
+
+def _translation_subspace(gens, m: int) -> list[int]:
+    """Reduced echelon basis of the translations that the generators give.
+
+    The subspace is spanned by the translations among the generators and
+    closed under their coordinate permutations: if g = (beta, sigma) is in
+    the group, so is g^-1 * t_k * g = t_sigma(k) (products as in AutElement).  Each pivot is the leading
+    bit of its basis vector and appears in no other (as in kernel_basis).
+    """
+    identity = _perm_identity(m)
+    perms = {g.sigma for g in gens} - {identity}
+    todo = [g.beta for g in gens if g.sigma == identity]
+    basis: list[int] = []
+    while todo:
+        v = todo.pop()
+        for b in basis:
+            if (v >> (b.bit_length() - 1)) & 1:
+                v ^= b
+        if v:
+            p = v.bit_length() - 1
+            basis = [b ^ v if (b >> p) & 1 else b for b in basis] + [v]
+            todo.extend(permute_bits(v, s) for s in perms)
+    return sorted(basis)
+
+
+def _distances_to_code(code: Code, verts: np.ndarray) -> np.ndarray:
+    """d(v, C) for each vertex, by pair scans of about PAIR_BLOCK pairs."""
+    arr = code.words_u32()
+    step = max(1, PAIR_BLOCK // code.size)
+    return np.concatenate([
+        (distance_profiles(verts[lo : lo + step], arr, code.m) != 0).argmax(axis=1)
+        for lo in range(0, len(verts), step)
+    ])
 
 
 @dataclass(frozen=True)
@@ -638,32 +637,59 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     Every generator must stabilize the code (checked, error otherwise).
     On success the certificate lists, per cell, the matched orbit size;
     on failure it returns two same-cell vertices in different orbits.
+
+    The check runs on a quotient of F_2^m, not on all 2^m vertices.  Let T
+    be the translations that the generators give (_translation_subspace):
+    those among them, closed under their coordinate permutations.  For
+    generators from assemble_aut_generators T is the translation kernel K.
+    The group G contains T and every element of G maps cosets of T onto
+    cosets of T, so the orbits of G are unions of T-cosets.  Every
+    translation in G stabilizes the code, so T lies in K and d(., C) is
+    constant on each T-coset too.  With T in reduced echelon form, the
+    vertices zero on every pivot are the least vertex of each coset: each
+    generator's table maps such a representative r to the one of g(r),
+    found by clearing the pivots, and the orbits of the tables are the
+    orbits of G on the cosets.  Orbit and cell sizes are |T| times their
+    representative counts.  The least vertex of a cell or of an orbit,
+    and the least vertex of a cell outside the orbit of its least vertex,
+    each begin their coset, so the labels, the certificate and the
+    witness are those of a scan of every vertex.
     """
     for x in gens:
         if not maps_onto(x, code, code):
             raise ValueError("generator does not stabilize the code")
-    partition = distance_partition(code)
-    orbits = vertex_orbits(gens, code.m)
-    labels = orbits.labels
+    m = code.m
+    basis = _translation_subspace(gens, m)
+    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
+    free = [q for q in range(m) if not (pivots >> q) & 1]
+    reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
+    tables = []
+    for g in gens:
+        image = permute_bits(reps ^ np.uint32(g.beta), g.sigma)
+        for b in basis:
+            image ^= ((image >> (b.bit_length() - 1)) & 1) * np.uint32(b)
+        tables.append(unpermute_bits(image, free))
+    labels = _orbit_labels(tables, len(reps))
+    dist = _distances_to_code(code, reps)
+    dim = len(basis)
     cells = []
-    for i in range(partition.rho + 1):
-        cell = partition.cell(i)
-        labs = labels[cell]
+    for i in range(int(dist.max()) + 1):
+        members = np.flatnonzero(dist == i)
+        labs = labels[members]
         first = labs[0]
         mismatch = labs != first
         if mismatch.any():
             b = int(np.argmax(mismatch))
             return TransitivityResult(
                 ok=False, cells=tuple(cells),
-                witness=(i, int(cell[0]), int(cell[b])),
+                witness=(i, int(reps[members[0]]), int(reps[members[b]])),
             )
-        orbit_size = int(np.count_nonzero(labels == first))
+        orbit_size = int(np.count_nonzero(labels == first)) << dim
         cells.append(
             CellCertificate(
-                cell=i, cell_size=len(cell),
-                orbit_label=int(first), orbit_size=orbit_size,
+                cell=i, cell_size=len(members) << dim,
+                orbit_label=int(reps[first]), orbit_size=orbit_size,
             )
         )
     ok = all(c.orbit_size == c.cell_size for c in cells)
-    witness = None
-    return TransitivityResult(ok=ok, cells=tuple(cells), witness=witness)
+    return TransitivityResult(ok=ok, cells=tuple(cells), witness=None)

@@ -6,12 +6,7 @@ from nrcodes import (
     puncture,
     reed_muller_subcode,
 )
-from nrcodes.symmetry import (
-    AutElement,
-    assemble_aut_generators,
-    enumerate_perm_automorphisms,
-    vertex_orbits,
-)
+from nrcodes.symmetry import assemble_aut_generators, enumerate_perm_automorphisms
 
 
 @pytest.fixture(scope="session")
@@ -42,21 +37,6 @@ def nr_perm_group(nr):
 @pytest.fixture(scope="session")
 def pn_perm_group(pn):
     return enumerate_perm_automorphisms(pn)
-
-
-def _perm_orbits(group):
-    gens = [AutElement.permutation(group.degree, g) for g in group.generators]
-    return vertex_orbits(gens, group.degree)
-
-
-@pytest.fixture(scope="session")
-def nr_perm_orbits(nr_perm_group):
-    return _perm_orbits(nr_perm_group)
-
-
-@pytest.fixture(scope="session")
-def pn_perm_orbits(pn_perm_group):
-    return _perm_orbits(pn_perm_group)
 
 
 @pytest.fixture(scope="session")

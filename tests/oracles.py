@@ -7,11 +7,14 @@ loop over the codewords, pair counts and linearity by a double loop over
 the codewords, coset leaders from a kernel found by trying every
 translation, automorphism groups by iterating all m! permutations, group
 orders by multiplicative closure, permutations between two codes by a
-plain coordinate-by-coordinate backtrack, and the ranks of refinement keys
-by sorting their distinct rows as Python tuples.
+plain coordinate-by-coordinate backtrack, the ranks of refinement keys
+by sorting their distinct rows as Python tuples, and vertex orbits by a
+breadth-first closure over all of F_2^m.
 """
 
 import itertools
+
+import numpy as np
 
 from nrcodes.codes import Code
 from nrcodes.hamming import permute_bits, sphere
@@ -82,6 +85,36 @@ def brute_ranks(keys) -> list[int] | None:
     if sorted(ranks[:half]) != sorted(ranks[half:]):
         return None
     return ranks
+
+
+def brute_orbits(gens, m: int) -> list[int]:
+    """Orbit label, the least vertex of the orbit, of every vertex of F_2^m
+    under the group the automorphisms generate.
+
+    Each generator's images of all 2^m vertices are written out from the
+    definition (translate by beta, then move bit j to bit sigma[j]); each
+    vertex not yet reached starts a breadth-first closure under them.
+    """
+    verts = np.arange(1 << m, dtype=np.int64)
+    images = []
+    for g in gens:
+        moved = verts ^ g.beta
+        image = np.zeros_like(verts)
+        for j, target in enumerate(g.sigma):
+            image |= ((moved >> j) & 1) << target
+        images.append(image.tolist())
+    labels = [-1] * (1 << m)
+    for v in range(1 << m):
+        if labels[v] < 0:
+            labels[v] = v
+            queue = [v]
+            for u in queue:
+                for image in images:
+                    w = image[u]
+                    if labels[w] < 0:
+                        labels[w] = v
+                        queue.append(w)
+    return labels
 
 
 def brute_perm_automorphisms(code: Code) -> list[tuple[int, ...]]:

@@ -32,7 +32,6 @@ from nrcodes.symmetry import (
     orbits_on_sphere,
     translation_kernel,
     verify_complete_transitivity,
-    vertex_orbits,
 )
 from oracles import (
     brute_perm_automorphisms,
@@ -219,13 +218,13 @@ def test_criterion_10_group_orders(nr_perm_group, pn_perm_group, nr_generators):
     assert mu_image.order() == 322560  # 2^4 * |A_8|
 
 
-def test_criterion_11_sphere_orbits(nr_perm_orbits, pn_perm_orbits):
+def test_criterion_11_sphere_orbits(nr_perm_group, pn_perm_group):
     t0 = time.perf_counter()
     ok = (
-        orbits_on_sphere(nr_perm_orbits, 4).orbit_count == 2
-        and orbits_on_sphere(pn_perm_orbits, 3).orbit_count == 2
+        orbits_on_sphere(nr_perm_group, 4).orbit_count == 2
+        and orbits_on_sphere(pn_perm_group, 3).orbit_count == 2
         and all(
-            orbits_on_sphere(nr_perm_orbits, k).orbit_count == 1
+            orbits_on_sphere(nr_perm_group, k).orbit_count == 1
             for k in (1, 2, 3)
         )
     )

@@ -10,7 +10,6 @@ from nrcodes.hamming import (
     MAX_LENGTH,
     KrawtchoukTable,
     complement,
-    covers,
     distance,
     from_string,
     krawtchouk,
@@ -54,13 +53,6 @@ def test_complement_involution():
         v = rng.randrange(1 << m)
         assert complement(complement(v, m), m) == v
         assert weight(v) + weight(complement(v, m)) == m
-
-
-def test_covers():
-    assert covers(0, 0b10110)
-    v = 0b01101
-    assert covers(v, v)
-    assert not covers(0b011, 0b101)  # support {1,2} vs {1,3}
 
 
 def test_support():

@@ -77,12 +77,13 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
     assert "nr.cr" in failing
 
 
-# Calls per `verify all`: NR and PN each build their permutation-group
-# orbits once and the transitivity check's orbits and distance partition
-# once; the four codes with a regularity claim are checked once each.
+# Calls per `verify all`: orbit labels are computed once per sphere claim
+# (weights 1, 2, 3 and 4 for NR, 3 for PN) and once per transitivity check,
+# with no distance partition; the four codes with a regularity claim are
+# checked once each.
 STAGE_CALLS = {
-    "vertex_orbits": 4,
-    "distance_partition": 2,
+    "_orbit_labels": 7,
+    "distance_partition": 0,
     "translation_kernel": 2,
     "completely_regular_check": 4,
     "enumerate_perm_automorphisms": 2,

@@ -28,6 +28,7 @@ from nrcodes.spectrum import (
     lambda_upper_bound,
     macwilliams_transform,
 )
+from nrcodes.symmetry import _distances_to_code
 from oracles import brute_profile, brute_regularity
 
 NR_DIST = (1, 0, 0, 0, 0, 0, 112, 0, 30, 0, 112, 0, 0, 0, 0, 0, 1)
@@ -235,6 +236,21 @@ def test_quotient_route_matches_brute_force(code):
     for b in basis:
         pivot = b.bit_length() - 1
         assert [c for c in basis if (c >> pivot) & 1] == [b]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(regularity_codes())
+def test_distance_partition_matches_definition(code):
+    partition = distance_partition(code)
+    dist = [brute_profile(code, v)[0] for v in range(1 << code.m)]
+    assert partition.dist_to_code.tolist() == dist
+    assert partition.rho == max(dist)
+    assert partition.cell_sizes == tuple(dist.count(i) for i in range(max(dist) + 1))
+    # the pair scan that gives the transitivity check its distances, on
+    # the vertices zero on every kernel pivot
+    pivots = sum(1 << (b.bit_length() - 1) for b in code.kernel)
+    reps = np.array([v for v in range(1 << code.m) if not v & pivots], dtype=np.uint32)
+    assert _distances_to_code(code, reps).tolist() == partition.dist_to_code[reps].tolist()
 
 
 def _free_coordinates(code):

@@ -1,14 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from nrcodes.codes import Code, puncture, span, translate
-from nrcodes.hamming import permute_bits, unpermute_bits
+from nrcodes.hamming import permute_bits
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
@@ -17,21 +18,19 @@ from nrcodes.symmetry import (
     _ranks,
     _search_permutation,
     assemble_aut_generators,
-    coordinate_invariant_partition,
     enumerate_perm_automorphisms,
     find_equivalence,
     format_aut_element,
     maps_onto,
     orbits_on_sphere,
     parse_aut_element,
-    project_automorphism,
     read_aut_elements,
     translation_kernel,
     verify_complete_transitivity,
-    vertex_orbits,
     write_aut_elements,
 )
 from oracles import (
+    brute_orbits,
     brute_perm_automorphisms,
     brute_ranks,
     mulclose_order,
@@ -85,36 +84,6 @@ def test_permutation_part_is_a_homomorphism():
         composed = (x * y).sigma
         assert composed == tuple(y.sigma[x.sigma[j]] for j in range(12))
     assert AutElement.translation(12, 7).sigma == tuple(range(12))
-
-
-def test_project_automorphism_translation():
-    x = AutElement.translation(4, 0b0101)
-    chi = project_automorphism(x, (1, 2))
-    assert chi == AutElement.translation(2, 0b01)
-    assert project_automorphism(AutElement.identity(4), (2, 4)).is_identity()
-
-
-def test_project_automorphism_requires_stable_coords():
-    swap = AutElement.permutation(4, (1, 0, 2, 3))
-    with pytest.raises(ValueError):
-        project_automorphism(swap, (1, 3))
-
-
-def test_project_automorphism_commutes_with_projection(nr, nr_generators):
-    coords = tuple(range(2, 17))
-    positions = [i - 1 for i in coords]
-    pnc = puncture(nr, 1)
-    rng = random.Random(6)
-    fixing = [g for g in nr_generators if g.sigma[0] == 0]
-    assert fixing  # kernel translations at least
-    for g in fixing:
-        chi = project_automorphism(g, coords)
-        assert maps_onto(chi, pnc, pnc)
-        for _ in range(25):
-            v = rng.randrange(1 << 16)
-            assert unpermute_bits(g.act(v), positions) == chi.act(
-                unpermute_bits(v, positions)
-            )
 
 
 def test_aut_element_file_format(tmp_path):
@@ -181,18 +150,6 @@ def test_perm_group_order_is_transversal_product(nr_perm_group):
             assert rep[:k] == tuple(range(k)) and rep[k] == j
         prod *= len(row)
     assert prod == nr_perm_group.order() == 40320
-
-
-def test_invariant_partition(nr):
-    assert coordinate_invariant_partition(nr) == (tuple(range(1, 17)),)
-    cells = coordinate_invariant_partition(Code(3, [0b000, 0b011]))
-    assert set(cells) == {(3,), (1, 2)}
-
-
-def test_invariant_partition_idempotent(pn):
-    first = coordinate_invariant_partition(pn)
-    again = coordinate_invariant_partition(pn)
-    assert first == again
 
 
 def test_enumerate_automorphisms_repetition_code():
@@ -491,9 +448,10 @@ def test_assembled_generators(nr, rm, nr_generators):
 
 
 def test_assembled_generators_reach_every_kernel_coset(nr, nr_generators):
-    orbit = vertex_orbits(nr_generators, 16)
-    zero_orbit = np.nonzero(orbit.labels == orbit.labels[0])[0]
-    assert sorted(int(v) for v in zero_orbit) == list(nr.words)
+    # cell 0 is the code; its single orbit is the orbit of the zero word
+    zero_cell = verify_complete_transitivity(nr, nr_generators).cells[0]
+    assert zero_cell.orbit_label == 0
+    assert zero_cell.orbit_size == zero_cell.cell_size == nr.size
 
 
 def test_mu_image_order(nr_generators):
@@ -502,20 +460,24 @@ def test_mu_image_order(nr_generators):
 
 
 def test_vertex_orbits_no_generators():
-    orbit = vertex_orbits([], 6)
-    assert orbit.orbit_count == 64
-    assert orbit.sizes == (1,) * 64
+    m = 6
+    spheres = [orbits_on_sphere(PermGroup(m, []), k) for k in range(m + 1)]
+    assert sum(res.orbit_count for res in spheres) == 64
+    assert sum((res.sizes for res in spheres), ()) == (1,) * 64
+    res = verify_complete_transitivity(Code(m, [0]), [])
+    assert [c.cell_size for c in res.cells] == [1]
+    assert not res.ok and res.witness == (1, 1, 2)
 
 
 def test_vertex_orbits_of_symmetric_group_are_weight_classes():
     m = 6
-    gens = [
-        AutElement.permutation(m, tuple(range(m))[:i] + (i + 1, i) + tuple(range(m))[i + 2:])
+    adjacent = [
+        tuple(range(m))[:i] + (i + 1, i) + tuple(range(m))[i + 2:]
         for i in range(m - 1)
     ]
-    orbit = vertex_orbits(gens, m)
-    assert orbit.orbit_count == m + 1
-    assert sorted(orbit.sizes) == sorted(
+    spheres = [orbits_on_sphere(PermGroup(m, adjacent), k) for k in range(m + 1)]
+    assert sum(res.orbit_count for res in spheres) == m + 1
+    assert sorted(sum((res.sizes for res in spheres), ())) == sorted(
         [1, 6, 15, 20, 15, 6, 1]
     )
 
@@ -524,23 +486,116 @@ def test_vertex_orbits_respect_distance_partition(nr, nr_perm_group):
     from nrcodes.spectrum import distance_partition
 
     gens = [AutElement.permutation(16, g) for g in nr_perm_group.generators]
-    orbit = vertex_orbits(gens, 16)
+    labels = np.array(brute_orbits(gens, 16))
     dist = distance_partition(nr).dist_to_code
     # every orbit of a stabilizing group sits inside one cell
-    for label in np.unique(orbit.labels)[:50]:
-        members = np.nonzero(orbit.labels == label)[0]
+    for label in np.unique(labels)[:50]:
+        members = np.nonzero(labels == label)[0]
         assert len(np.unique(dist[members])) == 1
 
 
-def test_orbits_on_spheres(nr_perm_orbits, pn_perm_orbits):
-    res = orbits_on_sphere(nr_perm_orbits, 4)
+def test_orbits_on_spheres(nr_perm_group, pn_perm_group):
+    res = orbits_on_sphere(nr_perm_group, 4)
     assert res.orbit_count == 2
     assert sorted(res.sizes) == [140, 1680]
     for k in (1, 2, 3):
-        assert orbits_on_sphere(nr_perm_orbits, k).orbit_count == 1
-    res3 = orbits_on_sphere(pn_perm_orbits, 3)
+        assert orbits_on_sphere(nr_perm_group, k).orbit_count == 1
+    res3 = orbits_on_sphere(pn_perm_group, 3)
     assert res3.orbit_count == 2
     assert sorted(res3.sizes) == [35, 420]
+    with pytest.raises(ValueError):
+        orbits_on_sphere(pn_perm_group, 16)
+
+
+@st.composite
+def generator_subsets(draw):
+    """A code containing 0 with m <= 10 (random words, a span, a union of
+    cosets of a span, or every word whose weight is in a random set, which
+    all of S_m stabilizes) and some of its assembled generators: all, none,
+    each kept with probability 1/2, or every one that is not a translation
+    and each translation with probability 1/2.  Without all of them the
+    orbits are often finer than the cells, or than the kernel cosets; with
+    the last choice the translations kept often span a subspace that only
+    the coordinate permutations close up to the kernel."""
+    m = draw(st.integers(2, 10))
+    word = st.integers(0, (1 << m) - 1)
+    kind = draw(st.sampled_from(["random", "span", "cosets", "weights"]))
+    if kind == "random":
+        words = draw(st.lists(word, min_size=1, max_size=12))
+    elif kind == "weights":
+        weights = draw(st.sets(st.integers(1, m)))
+        words = [v for v in range(1 << m) if v.bit_count() in weights]
+    else:
+        subspace = span(draw(st.lists(word, min_size=1, max_size=4)), m).words
+        reps = [0] + (draw(st.lists(word, max_size=4)) if kind == "cosets" else [])
+        words = [v ^ r for r in reps for v in subspace]
+    code = Code(m, [0] + words)
+    gens = assemble_aut_generators(code, enumerate_perm_automorphisms(code))
+    keep = draw(st.sampled_from(["all", "none", "some", "some translations"]))
+    if keep == "none":
+        gens = []
+    elif keep == "some":
+        gens = [g for g in gens if draw(st.booleans())]
+    elif keep == "some translations":
+        identity = tuple(range(m))
+        gens = [g for g in gens if g.sigma != identity or draw(st.booleans())]
+    return code, gens
+
+
+# The even-weight code of length 3 with the translation by 101 left out:
+# the group still holds it, as the conjugate of the translation by 011
+# by a coordinate permutation, and all 4 words form one orbit.
+EVEN3_WITHOUT_101 = (
+    Code(3, [0b000, 0b011, 0b101, 0b110]),
+    [
+        AutElement.permutation(3, (1, 0, 2)),
+        AutElement.permutation(3, (2, 0, 1)),
+        AutElement.translation(3, 0b011),
+    ],
+)
+
+
+@settings(DETERMINISTIC, max_examples=80)
+@given(generator_subsets())
+@example(EVEN3_WITHOUT_101)
+def test_orbits_agree_with_brute_closure(case):
+    code, gens = case
+    m = code.m
+    labels = brute_orbits(gens, m)
+    dist = [min((v ^ w).bit_count() for w in code.words) for v in range(1 << m)]
+    cells, witness = [], None
+    for i in range(max(dist) + 1):
+        cell = [v for v in range(1 << m) if dist[v] == i]
+        other = next((v for v in cell if labels[v] != labels[cell[0]]), None)
+        if other is not None:
+            witness = (i, cell[0], other)
+            break
+        label = labels[cell[0]]
+        cells.append((i, len(cell), label, labels.count(label)))
+    res = verify_complete_transitivity(code, gens)
+    assert res.witness == witness
+    assert [(c.cell, c.cell_size, c.orbit_label, c.orbit_size) for c in res.cells] == cells
+    assert res.ok == (witness is None and all(c[1] == c[3] for c in cells))
+
+    sigmas = [g.sigma for g in gens]
+    perm_labels = brute_orbits([AutElement.permutation(m, s) for s in sigmas], m)
+    for k in range(m + 1):
+        on_sphere = [perm_labels[v] for v in range(1 << m) if v.bit_count() == k]
+        sizes = [on_sphere.count(label) for label in sorted(set(on_sphere))]
+        res_k = orbits_on_sphere(PermGroup(m, sigmas), k)
+        assert (res_k.orbit_count, list(res_k.sizes)) == (len(sizes), sizes)
+
+
+def test_complete_transitivity_memory(nr, nr_generators):
+    # One 2^16-entry action table per generator peaked at 7.6 MB; tables
+    # on the 2048 kernel-coset representatives peak at 1.5 MB.
+    tracemalloc.start()
+    try:
+        verify_complete_transitivity(nr, nr_generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_complete_transitivity_nr(nr, nr_generators):
