@@ -37,8 +37,8 @@ from .symmetry import (
     TransitivityResult,
     assemble_aut_generators,
     enumerate_perm_automorphisms,
-    find_equivalence,
     format_aut_element,
+    maps_onto,
     orbits_on_sphere,
     translation_kernel,
     verify_complete_transitivity,
@@ -175,11 +175,30 @@ def _lambda_elimination(m: int, delta: int, t: int):
 
 
 def _puncture_equivalences(wb: Workbench) -> str:
-    base = puncture(wb.code("nr"), 1)
+    """How many punctures NR@p, p = 2..16, are equivalent to NR@1.
+
+    No search is needed.  Row 0 of the Sims table of NR's permutation
+    group holds, for each coordinate j in the orbit of 0, an automorphism
+    g of NR with g(0) = j, so g^-1 sends coordinate p-1 to 0.  Deleting
+    coordinate p-1 from every word of NR, and its image 0 from every
+    image word, turns g^-1 into a coordinate permutation of length 15
+    that maps NR@p onto NR@1.  Each such element is checked with
+    `maps_onto`; a position with no element in the row, or whose element
+    fails the check, is not counted.
+    """
+    nr = wb.code("nr")
+    base = puncture(nr, 1)
+    row = wb.perm_group("nr").row(0)
     found = 0
     for p in range(2, 17):
-        x = find_equivalence(puncture(wb.code("nr"), p), base, wb.budget)
-        if x is not None:
+        g = row.get(p - 1)
+        if g is None:
+            continue
+        sigma = AutElement.permutation(16, g).inverse().sigma
+        x = AutElement.permutation(
+            15, [s - 1 for j, s in enumerate(sigma) if j != p - 1]
+        )
+        if maps_onto(x, puncture(nr, p), base):
             found += 1
     return f"equivalent for {found}/15 puncture positions"
 

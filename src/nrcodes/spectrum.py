@@ -294,20 +294,35 @@ class DesignCheckResult:
 
 
 def design_check(words: Code, t: int) -> DesignCheckResult:
-    """Does every weight-t vertex sit under exactly lambda of the words?"""
+    """Does every weight-t vertex sit under exactly lambda of the words?
+
+    The weight-t vertices are taken in ascending (Gosper) order, in blocks
+    of at most PAIR_BLOCK (vertex, word) pairs, and numpy counts the words
+    covering each.  lambda is the first vertex's count; the witness is the
+    first vertex whose count differs from it, with that count.
+    """
     weights = {w.bit_count() for w in words.words}
     if len(weights) != 1:
         raise ValueError(f"design words must share one weight, got {sorted(weights)}")
     k = weights.pop()
     if not 0 <= t <= k:
         raise ValueError(f"design strength t={t} outside [0, {k}]")
+    arr = words.words_u32()
+    verts = np.fromiter(
+        weight_masks(words.m, t), dtype=np.uint32, count=math.comb(words.m, t)
+    )
     lam = None
-    for nu in weight_masks(words.m, t):
-        count = sum(1 for w in words.words if nu & w == nu)
+    step = max(1, PAIR_BLOCK // words.size)
+    for lo in range(0, len(verts), step):
+        block = verts[lo : lo + step, None]
+        counts = np.count_nonzero((block & arr) == block, axis=1)
         if lam is None:
-            lam = count
-        elif count != lam:
-            return DesignCheckResult(ok=False, lam=None, witness=(nu, count))
+            lam = int(counts[0])
+        bad = np.flatnonzero(counts != lam)
+        if len(bad):
+            i = int(bad[0])
+            witness = (int(block[i, 0]), int(counts[i]))
+            return DesignCheckResult(ok=False, lam=None, witness=witness)
     return DesignCheckResult(ok=True, lam=lam, witness=None)
 
 

@@ -9,7 +9,10 @@ codewords of both codes is refined to a fixed point; a coordinate of
 the smallest open colour is then paired with each candidate image in
 turn, and every branch whose two sides stop matching is cut at once.
 On top of that search the module finds the permutation stabilizer of a
-code, assembles generators of its full stabilizer including translations,
+code, searching at each level of its stabilizer chain only the images
+that the refined partition of that level leaves in the level point's
+cell (the others cannot be reached), assembles generators of its full
+stabilizer including translations,
 finds equivalences between codes, computes exact permutation-group orders
 from a Sims table, counts the orbits of a permutation group on a weight
 sphere, and certifies complete transitivity by matching the orbits on the
@@ -26,8 +29,8 @@ import functools
 import math
 import operator
 import os
+import types
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -90,7 +93,7 @@ def _perm_identity(n: int) -> tuple[int, ...]:
 
 def _perm_mult(p, q) -> tuple[int, ...]:
     """Apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def _perm_inv(p) -> tuple[int, ...]:
@@ -189,17 +192,6 @@ def parse_aut_element(line: str) -> AutElement:
     return AutElement(m, beta, sigma)
 
 
-def write_aut_elements(elements, path) -> None:
-    Path(path).write_text(
-        "".join(format_aut_element(x) + "\n" for x in elements), encoding="utf-8"
-    )
-
-
-def read_aut_elements(path) -> list[AutElement]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [parse_aut_element(ln) for ln in lines if ln.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Permutation groups as Sims tables.
 
@@ -263,6 +255,12 @@ class PermGroup:
     def order(self) -> int:
         return math.prod(len(row) for row in self._reps)
 
+    def row(self, k: int) -> types.MappingProxyType:
+        """Row k of the Sims table, read-only: for each point j of the orbit
+        of k under the stabilizer of 0..k-1, a group element that fixes
+        0..k-1 and sends k to j."""
+        return types.MappingProxyType(self._reps[k])
+
 
 # ---------------------------------------------------------------------------
 # Partition refinement of two codes' coordinates and codewords.
@@ -323,12 +321,29 @@ def _refine(inc: _Incidence, colors, cells):
     and cell of a onto the same one of b.  Returns the refined
     (colors, cells), or None as soon as the two codes' colour or cell
     multisets differ.
+
+    The word step packs a word's counts into one mixed-radix key,
+    sum over c of count_c * place[c] with place[c] the product of
+    s_c' + 1 over the colours c' > c, s_c being the number of colour-c
+    coordinates of code a.  When the two sides hold equally many
+    coordinates of each colour, a word has at most s_c ones of colour c,
+    so the keys order the words as their count vectors do and the ranks
+    are those of the count matrix.  The colours come from the input or
+    from a `_ranks` call that has checked this balance; if the input is
+    unbalanced, the colour step returns None whatever the word keys were,
+    since its keys start with the input colours.  Every key is below the
+    product of all s_c + 1, which is at most 2^m <= 2^24 (s + 1 <= 2^s,
+    and m is at most MAX_LENGTH), so the float64 sums of `np.bincount`
+    are exact integers.
     """
+    m = len(colors) // 2
     n_colors = len(np.unique(colors))
     while True:
-        k = int(colors.max()) + 1
-        counts = np.bincount(inc.rows * k + colors[inc.cols], minlength=len(cells) * k)
-        cells = _ranks(cells, counts.reshape(-1, k))
+        sizes = np.bincount(colors[:m], minlength=int(colors.max()) + 1)
+        place = np.ones(len(sizes))
+        place[:-1] = np.cumprod(sizes[:0:-1] + 1)[::-1]
+        packed = np.bincount(inc.rows, weights=place[colors[inc.cols]], minlength=len(cells))
+        cells = _ranks(cells, packed[:, None])
         if cells is None:
             return None
         w = int(cells.max()) + 1
@@ -414,15 +429,38 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     per unproven candidate image, and the witnesses double as a strong
     generating set.  The resulting group order is cross-checked against
     the product of the orbit sizes.
+
+    Only candidates in the level's cell are searched.  At level k the
+    partition of the code against itself, with 0..k-1 individualized, is
+    refined once (from the level before, with k-1 individualized); k's
+    colour class is its cell.  Colour refinement is monotone: the search
+    for prefix + [(k, p)] starts from a finer partition, so its refinement
+    refines this one, and for p outside k's cell it must split the pair
+    (k, p) into an unbalanced colour and return None at the root without
+    charging a node.  Skipping those searches leaves every node count and
+    generator as it was.  At the first level whose coordinate partition is
+    discrete the pointwise stabilizer is trivial, so every later orbit is
+    a single point and the walk stops.
     """
     if code.m > 16 or code.size > 4096:
         raise ValueError("automorphism search supports m <= 16 and |C| <= 4096")
     tracker = _Budget(budget)
     m = code.m
     words = code.words
+    inc = _Incidence(words, words, m)
+    colors = np.zeros(2 * m, dtype=np.int64)
+    cells = np.zeros(2 * len(words), dtype=np.int64)
     gens: list[tuple[int, ...]] = []
     order = 1
     for k in range(m):
+        if k:
+            colors = 2 * colors
+            colors[k - 1] += 1
+            colors[m + k - 1] += 1
+        # both sides are the same code, so the refinement stays balanced
+        colors, cells = _refine(inc, colors, cells)
+        if colors.max() == m - 1:
+            break
         level_gens: list[tuple[int, ...]] = []
         orbit = {k}
 
@@ -436,8 +474,8 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
                         queue.append(npt)
 
         prefix = [(i, i) for i in range(k)]
-        for p in range(k + 1, m):
-            if p in orbit:
+        for p in np.flatnonzero(colors[m:] == colors[k]).tolist():
+            if p <= k or p in orbit:
                 continue
             sigma = _search_permutation(
                 words, words, m, prefix + [(k, p)], tracker

@@ -8,7 +8,9 @@ the codewords, coset leaders from a kernel found by trying every
 translation, automorphism groups by iterating all m! permutations, group
 orders by multiplicative closure, permutations between two codes by a
 plain coordinate-by-coordinate backtrack, the ranks of refinement keys
-by sorting their distinct rows as Python tuples, and vertex orbits by a
+by sorting their distinct rows as Python tuples, a refined partition by
+ranking explicit count tuples, design multiplicities by counting the
+words over every t-subset of the coordinates, and vertex orbits by a
 breadth-first closure over all of F_2^m.
 """
 
@@ -85,6 +87,65 @@ def brute_ranks(keys) -> list[int] | None:
     if sorted(ranks[:half]) != sorted(ranks[half:]):
         return None
     return ranks
+
+
+def brute_refine(words_a, words_b, m: int, colors, cells):
+    """The stable refinement of a colouring of two codes' coordinates and
+    words, as (colors, cells) lists, or None.
+
+    Coordinates and words are numbered as in `symmetry._Incidence` (code
+    b's after code a's).  Each round ranks every word by the tuple (its
+    cell, its number of ones of each coordinate colour), then every
+    coordinate by (its colour, its number of ones in each word cell), with
+    `brute_ranks`; it stops when a round splits no colour, and gives None
+    as soon as a ranking's two halves differ.
+    """
+    n = len(words_a)
+    ones = [
+        [j + m * (i >= n) for j in range(m) if (w >> j) & 1]
+        for i, w in enumerate(list(words_a) + list(words_b))
+    ]
+    colors, cells = list(colors), list(cells)
+    n_colors = len(set(colors))
+    while True:
+        keys = []
+        for cell, coords in zip(cells, ones):
+            counts = [0] * (max(colors) + 1)
+            for j in coords:
+                counts[colors[j]] += 1
+            keys.append([cell] + counts)
+        cells = brute_ranks(np.array(keys))
+        if cells is None:
+            return None
+        keys = [[c] + [0] * (max(cells) + 1) for c in colors]
+        for cell, coords in zip(cells, ones):
+            for j in coords:
+                keys[j][1 + cell] += 1
+        colors = brute_ranks(np.array(keys))
+        if colors is None:
+            return None
+        if len(set(colors)) == n_colors:
+            return colors, cells
+        n_colors = len(set(colors))
+
+
+def brute_design(code: Code, t: int):
+    """(lambda, witness) of the t-subsets of the coordinates: each subset
+    is counted by the words holding a one at all of its coordinates, and
+    the subsets are visited in ascending order of their bit masks.  lambda
+    is the common count, or None; the witness is the first (mask, count)
+    whose count differs from the first subset's, or None."""
+    subsets = sorted(
+        (sum(1 << j for j in s), s) for s in itertools.combinations(range(code.m), t)
+    )
+    first = None
+    for mask, s in subsets:
+        count = sum(1 for w in code.words if all((w >> j) & 1 for j in s))
+        if first is None:
+            first = count
+        elif count != first:
+            return None, (mask, count)
+    return first, None
 
 
 def brute_orbits(gens, m: int) -> list[int]:

@@ -20,6 +20,7 @@ from nrcodes.report import (
     transitivity_certificate,
 )
 from nrcodes.spectrum import distance_partition
+from nrcodes.symmetry import PermGroup
 
 
 def test_fmt_serialization():
@@ -90,8 +91,9 @@ STAGE_CALLS = {
 }
 
 
-def test_verify_all_builds_each_stage_once(monkeypatch):
-    calls = dict.fromkeys(STAGE_CALLS, 0)
+def count_calls(monkeypatch, names) -> dict[str, int]:
+    """Count the calls of each named function of `report` and `symmetry`."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -101,11 +103,46 @@ def test_verify_all_builds_each_stage_once(monkeypatch):
         return wrapper
 
     for module in (report_module, symmetry):
-        for name in STAGE_CALLS:
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_verify_all_builds_each_stage_once(monkeypatch):
+    calls = count_calls(monkeypatch, STAGE_CALLS)
     run_verification("all")
     assert calls == STAGE_CALLS
+
+
+def test_verify_all_search_work_pinned(monkeypatch):
+    # Per `verify all`: the stabilizer chains of NR and PN search 23
+    # candidates in their level cells and generator assembly makes 7 word
+    # movers per code; the puncture claim reads NR's Sims table and
+    # searches nothing.
+    calls = count_calls(monkeypatch, ["_search_permutation", "find_equivalence"])
+    run_verification("all")
+    assert calls == {"_search_permutation": 37, "find_equivalence": 0}
+
+
+def test_puncture_claim_rests_on_maps_onto(monkeypatch):
+    # A row-0 element that sends 0 to 5 but is no automorphism of NR
+    # must cost its position, and the claim must fail.
+    row = PermGroup.row
+    bad = (5, 1, 2, 3, 4, 0) + tuple(range(6, 16))
+
+    def tampered(self, k):
+        out = dict(row(self, k))
+        if k == 0 and self.degree == 16:
+            out[5] = bad
+        return out
+
+    monkeypatch.setattr(PermGroup, "row", tampered)
+    entry = next(
+        e for e in run_verification("pn").entries if e.claim_id == "pn.puncture.equiv"
+    )
+    assert entry.computed == "equivalent for 14/15 puncture positions"
+    assert entry.status == "fail"
 
 
 def test_report_json_round_trip():

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from nrcodes import golay24, spectrum
 from nrcodes.codes import Code, kernel_basis, span
-from nrcodes.hamming import from_string, krawtchouk, permute_bits
+from nrcodes.hamming import from_string, krawtchouk, permute_bits, weight_masks
 from nrcodes.spectrum import (
     CR_WORK_LIMIT,
     ConstraintRow,
@@ -29,7 +30,7 @@ from nrcodes.spectrum import (
     macwilliams_transform,
 )
 from nrcodes.symmetry import _distances_to_code
-from oracles import brute_profile, brute_regularity
+from oracles import brute_design, brute_profile, brute_regularity
 
 NR_DIST = (1, 0, 0, 0, 0, 0, 112, 0, 30, 0, 112, 0, 0, 0, 0, 0, 1)
 PN_DIST = (1, 0, 0, 0, 0, 42, 70, 15, 15, 70, 42, 0, 0, 0, 0, 1)
@@ -404,6 +405,39 @@ def test_design_check_failure_witness():
     res = design_check(words, 1)
     assert not res.ok
     assert res.witness == (0b00100, 2)  # coordinate 3 lies under both words
+
+
+@st.composite
+def design_cases(draw):
+    """Weight-k words on m <= 10 coordinates and a strength t <= k: all of
+    them (a design for every t), the cyclic shifts of one (always a
+    1-design), or a random subset (mostly no design for t >= 1)."""
+    m = draw(st.integers(1, 10))
+    k = draw(st.integers(1, m))
+    pool = list(weight_masks(m, k))
+    kind = draw(st.sampled_from(["all", "cyclic", "subset"]))
+    if kind == "all":
+        words = pool
+    elif kind == "cyclic":
+        w = draw(st.sampled_from(pool))
+        full = (1 << m) - 1
+        words = [((w << s) | (w >> (m - s))) & full for s in range(m)]
+    else:
+        words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return Code(m, words), draw(st.integers(0, k))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(design_cases(), st.sampled_from([1, 7, spectrum.PAIR_BLOCK]))
+def test_design_check_agrees_with_oracle(case, pair_block):
+    # small blocks hold one or a few vertices: lambda and the witness must
+    # not depend on where the blocks end
+    code, t = case
+    with mock.patch.object(spectrum, "PAIR_BLOCK", pair_block):
+        res = design_check(code, t)
+    lam, witness = brute_design(code, t)
+    assert res.ok == (witness is None)
+    assert (res.lam, res.witness) == (lam, witness)
 
 
 def test_design_check_rejects_mixed_weights():

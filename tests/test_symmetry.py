@@ -15,7 +15,9 @@ from nrcodes.symmetry import (
     PermGroup,
     SearchBudgetExceeded,
     _Budget,
+    _Incidence,
     _ranks,
+    _refine,
     _search_permutation,
     assemble_aut_generators,
     enumerate_perm_automorphisms,
@@ -24,15 +26,14 @@ from nrcodes.symmetry import (
     maps_onto,
     orbits_on_sphere,
     parse_aut_element,
-    read_aut_elements,
     translation_kernel,
     verify_complete_transitivity,
-    write_aut_elements,
 )
 from oracles import (
     brute_orbits,
     brute_perm_automorphisms,
     brute_ranks,
+    brute_refine,
     mulclose_order,
     plain_search_permutation,
 )
@@ -86,15 +87,13 @@ def test_permutation_part_is_a_homomorphism():
     assert AutElement.translation(12, 7).sigma == tuple(range(12))
 
 
-def test_aut_element_file_format(tmp_path):
+def test_aut_element_file_format():
     rng = random.Random(7)
     elems = [random_element(rng, 16) for _ in range(5)]
     line = format_aut_element(elems[0])
     assert line.startswith("beta=") and " sigma=" in line
-    assert parse_aut_element(line) == elems[0]
-    path = tmp_path / "gens.aut"
-    write_aut_elements(elems, path)
-    assert read_aut_elements(path) == elems
+    for x in elems:
+        assert parse_aut_element(format_aut_element(x)) == x
 
 
 def test_perm_group_small_orders():
@@ -143,9 +142,9 @@ def test_perm_group_order_matches_sympy(case):
 
 
 def test_perm_group_order_is_transversal_product(nr_perm_group):
-    rows = nr_perm_group._reps
     prod = 1
-    for k, row in enumerate(rows):
+    for k in range(nr_perm_group.degree):
+        row = nr_perm_group.row(k)
         for j, rep in row.items():
             assert rep[:k] == tuple(range(k)) and rep[k] == j
         prod *= len(row)
@@ -340,6 +339,63 @@ def test_ranks_agree_with_brute_force(keys):
     assert (ours is None) == (expected is None)
     if ours is not None:
         assert ours.tolist() == expected
+
+
+@st.composite
+def refine_inputs(draw):
+    """Two word lists of one length on m <= 8 coordinates and initial
+    colourings of their 2m coordinates and 2n words.  The second list is
+    the image of the first under a coordinate permutation and a reordering
+    of the words, perhaps with one word changed, or is drawn on its own.
+    The second half of each colouring is the image of the first half, a
+    shuffle of it (balanced either way), or now and then drawn on its own;
+    colours need not be dense."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    word = st.integers(0, (1 << m) - 1)
+    a = draw(st.lists(word, min_size=n, max_size=n))
+    sigma = draw(st.permutations(range(m)))
+    order = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["image", "changed", "own"]))
+    if kind == "own":
+        b = draw(st.lists(word, min_size=n, max_size=n))
+    else:
+        b = [permute_bits(a[i], sigma) for i in order]
+        if kind == "changed":
+            b[draw(st.integers(0, n - 1))] = draw(word)
+    second = draw(st.sampled_from(["image", "image", "shuffle", "own"]))
+
+    def colouring(size: int, high: int, image) -> np.ndarray:
+        labels = st.lists(st.integers(0, high), min_size=size, max_size=size)
+        first = draw(labels)
+        if second == "image":
+            rest = image(first)
+        elif second == "shuffle":
+            rest = draw(st.permutations(first))
+        else:
+            rest = draw(labels)
+        return np.array(first + list(rest), dtype=np.int64)
+
+    def coordinate_image(first):
+        rest = [0] * m
+        for j, c in zip(sigma, first):
+            rest[j] = c
+        return rest
+
+    colors = colouring(m, draw(st.sampled_from([0, 1, 3, 2 * m])), coordinate_image)
+    cells = colouring(n, 2, lambda first: [first[i] for i in order])
+    return a, b, m, colors, cells
+
+
+@DETERMINISTIC
+@given(refine_inputs())
+def test_refine_agrees_with_oracle(case):
+    a, b, m, colors, cells = case
+    ours = _refine(_Incidence(a, b, m), colors, cells)
+    expected = brute_refine(a, b, m, colors.tolist(), cells.tolist())
+    assert (ours is None) == (expected is None)
+    if ours is not None:
+        assert (ours[0].tolist(), ours[1].tolist()) == expected
 
 
 @settings(DETERMINISTIC, max_examples=60)
