@@ -16,7 +16,7 @@ from .codes import (
     translate,
     write_code,
 )
-from .hamming import krawtchouk, sphere, weight, distance
+from .hamming import krawtchouk, sphere
 from .spectrum import (
     completely_regular_check,
     design_arithmetic,
@@ -32,7 +32,6 @@ from .symmetry import (
     PermGroup,
     assemble_aut_generators,
     enumerate_perm_automorphisms,
-    find_equivalence,
     orbits_on_sphere,
     translation_kernel,
     verify_complete_transitivity,

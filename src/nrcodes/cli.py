@@ -124,9 +124,13 @@ def cmd_verify(args) -> int:
             doc["nr_transitivity_certificate"] = transitivity_certificate(wb, "nr")
         if args.target in ("pn", "all"):
             doc["pn_transitivity_certificate"] = transitivity_certificate(wb, "pn")
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     if failing:
         print(f"failing claims: {', '.join(failing)}", file=sys.stderr)
         return EXIT_CLAIM_FAILURE

@@ -206,25 +206,50 @@ def kernel_basis(code: Code) -> tuple[int, ...]:
             cand = cand[members(cand ^ arr[int(np.argmax(bad))])]
             continue
         # beta is the least nonzero kernel vector that is zero on every
-        # pivot so far, so its pivot p is above them all and no earlier
-        # basis vector has bit p: the basis stays reduced and ascending.
-        p = beta.bit_length() - 1
+        # pivot so far, so its pivot is above them all and no earlier
+        # basis vector has that bit: the basis stays reduced and ascending.
         basis.append(beta)
-        cand = cand ^ (((cand >> np.uint32(p)) & np.uint32(1)) * np.uint32(beta))
+        cand = reduce_mod(cand, (beta,))
         cand = np.unique(cand[cand != 0])
     return tuple(basis)
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic modulo a subspace given by a reduced echelon basis: the pivot of
+# a basis vector is its leading bit, and no other basis vector has that bit.
+
+def reduce_mod(v, basis):
+    """The least element of v + span(basis): v with every pivot cleared.
+
+    v is an int or a uint32 array (elementwise).  Adding a basis vector
+    changes no other pivot, so the pivots may be cleared in any order; the
+    result is zero on every pivot, and the leading bit of any nonzero span
+    element is a pivot, so adding one gives a larger vector.
+    """
+    for b in basis:
+        v = v ^ (((v >> (b.bit_length() - 1)) & 1) * b)
+    return v
+
+
+def free_coordinates(basis, m: int) -> list[int]:
+    """The coordinates 0..m-1 that are no pivot of the basis, ascending.
+
+    The least elements of the cosets of span(basis) are exactly the
+    vectors supported on them, so permute_bits(i, free) for i in
+    0..2^f-1 lists those minima in ascending order.
+    """
+    pivots = {b.bit_length() - 1 for b in basis}
+    return [q for q in range(m) if q not in pivots]
 
 
 def coset_leaders(code: Code) -> np.ndarray:
     """The least word of each coset of the translation kernel K in C.
 
-    These are the words zero on every pivot of the reduced echelon kernel
-    basis: the leading bit of a nonzero kernel vector is a pivot, so adding
-    it to such a word gives a larger one.  Returned ascending, as uint32.
+    These are the words that reduce_mod leaves unchanged.  Returned
+    ascending, as uint32.
     """
     arr = code.words_u32()
-    pivots = sum(1 << (b.bit_length() - 1) for b in code.kernel)
-    return arr[(arr & np.uint32(pivots)) == 0]
+    return arr[reduce_mod(arr, code.kernel) == arr]
 
 
 def span(generators, m: int) -> Code:

@@ -40,34 +40,6 @@ def check_vertex(v: int, m: int) -> None:
         raise ValueError(f"vertex {v:#x} does not fit in {m} coordinates")
 
 
-def weight(v: int) -> int:
-    """Number of non-zero coordinates."""
-    return v.bit_count()
-
-
-def distance(u: int, v: int) -> int:
-    """Hamming distance between two equal-length words."""
-    return (u ^ v).bit_count()
-
-
-def complement(v: int, m: int) -> int:
-    """Word with support equal to the complement of supp(v) in {1..m}."""
-    check_vertex(v, m)
-    return v ^ ((1 << m) - 1)
-
-
-def support(v: int) -> tuple[int, ...]:
-    """1-indexed coordinates where v is non-zero, ascending."""
-    out = []
-    i = 1
-    while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
-    return tuple(out)
-
-
 def permute_bits(v, positions):
     """Move bit j of v to bit positions[j], for every j.
 

@@ -565,10 +565,6 @@ class VerificationReport:
     target: str
     entries: list[ReportEntry] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(e.status != "fail" for e in self.entries)
-
     def failing_ids(self) -> list[str]:
         return [e.claim_id for e in self.entries if e.status == "fail"]
 
@@ -579,12 +575,6 @@ class VerificationReport:
             "entries": [e.to_dict() for e in self.entries],
         }
         return json.dumps(doc, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        doc = json.loads(text)
-        entries = [ReportEntry(**e) for e in doc["entries"]]
-        return cls(version=doc["version"], target=doc["target"], entries=entries)
 
 
 def run_verification(

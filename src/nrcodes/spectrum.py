@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code
+from .codes import PAIR_BLOCK, Code, free_coordinates
 from .hamming import (
     distance_profiles,
     krawtchouk_table,
@@ -73,9 +73,6 @@ class DistancePartition:
     dist_to_code: np.ndarray  # uint8, length 2^m, read-only
     rho: int
     cell_sizes: tuple[int, ...]
-
-    def cell(self, i: int) -> np.ndarray:
-        return np.nonzero(self.dist_to_code == i)[0]
 
 
 def distance_partition(code: Code) -> DistancePartition:
@@ -242,8 +239,7 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     estimate = nreps * code.size
     if estimate > CR_WORK_LIMIT:
         raise RegularityWorkExceeded(estimate)
-    pivots = {b.bit_length() - 1 for b in basis}
-    free = [q for q in range(m) if q not in pivots]
+    free = free_coordinates(basis, m)
     width = _transform_width(code.size, m, len(free))
     arr = code.words_u32()
     first: dict[int, tuple[int, tuple[int, ...]]] = {}

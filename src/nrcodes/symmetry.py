@@ -12,11 +12,11 @@ On top of that search the module finds the permutation stabilizer of a
 code, searching at each level of its stabilizer chain only the images
 that the refined partition of that level leaves in the level point's
 cell (the others cannot be reached), assembles generators of its full
-stabilizer including translations,
-finds equivalences between codes, computes exact permutation-group orders
-from a Sims table, counts the orbits of a permutation group on a weight
-sphere, and certifies complete transitivity by matching the orbits on the
-cosets of the group's translations against the distance partition.
+stabilizer including translations, computes exact permutation-group
+orders from a Sims table, counts the orbits of a permutation group on a
+weight sphere, and certifies complete transitivity by matching the
+orbits on the cosets of the group's translations against the distance
+partition.
 
 Searches are bounded by an explicit node budget (NRCODES_BUDGET or 10^8 by
 default); one node is one candidate image tried for a coordinate.
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, coset_leaders, span
+from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod, span
 from .hamming import (
     check_vertex,
     distance_profiles,
-    from_string,
     permute_bits,
     sphere,
     to_string,
@@ -129,10 +128,6 @@ class AutElement:
         object.__setattr__(self, "sigma", _check_perm(self.sigma, self.m))
 
     @classmethod
-    def identity(cls, m: int) -> "AutElement":
-        return cls(m, 0, _perm_identity(m))
-
-    @classmethod
     def translation(cls, m: int, beta: int) -> "AutElement":
         return cls(m, beta, _perm_identity(m))
 
@@ -156,9 +151,6 @@ class AutElement:
             self.m, permute_bits(self.beta, self.sigma), _perm_inv(self.sigma)
         )
 
-    def is_identity(self) -> bool:
-        return self.beta == 0 and self.sigma == _perm_identity(self.m)
-
 
 def maps_onto(x: AutElement, code_a: Code, code_b: Code) -> bool:
     """Does x map the words of code_a onto those of code_b?
@@ -178,18 +170,6 @@ def maps_onto(x: AutElement, code_a: Code, code_b: Code) -> bool:
 def format_aut_element(x: AutElement) -> str:
     images = " ".join(str(x.sigma[j] + 1) for j in range(x.m))
     return f"beta={to_string(x.beta, x.m)} sigma={images}"
-
-
-def parse_aut_element(line: str) -> AutElement:
-    parts = line.split()
-    if len(parts) < 2 or not parts[0].startswith("beta=") or not parts[1].startswith("sigma="):
-        raise ValueError(f"malformed automorphism line: {line!r}")
-    beta, m = from_string(parts[0][len("beta="):])
-    images = [parts[1][len("sigma="):]] + parts[2:]
-    sigma = tuple(int(t) - 1 for t in images)
-    if len(sigma) != m:
-        raise ValueError("sigma length does not match beta length")
-    return AutElement(m, beta, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -496,46 +476,6 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     return group
 
 
-def _word_mover(
-    code_a: Code, c: int, code_b: Code, c2: int, tracker: _Budget
-) -> AutElement | None:
-    """Some automorphism mapping code_a onto code_b and c onto c2, or None.
-
-    Searches for a coordinate permutation sigma taking code_a + c onto
-    code_b + c2; then x = (c + unpermute(c2, sigma), sigma) sends c to c2
-    and code_a onto code_b, which is checked before x is returned.
-    """
-    shifted_a = np.sort(code_a.words_u32() ^ np.uint32(c))
-    shifted_b = np.sort(code_b.words_u32() ^ np.uint32(c2))
-    sigma = _search_permutation(shifted_a, shifted_b, code_a.m, [], tracker)
-    if sigma is None:
-        return None
-    x = AutElement(code_a.m, c ^ unpermute_bits(c2, sigma), sigma)
-    if x.act(c) != c2 or not maps_onto(x, code_a, code_b):
-        raise RuntimeError("permutation search produced a wrong word mover")
-    return x
-
-
-def find_equivalence(
-    code_a: Code, code_b: Code, budget: int | None = None
-) -> AutElement | None:
-    """Some Hamming-graph automorphism mapping code_a onto code_b, or None.
-
-    Fixes the least word of code_a and tries each word of code_b as its
-    image (`_word_mover`).
-    """
-    if code_a.m != code_b.m:
-        raise ValueError("codes must have the same length")
-    if code_a.size != code_b.size:
-        return None
-    tracker = _Budget(budget)
-    for c2 in code_b.words:
-        x = _word_mover(code_a, code_a.words[0], code_b, c2, tracker)
-        if x is not None:
-            return x
-    return None
-
-
 def translation_kernel(code: Code) -> Code:
     """All words beta with C + beta = C; a linear subcode of C."""
     if 0 not in code:
@@ -552,8 +492,9 @@ def assemble_aut_generators(
     stabilizer as built by `enumerate_perm_automorphisms`, (b) a basis of
     the translation kernel, and (c) for each other kernel coset inside the
     code, one element moving the zero word onto the coset's least word
-    (`coset_leaders`), if the search finds one: a coordinate permutation
-    followed by the translation by that word.  Every element is
+    c (`coset_leaders`), if the search finds one: a coordinate permutation
+    sigma taking C onto C + c, followed by the translation by c, which is
+    the AutElement (unpermute(c, sigma), sigma).  Every element is
     re-verified to stabilize the code.
     """
     if 0 not in code:
@@ -563,10 +504,11 @@ def assemble_aut_generators(
     out: list[AutElement] = []
     out.extend(AutElement.permutation(m, g) for g in perm_group.generators)
     out.extend(AutElement.translation(m, b) for b in code.kernel)
-    for rep in coset_leaders(code).tolist()[1:]:
-        x = _word_mover(code, 0, code, rep, tracker)
-        if x is not None:
-            out.append(x)
+    words = code.words_u32()
+    for c in coset_leaders(code).tolist()[1:]:
+        sigma = _search_permutation(words, np.sort(words ^ np.uint32(c)), m, [], tracker)
+        if sigma is not None:
+            out.append(AutElement(m, unpermute_bits(c, sigma), sigma))
     for x in out:
         if not maps_onto(x, code, code):
             raise RuntimeError("assembled generator does not stabilize the code")
@@ -625,21 +567,19 @@ def _translation_subspace(gens, m: int) -> list[int]:
 
     The subspace is spanned by the translations among the generators and
     closed under their coordinate permutations: if g = (beta, sigma) is in
-    the group, so is g^-1 * t_k * g = t_sigma(k) (products as in AutElement).  Each pivot is the leading
-    bit of its basis vector and appears in no other (as in kernel_basis).
+    the group, so is g^-1 * t_k * g = t_sigma(k) (products as in
+    AutElement).  A new vector, reduced modulo the basis, has a pivot of
+    its own; clearing that pivot from the other vectors keeps the basis
+    reduced.
     """
     identity = _perm_identity(m)
     perms = {g.sigma for g in gens} - {identity}
     todo = [g.beta for g in gens if g.sigma == identity]
     basis: list[int] = []
     while todo:
-        v = todo.pop()
-        for b in basis:
-            if (v >> (b.bit_length() - 1)) & 1:
-                v ^= b
+        v = reduce_mod(todo.pop(), basis)
         if v:
-            p = v.bit_length() - 1
-            basis = [b ^ v if (b >> p) & 1 else b for b in basis] + [v]
+            basis = [reduce_mod(b, (v,)) for b in basis] + [v]
             todo.extend(permute_bits(v, s) for s in perms)
     return sorted(basis)
 
@@ -686,27 +626,24 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     constant on each T-coset too.  With T in reduced echelon form, the
     vertices zero on every pivot are the least vertex of each coset: each
     generator's table maps such a representative r to the one of g(r),
-    found by clearing the pivots, and the orbits of the tables are the
-    orbits of G on the cosets.  Orbit and cell sizes are |T| times their
-    representative counts.  The least vertex of a cell or of an orbit,
-    and the least vertex of a cell outside the orbit of its least vertex,
-    each begin their coset, so the labels, the certificate and the
-    witness are those of a scan of every vertex.
+    reduce_mod(g(r)), and the orbits of the tables are the orbits of G on
+    the cosets.  Orbit and cell sizes are |T| times their representative
+    counts.  The least vertex of a cell or of an orbit, and the least
+    vertex of a cell outside the orbit of its least vertex, each begin
+    their coset, so the labels, the certificate and the witness are those
+    of a scan of every vertex.
     """
     for x in gens:
         if not maps_onto(x, code, code):
             raise ValueError("generator does not stabilize the code")
     m = code.m
     basis = _translation_subspace(gens, m)
-    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
-    free = [q for q in range(m) if not (pivots >> q) & 1]
+    free = free_coordinates(basis, m)
     reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
     tables = []
     for g in gens:
         image = permute_bits(reps ^ np.uint32(g.beta), g.sigma)
-        for b in basis:
-            image ^= ((image >> (b.bit_length() - 1)) & 1) * np.uint32(b)
-        tables.append(unpermute_bits(image, free))
+        tables.append(unpermute_bits(reduce_mod(image, basis), free))
     labels = _orbit_labels(tables, len(reps))
     dist = _distances_to_code(code, reps)
     dim = len(basis)

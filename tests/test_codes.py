@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,21 @@ from nrcodes.codes import (
     coset_decomposition,
     coset_leaders,
     golay24,
+    free_coordinates,
     is_linear,
+    kernel_basis,
     nordstrom_robinson,
     project,
     puncture,
     punctured_nr,
     read_code,
+    reduce_mod,
     reed_muller_subcode,
     span,
     translate,
     write_code,
 )
+from nrcodes.hamming import permute_bits
 from nrcodes.spectrum import distance_distribution
 from oracles import brute_coset_leaders, brute_distance_counts, brute_is_linear
 
@@ -255,3 +260,23 @@ def test_code_construction_runs_no_pair_scan(monkeypatch):
     assert repr(code) == "Code(m=24, size=3000)"
     with pytest.raises(Scanned):
         code.min_distance
+
+
+@st.composite
+def spans(draw):
+    """A random subspace of F_2^m, m <= 10, spanned by up to m + 2 words."""
+    m = draw(st.integers(1, 10))
+    return span(draw(st.lists(st.integers(0, (1 << m) - 1), max_size=m + 2)), m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spans())
+def test_quotient_helpers_match_coset_minima(subspace):
+    m, basis = subspace.m, kernel_basis(subspace)
+    vectors = np.arange(1 << m, dtype=np.uint32)
+    minima = (vectors[:, None] ^ subspace.words_u32()[None, :]).min(axis=1).tolist()
+    assert [reduce_mod(v, basis) for v in range(1 << m)] == minima
+    reduced = reduce_mod(vectors, basis)
+    assert reduced.dtype == np.uint32 and reduced.tolist() == minima
+    free = free_coordinates(basis, m)
+    assert [permute_bits(i, free) for i in range(2 ** len(free))] == sorted(set(minima))

@@ -12,7 +12,6 @@ from nrcodes import symmetry
 from nrcodes.cli import build_parser, main
 from nrcodes.codes import Code, write_code
 from nrcodes.report import (
-    VerificationReport,
     Workbench,
     build_manifest,
     fmt,
@@ -54,7 +53,7 @@ def test_run_verification_nr_excludes_pn_claims():
 
 def test_run_verification_pn_passes():
     report = run_verification("pn")
-    assert report.passed
+    assert report.failing_ids() == []
     statuses = {e.claim_id: e.status for e in report.entries}
     assert statuses["external.snover.pn"] == "external-fact"
     assert statuses["pn.ct"] == "pass"
@@ -120,9 +119,9 @@ def test_verify_all_search_work_pinned(monkeypatch):
     # candidates in their level cells and generator assembly makes 7 word
     # movers per code; the puncture claim reads NR's Sims table and
     # searches nothing.
-    calls = count_calls(monkeypatch, ["_search_permutation", "find_equivalence"])
+    calls = count_calls(monkeypatch, ["_search_permutation"])
     run_verification("all")
-    assert calls == {"_search_permutation": 37, "find_equivalence": 0}
+    assert calls == {"_search_permutation": 37}
 
 
 def test_puncture_claim_rests_on_maps_onto(monkeypatch):
@@ -143,13 +142,6 @@ def test_puncture_claim_rests_on_maps_onto(monkeypatch):
     )
     assert entry.computed == "equivalent for 14/15 puncture positions"
     assert entry.status == "fail"
-
-
-def test_report_json_round_trip():
-    report = run_verification("nr")
-    text = report.to_json()
-    again = VerificationReport.from_json(text)
-    assert again == report
 
 
 # sha256 of `verify all`'s deterministic report (every wall_time "0"):
@@ -274,6 +266,15 @@ def test_cli_verify_pn(tmp_path, capsys):
     cert = doc["pn_transitivity_certificate"]
     assert len(cert["matched_cells"]) == 4
     assert all(line.startswith("beta=") for line in cert["generators"])
+
+
+def test_cli_verify_unwritable_json_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(["verify", "pn", "--json", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_cli_verify_nr_reports_known_failure(capsys):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from nrcodes.codes import Code, puncture, span, translate
-from nrcodes.hamming import permute_bits
+from nrcodes.codes import Code, span, translate
+from nrcodes.hamming import from_string, permute_bits
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
@@ -21,11 +21,9 @@ from nrcodes.symmetry import (
     _search_permutation,
     assemble_aut_generators,
     enumerate_perm_automorphisms,
-    find_equivalence,
     format_aut_element,
     maps_onto,
     orbits_on_sphere,
-    parse_aut_element,
     translation_kernel,
     verify_complete_transitivity,
 )
@@ -38,10 +36,9 @@ from oracles import (
     plain_search_permutation,
 )
 
-# Node budget for the regression guard below: every search it covers
-# (the 15 puncture equivalences and the NR and PN permutation stabilizers)
-# must finish within it.  It is at most 10 times the smallest puncture
-# search (3 nodes).
+# Node budget for the regression guard below: the permutation stabilizers
+# of NR and PN and their generator assembly (26, 11, 28 and 21 nodes, as
+# test_search_node_counts pins) must each finish within it.
 GUARD_BUDGET = 30
 DETERMINISTIC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -55,7 +52,7 @@ def random_element(rng: random.Random, m: int) -> AutElement:
 def test_group_laws_randomized():
     rng = random.Random(42)
     m = 16
-    identity = AutElement.identity(m)
+    identity = AutElement.translation(m, 0)
     for _ in range(1000):
         x = random_element(rng, m)
         y = random_element(rng, m)
@@ -64,13 +61,13 @@ def test_group_laws_randomized():
         assert (x * y).act(v) == y.act(x.act(v))
         assert (x * y) * z == x * (y * z)
         assert x * identity == x == identity * x
-        assert (x * x.inverse()).is_identity()
+        assert x * x.inverse() == identity
         assert x.inverse().act(x.act(v)) == v
 
 
 def test_act_examples():
     m = 8
-    assert AutElement.identity(m).act(0b1011) == 0b1011
+    assert AutElement.translation(m, 0).act(0b1011) == 0b1011
     beta = 0b1100
     assert AutElement.translation(m, beta).act(0) == beta
     rot = AutElement.permutation(3, (1, 2, 0))
@@ -90,10 +87,11 @@ def test_permutation_part_is_a_homomorphism():
 def test_aut_element_file_format():
     rng = random.Random(7)
     elems = [random_element(rng, 16) for _ in range(5)]
-    line = format_aut_element(elems[0])
-    assert line.startswith("beta=") and " sigma=" in line
     for x in elems:
-        assert parse_aut_element(format_aut_element(x)) == x
+        beta, _, images = format_aut_element(x).partition(" sigma=")
+        assert beta.startswith("beta=")
+        assert from_string(beta[len("beta="):]) == (x.beta, 16)
+        assert [int(t) - 1 for t in images.split(" ")] == list(x.sigma)
 
 
 def test_perm_group_small_orders():
@@ -181,8 +179,6 @@ def test_backtrack_matches_brute_force(m, words):
 
 def test_backtrack_matches_brute_force_rm13():
     rows = ("11111111", "01010101", "00110011", "00001111")
-    from nrcodes.hamming import from_string
-
     code = span([from_string(s)[0] for s in rows], 8)
     brute = brute_perm_automorphisms(code)
     group = enumerate_perm_automorphisms(code)
@@ -208,14 +204,13 @@ def test_budget_exceeded(nr):
 
 
 def test_search_node_budget_guard(nr, pn):
-    base = puncture(nr, 1)
-    for p in range(2, 17):
-        assert find_equivalence(puncture(nr, p), base, budget=GUARD_BUDGET) is not None
-    assert enumerate_perm_automorphisms(nr, budget=GUARD_BUDGET).order() == 40320
-    assert enumerate_perm_automorphisms(pn, budget=GUARD_BUDGET).order() == 2520
+    for code, order in ((nr, 40320), (pn, 2520)):
+        group = enumerate_perm_automorphisms(code, budget=GUARD_BUDGET)
+        assert group.order() == order
+        assemble_aut_generators(code, group, budget=GUARD_BUDGET)
 
 
-def test_search_node_counts(nr, pn):
+def test_search_node_counts(nr, pn, nr_perm_group, pn_perm_group):
     # A search takes exactly n nodes when it finishes within a budget of n
     # and runs out of a budget of n - 1.
     def assert_nodes(search, n):
@@ -225,8 +220,9 @@ def test_search_node_counts(nr, pn):
 
     assert_nodes(lambda b: enumerate_perm_automorphisms(nr, budget=b), 26)
     assert_nodes(lambda b: enumerate_perm_automorphisms(pn, budget=b), 11)
-    for p in range(2, 17):  # 45 nodes over the 15 puncture equivalences
-        assert_nodes(lambda b: find_equivalence(puncture(nr, p), pn, budget=b), 3)
+    # generator assembly: 7 translated searches per code, one per word mover
+    assert_nodes(lambda b: assemble_aut_generators(nr, nr_perm_group, budget=b), 28)
+    assert_nodes(lambda b: assemble_aut_generators(pn, pn_perm_group, budget=b), 21)
 
 
 def test_negative_budget_rejected(nr):
@@ -422,37 +418,6 @@ def test_enumerate_agrees_with_oracles(code):
             assert exists == (p in orbit)
 
 
-def _act_by_definition(beta: int, sigma, v: int) -> int:
-    """Translate by beta, then move bit j to position sigma[j]."""
-    return sum((((v ^ beta) >> j) & 1) << sj for j, sj in enumerate(sigma))
-
-
-@pytest.mark.parametrize("name", ["rm", "pn", "nr"])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_find_equivalence_on_random_images(name, seed, request):
-    code = request.getfixturevalue(name)
-    m = code.m
-    rng = random.Random(seed)
-    beta = rng.randrange(1 << m)
-    sigma = list(range(m))
-    rng.shuffle(sigma)
-    image = Code(m, [_act_by_definition(beta, sigma, w) for w in code.words])
-    x = find_equivalence(code, image)
-    assert x is not None
-    assert sorted(_act_by_definition(x.beta, x.sigma, w) for w in code.words) == list(image.words)
-
-    # Move one word one step towards its nearest neighbour: the minimum
-    # distance drops, so no automorphism of the Hamming graph can match.
-    words = list(image.words)
-    w = words[rng.randrange(len(words))]
-    u = min((v for v in words if v != w), key=lambda v: (v ^ w).bit_count())
-    j = ((u ^ w) & -(u ^ w)).bit_length() - 1
-    words[words.index(w)] = w ^ (1 << j)
-    broken = Code(m, words)
-    assert broken.size == image.size and broken.min_distance < image.min_distance
-    assert find_equivalence(code, broken) is None
-
-
 def test_translation_kernel(nr, pn, rm):
     assert translation_kernel(nr) == rm
     assert translation_kernel(pn).size == 32
@@ -465,38 +430,11 @@ def test_translation_kernel(nr, pn, rm):
         translation_kernel(Code(3, [1, 2]))
 
 
-def test_find_equivalence_identity_and_translation(nr):
-    x = find_equivalence(nr, nr)
-    assert x is not None and maps_onto(x, nr, nr)
-    gamma = nr.words[5]
-    y = find_equivalence(nr, translate(nr, gamma))
-    assert y is not None
-    assert all(y.act(w) ^ gamma in nr for w in nr.words)
-    # a source code without the zero word: its least word is moved
-    shifted = translate(nr, 1)
-    z = find_equivalence(shifted, nr)
-    assert z is not None and maps_onto(z, shifted, nr)
-
-
-def test_find_equivalence_punctures(nr):
-    a = puncture(nr, 1)
-    b = puncture(nr, 2)
-    x = find_equivalence(b, a)
-    assert x is not None
-    assert sorted(x.act(w) for w in b.words) == list(a.words)
-
-
-def test_find_equivalence_negative(nr):
-    rng = random.Random(13)
-    other = Code(16, rng.sample(range(1 << 16), 256))
-    assert find_equivalence(nr, other) is None
-    assert find_equivalence(nr, Code(16, [0, 3])) is None
-
-
 def test_assembled_generators(nr, rm, nr_generators):
     # permutation generators, a kernel basis, and 7 coset movers
-    n_perm = sum(1 for g in nr_generators if g.beta == 0 and not g.is_identity())
-    n_trans = sum(1 for g in nr_generators if g.sigma == tuple(range(16)))
+    identity = tuple(range(16))
+    n_perm = sum(1 for g in nr_generators if g.beta == 0 and g.sigma != identity)
+    n_trans = sum(1 for g in nr_generators if g.sigma == identity)
     assert n_trans == 5  # dim of the kernel
     assert len(nr_generators) == n_perm + n_trans + 7
     for g in nr_generators:
@@ -669,7 +607,7 @@ def test_complete_transitivity_pn(pn, pn_generators):
 
 def test_complete_transitivity_negative():
     code = Code(2, [0b00, 0b11])
-    res = verify_complete_transitivity(code, [AutElement.identity(2)])
+    res = verify_complete_transitivity(code, [AutElement.translation(2, 0)])
     assert not res.ok
     cell, a, b = res.witness
     assert cell == 0 and {a, b} == {0b00, 0b11}
