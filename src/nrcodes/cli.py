@@ -15,6 +15,7 @@ import json
 import sys
 
 from .codes import CodeFileError, code_predicates, named_code, read_code, write_code
+from .hamming import check_length
 from .report import Workbench, fmt, run_verification, transitivity_certificate
 from .spectrum import (
     FeasibilityError,
@@ -166,6 +167,7 @@ def _parse_template(spec: str, m: int, antipodal: bool):
 
 def cmd_feasible(args) -> int:
     try:
+        check_length(args.m)
         template = _parse_template(args.template, args.m, args.antipodal)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -229,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the JSON report to this path")
     p.add_argument(
         "--budget", type=_node_budget, default=None,
-        help="node budget of each permutation search; one node is one "
-        "candidate image tried for a coordinate (default: NRCODES_BUDGET "
-        "or 10^8)",
+        help="node budget of each stabilizer enumeration and of each "
+        "generator assembly, shared by that stage's searches; one node is "
+        "one candidate image tried for a coordinate (default: "
+        "NRCODES_BUDGET or 10^8)",
     )
 
     p = sub.add_parser("feasible", help="solve a distance-distribution template")

@@ -462,8 +462,12 @@ def read_code(path) -> Code:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("m="):
         raise CodeFileError("first line must be 'm=<length>'")
+    digits = lines[0][2:]
     try:
-        m = int(lines[0][2:])
+        # int() alone would also accept '_', '+', whitespace and other digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"length must be ASCII digits, got {digits!r}")
+        m = int(digits)
         check_length(m)
     except ValueError as exc:
         raise CodeFileError(f"bad length header: {exc}") from exc

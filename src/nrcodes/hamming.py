@@ -125,24 +125,12 @@ def krawtchouk(m: int, k: int, x: int) -> int:
     )
 
 
-class KrawtchoukTable:
-    """Memoized (m+1) x (m+1) table of exact K_k(x) values."""
-
-    def __init__(self, m: int):
-        check_length(m)
-        self.m = m
-        self.values = tuple(
-            tuple(krawtchouk(m, k, x) for x in range(m + 1))
-            for k in range(m + 1)
-        )
-
-    def __call__(self, k: int, x: int) -> int:
-        return self.values[k][x]
-
-
 @lru_cache(maxsize=None)
-def krawtchouk_table(m: int) -> KrawtchoukTable:
-    return KrawtchoukTable(m)
+def krawtchouk_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """The exact values K_k(x) for length m, as rows: kt[k][x]."""
+    return tuple(
+        tuple(krawtchouk(m, k, x) for x in range(m + 1)) for k in range(m + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

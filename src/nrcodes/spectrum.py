@@ -20,6 +20,7 @@ import numpy as np
 
 from .codes import PAIR_BLOCK, Code, free_coordinates
 from .hamming import (
+    check_length,
     distance_profiles,
     krawtchouk_table,
     permute_bits,
@@ -60,7 +61,7 @@ def macwilliams_transform(dist: DistanceDistribution) -> tuple[Fraction, ...]:
     """
     kt = krawtchouk_table(dist.m)
     return tuple(
-        Fraction(sum(c * kt(k, i) for i, c in enumerate(dist.pair_counts)), dist.size)
+        Fraction(sum(c * kt[k][i] for i, c in enumerate(dist.pair_counts)), dist.size)
         for k in range(dist.m + 1)
     )
 
@@ -184,8 +185,6 @@ def _profile_block(arr: np.ndarray, m: int, free: list[int], width: int,
     ascending, and their profiles, one row of m+1 counts each.
     """
     reps = permute_bits(np.arange(lo << width, hi << width, dtype=np.uint32), free)
-    if not width:
-        return reps, distance_profiles(reps, arr, m)
     n = 1 << width
     low = free[:width]
     heads = permute_bits(np.arange(lo, hi, dtype=np.uint32), free[width:])
@@ -195,7 +194,7 @@ def _profile_block(arr: np.ndarray, m: int, free: list[int], width: int,
     )
     _walsh_hadamard(counts)
     wt = np.bitwise_count(np.arange(n, dtype=np.uint32))
-    kraw = np.array(krawtchouk_table(width).values, dtype=np.int64)[:, wt]
+    kraw = np.array(krawtchouk_table(width), dtype=np.int64)[:, wt]
     profiles = np.zeros((n, hi - lo, m + 1), dtype=np.int64)
     for j in range(width + 1):
         profiles[:, :, j : j + m - width + 1] += counts * kraw[j][:, None, None]
@@ -404,6 +403,7 @@ def feasible_distributions(
     by interval propagation; a system leaving any unknown unbounded is an
     error.
     """
+    check_length(m)
     template = list(template)
     if len(template) != m + 1:
         raise ValueError(f"template must have {m + 1} entries")
@@ -436,8 +436,8 @@ def feasible_distributions(
     kt = krawtchouk_table(m)
     rows = []
     for k in range(m + 1):
-        const = sum(v * kt(k, i) for i, v in fixed.items())
-        coeffs = tuple(sum(kt(k, i) for i in g) for g in variables)
+        const = sum(v * kt[k][i] for i, v in fixed.items())
+        coeffs = tuple(sum(kt[k][i] for i in g) for g in variables)
         rows.append(ConstraintRow(k=k, const=const, coeffs=coeffs))
     rows = tuple(rows)
 

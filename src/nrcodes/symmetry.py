@@ -2,25 +2,26 @@
 
 An automorphism of the Hamming graph on m coordinates is a translation
 followed by a coordinate permutation.  One backtrack search answers every
-question here: is there a coordinate permutation, extending some fixed
-(coordinate, image) pairs, that maps one code onto another?  It works by
+question here: is there a coordinate permutation, respecting a partition
+of the coordinates, that maps one code onto another?  It works by
 individualization and refinement.  One partition of the coordinates and
 codewords of both codes is refined to a fixed point; a coordinate of
 the smallest open colour is then paired with each candidate image in
 turn, and every branch whose two sides stop matching is cut at once.
-On top of that search the module finds the permutation stabilizer of a
-code, searching at each level of its stabilizer chain only the images
-that the refined partition of that level leaves in the level point's
-cell (the others cannot be reached), assembles generators of its full
+On that search tree the module finds the permutation stabilizer of a
+code, descending from the refined partition of each level of its
+stabilizer chain for the images in the level point's cell only (the
+others cannot be reached), assembles generators of its full
 stabilizer including translations, computes exact permutation-group
 orders from a Sims table, counts the orbits of a permutation group on a
 weight sphere, and certifies complete transitivity by matching the
 orbits on the cosets of the group's translations against the distance
 partition.
 
-Searches are bounded by an explicit node budget (NRCODES_BUDGET or 10^8 by
-default); one node is one candidate image tried for a coordinate.
-Exceeding the budget raises, never returns a partial answer.
+Each stabilizer enumeration and each generator assembly has one node
+budget (NRCODES_BUDGET or 10^8 by default), shared by all of its searches;
+one node is one candidate image tried for a coordinate.  Exceeding the
+budget raises, never returns a partial answer.
 """
 
 from __future__ import annotations
@@ -342,91 +343,91 @@ def _refine(inc: _Incidence, colors, cells):
 # ---------------------------------------------------------------------------
 # Backtrack search for a coordinate permutation mapping one code to another.
 
-def _search_permutation(
-    words_a, words_b, m: int, prefix, budget: _Budget
-) -> tuple[int, ...] | None:
+def _individualize(colors: np.ndarray, i: int, p: int) -> np.ndarray:
+    """Coordinate i of code a and p of code b moved into a colour of their
+    own; unbalanced, so `_refine` rejects it, unless they shared one."""
+    m = len(colors) // 2
+    single = 2 * colors
+    single[i] += 1
+    single[m + p] += 1
+    return single
+
+
+def _extend(inc: _Incidence, source, target, node, budget: _Budget):
+    """A permutation within the refined partition `node` (colors, cells)
+    mapping the words `source` onto the sorted words `target`, or None.
+
+    Takes the least coordinate i of code a in the smallest non-singleton
+    colour and tries each coordinate p of code b of that colour as its
+    image, in ascending order, refining `_individualize(colors, i, p)`;
+    each image tried charges one node to the budget.  Once every colour
+    holds one coordinate per side the permutation is fixed, and it is
+    accepted only if it maps source exactly onto target.
+    """
+    colors, cells = node
+    m = len(colors) // 2
+    sizes = np.bincount(colors[:m])
+    if sizes.max() == 1:
+        coord_b = np.empty(len(sizes), dtype=np.int64)
+        coord_b[colors[m:]] = np.arange(m)
+        sigma = tuple(coord_b[colors[:m]].tolist())
+        image = np.sort(permute_bits(source, sigma))
+        return sigma if np.array_equal(image, target) else None
+    open_colors = np.flatnonzero(sizes > 1)
+    color = open_colors[np.argmin(sizes[open_colors])]
+    i = int(np.flatnonzero(colors[:m] == color)[0])
+    for p in np.flatnonzero(colors[m:] == color).tolist():
+        budget.charge()
+        child = _refine(inc, _individualize(colors, i, p), cells)
+        if child is not None:
+            sigma = _extend(inc, source, target, child, budget)
+            if sigma is not None:
+                return sigma
+    return None
+
+
+def _search_permutation(words_a, words_b, m: int, budget: _Budget) -> tuple[int, ...] | None:
     """Some coordinate permutation with words_a^sigma == words_b, or None.
 
     Individualize and refine (McKay & Piperno, "Practical graph
     isomorphism II", 2014; Leon, "Permutation group algorithms based on
     partitions I", 1991).  The search keeps one partition of the
-    coordinates and the codewords of both codes and refines it with
-    `_refine`.  The (coordinate, image) pairs of `prefix` are
-    individualized at the root.  At each node it takes the least
-    coordinate of code a in the smallest non-singleton colour and tries
-    each coordinate of code b of that colour as its image, in ascending
-    order: the pair gets a colour of its own and the partition is refined
-    again, which rejects the image as soon as the two sides differ.  Each
-    image tried charges one node to the budget.  Once every colour holds
-    one coordinate per side the permutation is fixed, and it is accepted
-    only if it maps the words of a exactly onto those of b.
+    coordinates and the codewords of both codes, refines it from the unit
+    partition with `_refine`, and descends the search tree with `_extend`.
     """
     if len(words_a) != len(words_b):
         return None
     inc = _Incidence(words_a, words_b, m)
+    root = _refine(inc, np.zeros(2 * m, np.int64), np.zeros(2 * len(words_a), np.int64))
     source = np.asarray(words_a, dtype=np.int64)
     target = np.sort(np.asarray(words_b, dtype=np.int64))
-    colors = np.zeros(2 * m, dtype=np.int64)
-    for t, (c, p) in enumerate(prefix, 1):
-        colors[c] = t
-        colors[m + p] = t
-    root = _refine(inc, colors, np.zeros(2 * len(words_a), dtype=np.int64))
-
-    def extend(node) -> tuple[int, ...] | None:
-        colors, cells = node
-        sizes = np.bincount(colors[:m])
-        if sizes.max() == 1:
-            coord_b = np.empty(len(sizes), dtype=np.int64)
-            coord_b[colors[m:]] = np.arange(m)
-            sigma = tuple(coord_b[colors[:m]].tolist())
-            image = np.sort(permute_bits(source, sigma))
-            return sigma if np.array_equal(image, target) else None
-        open_colors = np.flatnonzero(sizes > 1)
-        color = open_colors[np.argmin(sizes[open_colors])]
-        i = int(np.flatnonzero(colors[:m] == color)[0])
-        for p in np.flatnonzero(colors[m:] == color).tolist():
-            budget.charge()
-            single = 2 * colors
-            single[i] += 1
-            single[m + p] += 1
-            child = _refine(inc, single, cells)
-            if child is not None:
-                sigma = extend(child)
-                if sigma is not None:
-                    return sigma
-        return None
-
-    found = None if root is None else extend(root)
-    del extend  # it refers to itself: free its arrays now, not at the next gc
-    return found
+    return None if root is None else _extend(inc, source, target, root, budget)
 
 
 def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermGroup:
     """Full permutation stabilizer of the code, with exact order.
 
     Walks the stabilizer chain over coordinates 0, 1, 2, ...: at each level
-    the orbit of the next coordinate is determined by one existence search
-    per unproven candidate image, and the witnesses double as a strong
-    generating set.  The resulting group order is cross-checked against
-    the product of the orbit sizes.
+    the orbit of the next coordinate is determined by one descent of the
+    search tree (`_extend`) per unproven candidate image, and the
+    witnesses double as a strong generating set.  The resulting group
+    order is cross-checked against the product of the orbit sizes.
 
-    Only candidates in the level's cell are searched.  At level k the
-    partition of the code against itself, with 0..k-1 individualized, is
-    refined once (from the level before, with k-1 individualized); k's
-    colour class is its cell.  Colour refinement is monotone: the search
-    for prefix + [(k, p)] starts from a finer partition, so its refinement
-    refines this one, and for p outside k's cell it must split the pair
-    (k, p) into an unbalanced colour and return None at the root without
-    charging a node.  Skipping those searches leaves every node count and
-    generator as it was.  At the first level whose coordinate partition is
-    discrete the pointwise stabilizer is trivial, so every later orbit is
-    a single point and the walk stops.
+    The walk is itself a path down the search tree of the code against
+    itself.  Level k's partition, with 0..k-1 individualized, is refined
+    once, from the level before with k-1 individualized; the candidate
+    image p of k starts from `_individualize(level, k, p)`, refined.  For p
+    outside k's cell that partition is unbalanced from the start, so its
+    refinement would return None without charging a node: only the images
+    in k's cell are tried.  At the first level whose coordinate partition
+    is discrete the pointwise stabilizer is trivial, so every later orbit
+    is a single point and the walk stops.
     """
     if code.m > 16 or code.size > 4096:
         raise ValueError("automorphism search supports m <= 16 and |C| <= 4096")
     tracker = _Budget(budget)
     m = code.m
-    words = code.words
+    words = np.asarray(code.words, dtype=np.int64)
     inc = _Incidence(words, words, m)
     colors = np.zeros(2 * m, dtype=np.int64)
     cells = np.zeros(2 * len(words), dtype=np.int64)
@@ -434,9 +435,7 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     order = 1
     for k in range(m):
         if k:
-            colors = 2 * colors
-            colors[k - 1] += 1
-            colors[m + k - 1] += 1
+            colors = _individualize(colors, k - 1, k - 1)
         # both sides are the same code, so the refinement stays balanced
         colors, cells = _refine(inc, colors, cells)
         if colors.max() == m - 1:
@@ -453,13 +452,11 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
                         orbit.add(npt)
                         queue.append(npt)
 
-        prefix = [(i, i) for i in range(k)]
         for p in np.flatnonzero(colors[m:] == colors[k]).tolist():
             if p <= k or p in orbit:
                 continue
-            sigma = _search_permutation(
-                words, words, m, prefix + [(k, p)], tracker
-            )
+            child = _refine(inc, _individualize(colors, k, p), cells)
+            sigma = None if child is None else _extend(inc, words, words, child, tracker)
             if sigma is not None:
                 level_gens.append(sigma)
                 close_orbit()
@@ -506,7 +503,7 @@ def assemble_aut_generators(
     out.extend(AutElement.translation(m, b) for b in code.kernel)
     words = code.words_u32()
     for c in coset_leaders(code).tolist()[1:]:
-        sigma = _search_permutation(words, np.sort(words ^ np.uint32(c)), m, [], tracker)
+        sigma = _search_permutation(words, np.sort(words ^ np.uint32(c)), m, tracker)
         if sigma is not None:
             out.append(AutElement(m, unpermute_bits(c, sigma), sigma))
     for x in out:

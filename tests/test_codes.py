@@ -191,6 +191,18 @@ def test_code_file_round_trip(tmp_path, nr):
     assert read_code(path) == nr
 
 
+@pytest.mark.parametrize("header", ["m=1_6", "m=+16", "m=\u0661\u0666"])
+def test_code_file_reader_takes_only_ascii_digit_lengths(tmp_path, header):
+    # int() reads each of these headers as 16; word lines allow no such
+    # spellings either.
+    path = tmp_path / "c.code"
+    path.write_text(f"{header}\n{'0' * 16}\n", encoding="utf-8")
+    with pytest.raises(CodeFileError, match="ASCII digits"):
+        read_code(path)
+    path.write_text(f"m=16\n{'0' * 16}\n", encoding="utf-8")
+    assert read_code(path) == Code(16, [0])
+
+
 def test_code_file_reader_accepts_any_order(tmp_path):
     path = tmp_path / "c.code"
     path.write_text("m=3\n110\n000\n110\n")

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from nrcodes.hamming import (
     MAX_LENGTH,
-    KrawtchoukTable,
     from_string,
     krawtchouk,
+    krawtchouk_table,
     permute_bits,
     sphere,
     to_string,
@@ -82,9 +82,10 @@ def test_krawtchouk_reflection_symmetry_exhaustive():
 
 
 def test_krawtchouk_table():
-    table = KrawtchoukTable(16)
-    assert table(2, 8) == -8
-    assert all(table(0, x) == 1 for x in range(17))
+    table = krawtchouk_table(16)
+    assert table[2][8] == -8
+    assert all(table[0][x] == 1 for x in range(17))
+    assert krawtchouk_table(0) == ((1,),)
     with pytest.raises(ValueError):
         krawtchouk(8, 9, 0)
     with pytest.raises(ValueError):

@@ -115,13 +115,14 @@ def test_verify_all_builds_each_stage_once(monkeypatch):
 
 
 def test_verify_all_search_work_pinned(monkeypatch):
-    # Per `verify all`: the stabilizer chains of NR and PN search 23
-    # candidates in their level cells and generator assembly makes 7 word
-    # movers per code; the puncture claim reads NR's Sims table and
-    # searches nothing.
-    calls = count_calls(monkeypatch, ["_search_permutation"])
+    # Per `verify all`: generator assembly makes 7 word-mover searches per
+    # code, each on its own incidence; the stabilizer chains of NR and PN
+    # build one incidence each and descend from their level partitions to
+    # 23 candidate images without a search call; the puncture claim reads
+    # NR's Sims table and searches nothing.
+    calls = count_calls(monkeypatch, ["_search_permutation", "_Incidence"])
     run_verification("all")
-    assert calls == {"_search_permutation": 37}
+    assert calls == {"_search_permutation": 14, "_Incidence": 16}
 
 
 def test_puncture_claim_rests_on_maps_onto(monkeypatch):
@@ -293,6 +294,16 @@ def test_cli_verify_budget_exceeded(capsys):
     assert "Traceback" not in err
 
 
+def test_cli_verify_budget_is_per_stage(capsys):
+    # `verify nr` charges 26 nodes to NR's stabilizer enumeration and 28 to
+    # its generator assembly, each stage against a budget of its own: 28
+    # suffices (only the by-design failure rm.cr remains), 27 does not.
+    code, _, err = _run_cli(["verify", "nr", "--budget", "28"], capsys)
+    assert code == 1 and err.endswith("failing claims: rm.cr\n")
+    code, _, err = _run_cli(["verify", "nr", "--budget", "27"], capsys)
+    assert code == 2 and "node budget of 27" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", ""])
 def test_cli_verify_bad_budget_variable(value, monkeypatch, capsys):
     monkeypatch.setenv("NRCODES_BUDGET", value)
@@ -333,6 +344,13 @@ def test_cli_feasible_pn(capsys):
 def test_cli_feasible_bad_template(capsys):
     assert main(["feasible", "-m", "4", "-t", "9=1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [-1, 0, 25])
+def test_cli_feasible_length_out_of_range(m, capsys):
+    code, _, err = _run_cli(["feasible", "-m", str(m), "-t", ""], capsys)
+    assert code == 2
+    assert err == f"error: length must be in [1, 24], got {m}\n"
 
 
 def _run_cli(argv, capsys):

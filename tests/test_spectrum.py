@@ -289,7 +289,7 @@ def test_profile_block_matches_brute_force_at_every_width(code):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_regularity_of_the_whole_space(m):
     # K = F_2^m, so there are no free coordinates and one representative;
-    # the transform width is 0 and krawtchouk_table(0) is never asked for.
+    # the transform width is 0, so the transform runs on krawtchouk_table(0).
     code = Code(m, range(1 << m))
     assert _free_coordinates(code) == []
     assert _transform_width(code.size, m, 0) == 0
