@@ -33,7 +33,6 @@ from .symmetry import (
     assemble_aut_generators,
     enumerate_perm_automorphisms,
     orbits_on_sphere,
-    translation_kernel,
     verify_complete_transitivity,
 )
 

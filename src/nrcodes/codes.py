@@ -22,6 +22,7 @@ from .hamming import (
     check_vertex,
     distance_profiles,
     from_string,
+    parse_decimal,
     to_string,
     unpermute_bits,
 )
@@ -134,11 +135,11 @@ class Code:
 
 
 # Pairwise scans over a code take blocks of about this many word pairs
-# (512 KB of uint32 sums).  Blocks of 2^21 pairs (8 MB for the Golay code)
-# stayed resident in the malloc heap after use: repeated `verify all`
-# passes in one process peaked at 72 MB, against 47 MB with these blocks,
-# which are no slower.
-PAIR_BLOCK = 1 << 17
+# (128 KB of uint32 sums).  Blocks of 2^21 pairs stayed resident in the
+# malloc heap after use (repeated `verify all` passes peaked at 72 MB, 47 MB
+# with 2^17); at 2^17 the Golay code's regularity block and transforms took
+# 2.3 MB, the largest transient of a pass, and at 2^15 they take 0.9 MB.
+PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -441,7 +442,7 @@ def named_code(name: str) -> Code:
         return _NAMED_CODES[name]()
     if name.startswith("pn@"):
         try:
-            p = int(name[3:])
+            p = parse_decimal(name[3:], "puncture position")
         except ValueError:
             raise KeyError(name) from None
         if 1 <= p <= 16:
@@ -462,12 +463,8 @@ def read_code(path) -> Code:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("m="):
         raise CodeFileError("first line must be 'm=<length>'")
-    digits = lines[0][2:]
     try:
-        # int() alone would also accept '_', '+', whitespace and other digits
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"length must be ASCII digits, got {digits!r}")
-        m = int(digits)
+        m = parse_decimal(lines[0][2:], "length")
         check_length(m)
     except ValueError as exc:
         raise CodeFileError(f"bad length header: {exc}") from exc

@@ -86,6 +86,14 @@ def from_string(s: str) -> tuple[int, int]:
     return int(s[::-1], 2), m
 
 
+def parse_decimal(text: str, what: str) -> int:
+    """`text` as an int if it is ASCII digits only (int() also takes '_', a
+    sign, spaces and other digits); otherwise ValueError naming `what`."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be ASCII digits, got {text!r}")
+    return int(text)
+
+
 def weight_masks(m: int, k: int) -> Iterator[int]:
     """All weight-k words of length m in ascending integer order (Gosper)."""
     if k == 0:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import __version__
-from .codes import Code, code_predicates, named_code, puncture
+from .codes import Code, code_predicates, named_code, puncture, span
 from .spectrum import (
     CompleteRegularityResult,
     FeasibilityResult,
@@ -40,7 +40,6 @@ from .symmetry import (
     format_aut_element,
     maps_onto,
     orbits_on_sphere,
-    translation_kernel,
     verify_complete_transitivity,
 )
 
@@ -204,7 +203,7 @@ def _puncture_equivalences(wb: Workbench) -> str:
 
 
 def _kernel_summary(wb: Workbench) -> list:
-    kernel = translation_kernel(wb.code("nr"))
+    kernel = span(wb.code("nr").kernel, 16)
     return [str(kernel.size), kernel == wb.code("reed_muller")]
 
 
@@ -457,7 +456,7 @@ def build_manifest() -> tuple[Claim, ...]:
         Claim(
             "pn.kernel.size", "translation kernel has 32 words", pn_t,
             expected="32",
-            compute=lambda wb: str(translation_kernel(wb.code("pn")).size),
+            compute=lambda wb: str(1 << len(wb.code("pn").kernel)),
         ),
         Claim(
             "pn.perm.order", "permutation stabilizer has order 2520", pn_t,

@@ -8,15 +8,18 @@ individualization and refinement.  One partition of the coordinates and
 codewords of both codes is refined to a fixed point; a coordinate of
 the smallest open colour is then paired with each candidate image in
 turn, and every branch whose two sides stop matching is cut at once.
-On that search tree the module finds the permutation stabilizer of a
-code, descending from the refined partition of each level of its
-stabilizer chain for the images in the level point's cell only (the
-others cannot be reached), assembles generators of its full
-stabilizer including translations, computes exact permutation-group
-orders from a Sims table, counts the orbits of a permutation group on a
-weight sphere, and certifies complete transitivity by matching the
-orbits on the cosets of the group's translations against the distance
-partition.
+
+The full stabilizer of a code is built as one stabilizer chain, with the
+coordinates 0, 1, ... as its base and the zero word on top.  Every level
+follows one rule, bottom-up: a candidate image is searched only if the
+generators found so far (`_orbit_labels`) do not already reach it.  As
+every candidate outside the current orbit is searched, every orbit is
+complete: the permutation stabilizer's order is the product of its orbit
+sizes, cross-checked against a Sims table (Knuth), and the top level's
+generators generate the full stabilizer.  The module also counts the
+orbits of a permutation group on a weight sphere, and certifies complete
+transitivity by matching the orbits on the cosets of the group's
+translations against the distance partition.
 
 Each stabilizer enumeration and each generator assembly has one node
 budget (NRCODES_BUDGET or 10^8 by default), shared by all of its searches;
@@ -35,10 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod, span
+from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod
 from .hamming import (
     check_vertex,
     distance_profiles,
+    parse_decimal,
     permute_bits,
     sphere,
     to_string,
@@ -55,14 +59,11 @@ class SearchBudgetExceeded(RuntimeError):
 
 def parse_budget(text: str, name: str = _BUDGET_ENV) -> int:
     """A node budget written as text; ValueError naming `name` unless it is
-    a non-negative integer."""
+    a non-negative integer in ASCII digits (`parse_decimal`)."""
     try:
-        limit = int(text)
-        if limit >= 0:
-            return limit
+        return parse_decimal(text, name)
     except ValueError:
-        pass
-    raise ValueError(f"{name} must be a non-negative integer, got {text!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {text!r}") from None
 
 
 class _Budget:
@@ -407,21 +408,18 @@ def _search_permutation(words_a, words_b, m: int, budget: _Budget) -> tuple[int,
 def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermGroup:
     """Full permutation stabilizer of the code, with exact order.
 
-    Walks the stabilizer chain over coordinates 0, 1, 2, ...: at each level
-    the orbit of the next coordinate is determined by one descent of the
-    search tree (`_extend`) per unproven candidate image, and the
-    witnesses double as a strong generating set.  The resulting group
-    order is cross-checked against the product of the orbit sizes.
-
-    The walk is itself a path down the search tree of the code against
-    itself.  Level k's partition, with 0..k-1 individualized, is refined
-    once, from the level before with k-1 individualized; the candidate
-    image p of k starts from `_individualize(level, k, p)`, refined.  For p
-    outside k's cell that partition is unbalanced from the start, so its
-    refinement would return None without charging a node: only the images
-    in k's cell are tried.  At the first level whose coordinate partition
-    is discrete the pointwise stabilizer is trivial, so every later orbit
-    is a single point and the walk stops.
+    A stabilizer chain over the base 0, 1, ...; G_k fixes 0..k-1.  Level
+    k's partition, 0..k-1 individualized, is refined once, top-down from
+    the level before; the first discrete level has a trivial G_k and ends
+    the chain.  The levels are then searched bottom-up.  An image p of k
+    is a candidate only in k's cell: elsewhere `_individualize(level, k,
+    p)` is unbalanced from the start, so no element of G_k sends k to p.
+    It is searched, by `_extend` from that partition refined, only if the
+    generators found so far, all in G_k, do not map k to p
+    (`_orbit_labels`); a permutation found is a new generator.  Every candidate outside the current orbit is searched, so
+    the orbit of k under the generators of levels >= k is its G_k-orbit;
+    by induction from the bottom they generate G_k, and the order is the
+    product of the orbit sizes, cross-checked against their Sims table.
     """
     if code.m > 16 or code.size > 4096:
         raise ValueError("automorphism search supports m <= 16 and |C| <= 4096")
@@ -431,8 +429,7 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     inc = _Incidence(words, words, m)
     colors = np.zeros(2 * m, dtype=np.int64)
     cells = np.zeros(2 * len(words), dtype=np.int64)
-    gens: list[tuple[int, ...]] = []
-    order = 1
+    levels = []
     for k in range(m):
         if k:
             colors = _individualize(colors, k - 1, k - 1)
@@ -440,28 +437,21 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
         colors, cells = _refine(inc, colors, cells)
         if colors.max() == m - 1:
             break
-        level_gens: list[tuple[int, ...]] = []
-        orbit = {k}
-
-        def close_orbit():
-            queue = list(orbit)
-            for pt in queue:
-                for g in level_gens:
-                    npt = g[pt]
-                    if npt not in orbit:
-                        orbit.add(npt)
-                        queue.append(npt)
-
+        levels.append((colors, cells))
+    gens: list[tuple[int, ...]] = []
+    labels = np.arange(m)  # no generators yet: each point is its own orbit
+    order = 1
+    for k in reversed(range(len(levels))):
+        colors, cells = levels[k]
         for p in np.flatnonzero(colors[m:] == colors[k]).tolist():
-            if p <= k or p in orbit:
+            if labels[p] == labels[k]:
                 continue
             child = _refine(inc, _individualize(colors, k, p), cells)
             sigma = None if child is None else _extend(inc, words, words, child, tracker)
             if sigma is not None:
-                level_gens.append(sigma)
-                close_orbit()
-        gens.extend(level_gens)
-        order *= len(orbit)
+                gens.append(sigma)
+                labels = _orbit_labels(gens, m)
+        order *= int(np.count_nonzero(labels == labels[k]))
     group = PermGroup(m, gens)
     for g in gens:
         if not maps_onto(AutElement.permutation(m, g), code, code):
@@ -473,26 +463,23 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     return group
 
 
-def translation_kernel(code: Code) -> Code:
-    """All words beta with C + beta = C; a linear subcode of C."""
-    if 0 not in code:
-        raise ValueError("translation kernel requires the zero word in the code")
-    return span(code.kernel, code.m)
-
-
 def assemble_aut_generators(
     code: Code, perm_group: PermGroup, budget: int | None = None
 ) -> list[AutElement]:
-    """Generators of a subgroup of the code's full stabilizer.
+    """Generators of the code's full stabilizer: the codeword level on top
+    of the chain of `enumerate_perm_automorphisms`.
 
-    Combines (a) the generators of `perm_group`, the code's permutation
-    stabilizer as built by `enumerate_perm_automorphisms`, (b) a basis of
-    the translation kernel, and (c) for each other kernel coset inside the
-    code, one element moving the zero word onto the coset's least word
-    c (`coset_leaders`), if the search finds one: a coordinate permutation
-    sigma taking C onto C + c, followed by the translation by c, which is
-    the AutElement (unpermute(c, sigma), sigma).  Every element is
-    re-verified to stabilize the code.
+    Starts from the generators of `perm_group`, the zero word's stabilizer,
+    and a basis of the translation kernel K.  The zero word's orbit is a
+    union of K-cosets; the least word c of each other coset in C
+    (`coset_leaders`) is searched only if the generators so far do not map
+    the zero word's coset onto c's (`_coset_labels`).  A coordinate
+    permutation sigma taking C onto C + c gives the mover
+    (unpermute(c, sigma), sigma), which sends 0 to c.  Every coset outside
+    the current orbit is searched, so the zero word's orbit is its orbit
+    under the full stabilizer, and the generators generate the full
+    stabilizer if `perm_group` is the whole permutation stabilizer.  Every
+    element is re-verified to stabilize the code.
     """
     if 0 not in code:
         raise ValueError("generator assembly requires the zero word in the code")
@@ -502,10 +489,15 @@ def assemble_aut_generators(
     out.extend(AutElement.permutation(m, g) for g in perm_group.generators)
     out.extend(AutElement.translation(m, b) for b in code.kernel)
     words = code.words_u32()
-    for c in coset_leaders(code).tolist()[1:]:
+    leaders = coset_leaders(code)
+    labels = _coset_labels(out, leaders, code.kernel)
+    for i, c in enumerate(leaders.tolist()):
+        if labels[i] == 0:
+            continue
         sigma = _search_permutation(words, np.sort(words ^ np.uint32(c)), m, tracker)
         if sigma is not None:
             out.append(AutElement(m, unpermute_bits(c, sigma), sigma))
+            labels = _coset_labels(out, leaders, code.kernel)
     for x in out:
         if not maps_onto(x, code, code):
             raise RuntimeError("assembled generator does not stabilize the code")
@@ -557,6 +549,15 @@ def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
     return SphereOrbits(
         k=k, orbit_count=len(counts), sizes=tuple(int(c) for c in counts)
     )
+
+
+def _coset_labels(gens, reps: np.ndarray, basis) -> np.ndarray:
+    """Orbit labels of the AutElements `gens` on a set of cosets of
+    span(basis) that they permute, given by their least vertices `reps`
+    (ascending uint32): r maps to reduce_mod(g(r)), found by binary search."""
+    images = (permute_bits(reps ^ np.uint32(g.beta), g.sigma) for g in gens)
+    tables = [np.searchsorted(reps, reduce_mod(v, basis)) for v in images]
+    return _orbit_labels(tables, len(reps))
 
 
 def _translation_subspace(gens, m: int) -> list[int]:
@@ -621,14 +622,12 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     cosets of T, so the orbits of G are unions of T-cosets.  Every
     translation in G stabilizes the code, so T lies in K and d(., C) is
     constant on each T-coset too.  With T in reduced echelon form, the
-    vertices zero on every pivot are the least vertex of each coset: each
-    generator's table maps such a representative r to the one of g(r),
-    reduce_mod(g(r)), and the orbits of the tables are the orbits of G on
-    the cosets.  Orbit and cell sizes are |T| times their representative
-    counts.  The least vertex of a cell or of an orbit, and the least
-    vertex of a cell outside the orbit of its least vertex, each begin
-    their coset, so the labels, the certificate and the witness are those
-    of a scan of every vertex.
+    vertices zero on every pivot are the least vertex of each coset, and
+    `_coset_labels` gives the orbits of G on the cosets.  Orbit and cell
+    sizes are |T| times their representative counts.  The least vertex of
+    a cell or of an orbit, and the least vertex of a cell outside the
+    orbit of its least vertex, each begin their coset, so the labels, the
+    certificate and the witness are those of a scan of every vertex.
     """
     for x in gens:
         if not maps_onto(x, code, code):
@@ -637,11 +636,7 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     basis = _translation_subspace(gens, m)
     free = free_coordinates(basis, m)
     reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
-    tables = []
-    for g in gens:
-        image = permute_bits(reps ^ np.uint32(g.beta), g.sigma)
-        tables.append(unpermute_bits(reduce_mod(image, basis), free))
-    labels = _orbit_labels(tables, len(reps))
+    labels = _coset_labels(gens, reps, basis)
     dist = _distances_to_code(code, reps)
     dim = len(basis)
     cells = []

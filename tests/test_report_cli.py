@@ -3,7 +3,9 @@ import json
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from nrcodes import cli
@@ -20,6 +22,7 @@ from nrcodes.report import (
 )
 from nrcodes.spectrum import distance_partition
 from nrcodes.symmetry import PermGroup
+from oracles import brute_orbits
 
 
 def test_fmt_serialization():
@@ -78,13 +81,14 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 
 
 # Calls per `verify all`: orbit labels are computed once per sphere claim
-# (weights 1, 2, 3 and 4 for NR, 3 for PN) and once per transitivity check,
-# with no distance partition; the four codes with a regularity claim are
+# (weights 1, 2, 3 and 4 for NR, 3 for PN), once per transitivity check,
+# once per generator the stabilizer walks find (5 for NR, 4 for PN), and in
+# each generator assembly once before and once after its one mover, with
+# no distance partition; the four codes with a regularity claim are
 # checked once each.
 STAGE_CALLS = {
-    "_orbit_labels": 7,
+    "_orbit_labels": 20,
     "distance_partition": 0,
-    "translation_kernel": 2,
     "completely_regular_check": 4,
     "enumerate_perm_automorphisms": 2,
 }
@@ -115,14 +119,15 @@ def test_verify_all_builds_each_stage_once(monkeypatch):
 
 
 def test_verify_all_search_work_pinned(monkeypatch):
-    # Per `verify all`: generator assembly makes 7 word-mover searches per
-    # code, each on its own incidence; the stabilizer chains of NR and PN
-    # build one incidence each and descend from their level partitions to
-    # 23 candidate images without a search call; the puncture claim reads
-    # NR's Sims table and searches nothing.
+    # Per `verify all`: generator assembly makes one word-mover search per
+    # code, on its own incidence, as the permutations move that mover's
+    # coset onto every other; the stabilizer chains of NR and PN build one
+    # incidence each and descend from their level partitions without a
+    # search call; the puncture claim reads NR's Sims table and searches
+    # nothing.
     calls = count_calls(monkeypatch, ["_search_permutation", "_Incidence"])
     run_verification("all")
-    assert calls == {"_search_permutation": 14, "_Incidence": 16}
+    assert calls == {"_search_permutation": 2, "_Incidence": 4}
 
 
 def test_puncture_claim_rests_on_maps_onto(monkeypatch):
@@ -162,10 +167,11 @@ def test_reports_identical_apart_from_wall_time():
 
 
 # sha256 of each transitivity certificate as `json.dumps(cert, sort_keys=True)`:
-# the searches must return exactly these generators and orbit sizes.
+# the searches must return exactly these generators and orbit sizes, which
+# test_transitivity_certificates_hold_by_definition checks from the text.
 CERTIFICATE_SHA256 = {
-    "nr": "49ab1824ff4992aca73f837c66c37be0aff91fec07f55de7fb5a1bd4748f849b",
-    "pn": "29275338ad6557678e44f7a8f0afb2193c5256f4617d1be3721e7c573cc8fad7",
+    "nr": "d7fba7e3d5c53a650847bd0ac9843388a812a8b3a286ac5b89f000294b20884d",
+    "pn": "fa7bb39e155515a038f8b34e022e0b834efbf07dbccf8589a67b37e1d58705f8",
 }
 
 
@@ -174,6 +180,50 @@ def test_transitivity_certificates_pinned():
     for which, digest in CERTIFICATE_SHA256.items():
         cert = json.dumps(transitivity_certificate(wb, which), sort_keys=True)
         assert hashlib.sha256(cert.encode()).hexdigest() == digest
+
+
+def _parse_generator(line: str, m: int) -> SimpleNamespace:
+    """beta and sigma (0-based images) of a generator's text form,
+    "beta=<0/1 per coordinate, coordinate 1 leftmost> sigma=<images of 1..m>"."""
+    beta_text, _, sigma_text = line.removeprefix("beta=").partition(" sigma=")
+    sigma = tuple(int(t) - 1 for t in sigma_text.split(" "))
+    assert len(beta_text) == m and set(beta_text) <= {"0", "1"}
+    assert sorted(sigma) == list(range(m))
+    beta = sum(1 << j for j, bit in enumerate(beta_text) if bit == "1")
+    return SimpleNamespace(beta=beta, sigma=sigma)
+
+
+def test_transitivity_certificates_hold_by_definition(tmp_path, capsys, nr, pn):
+    # The generators that `verify all --json` prints, read back from their
+    # text, must each map the code onto itself, and their orbits on all of
+    # F_2^m must be exactly the cells of the distance partition, with the
+    # sizes the certificate states.
+    path = tmp_path / "report.json"
+    assert main(["verify", "all", "--json", str(path)]) == 1
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    for which, code in (("nr", nr), ("pn", pn)):
+        cert = doc[f"{which}_transitivity_certificate"]
+        m, words = code.m, set(code.words)
+        gens = [_parse_generator(line, m) for line in cert["generators"]]
+        for g in gens:
+            images = {
+                sum((((w ^ g.beta) >> j) & 1) << s for j, s in enumerate(g.sigma))
+                for w in words
+            }
+            assert images == words
+        labels = np.array(brute_orbits(gens, m))
+        verts = np.arange(1 << m)
+        dist = np.full(1 << m, m)
+        for w in words:
+            np.minimum(dist, np.bitwise_count(verts ^ w), out=dist)
+        pairs = set(zip(labels.tolist(), dist.tolist()))
+        assert len(pairs) == len(set(labels.tolist())) == len(set(dist.tolist()))
+        sizes = np.bincount(dist)
+        assert cert["matched_cells"] == [
+            {"cell": str(i), "cell_size": str(n), "orbit_size": str(n)}
+            for i, n in enumerate(sizes.tolist())
+        ]
 
 
 def test_cli_construct_and_analyze(tmp_path, capsys):
@@ -223,6 +273,16 @@ def test_cli_construct_pn_variants(tmp_path):
 def test_cli_construct_unknown_name(tmp_path, capsys):
     assert main(["construct", "nope", "-o", str(tmp_path / "x")]) == 2
     assert "unknown code name" in capsys.readouterr().err
+
+
+# int() reads these puncture positions as 10, 3, 3, 3 and 3; a position,
+# like a length header, is ASCII digits only.
+@pytest.mark.parametrize("name", ["pn@1_0", "pn@+3", "pn@ 3", "pn@3 ", "pn@\u0663"])
+def test_cli_construct_takes_only_ascii_digit_positions(tmp_path, capsys, name):
+    out = tmp_path / "x"
+    assert main(["construct", name, "-o", str(out)]) == 2
+    assert f"unknown code name {name!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_analyze_malformed(tmp_path, capsys):
@@ -295,13 +355,13 @@ def test_cli_verify_budget_exceeded(capsys):
 
 
 def test_cli_verify_budget_is_per_stage(capsys):
-    # `verify nr` charges 26 nodes to NR's stabilizer enumeration and 28 to
-    # its generator assembly, each stage against a budget of its own: 28
-    # suffices (only the by-design failure rm.cr remains), 27 does not.
-    code, _, err = _run_cli(["verify", "nr", "--budget", "28"], capsys)
+    # `verify nr` charges 6 nodes to NR's stabilizer enumeration and 4 to
+    # its generator assembly, each stage against a budget of its own: 6
+    # suffices (only the by-design failure rm.cr remains), 5 does not.
+    code, _, err = _run_cli(["verify", "nr", "--budget", "6"], capsys)
     assert code == 1 and err.endswith("failing claims: rm.cr\n")
-    code, _, err = _run_cli(["verify", "nr", "--budget", "27"], capsys)
-    assert code == 2 and "node budget of 27" in err
+    code, _, err = _run_cli(["verify", "nr", "--budget", "5"], capsys)
+    assert code == 2 and "node budget of 5" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", ""])
@@ -314,7 +374,9 @@ def test_cli_verify_bad_budget_variable(value, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["-1", "abc"])
+# int() reads each of "1_000", " 7 ", "+3" and "٣" (Arabic-Indic three)
+# as a number; a budget, like a length header, is ASCII digits only.
+@pytest.mark.parametrize("value", ["-1", "abc", "1_000", " 7 ", "+3", "\u0663"])
 def test_cli_verify_bad_budget_option(value, capsys):
     code, _, err = _run_cli(["verify", "pn", "--budget", value], capsys)
     assert code == 2

@@ -24,7 +24,6 @@ from nrcodes.symmetry import (
     format_aut_element,
     maps_onto,
     orbits_on_sphere,
-    translation_kernel,
     verify_complete_transitivity,
 )
 from oracles import (
@@ -37,7 +36,7 @@ from oracles import (
 )
 
 # Node budget for the regression guard below: the permutation stabilizers
-# of NR and PN and their generator assembly (26, 11, 28 and 21 nodes, as
+# of NR and PN and their generator assembly (6, 3, 4 and 3 nodes, as
 # test_search_node_counts pins) must each finish within it.
 GUARD_BUDGET = 30
 DETERMINISTIC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -200,7 +199,7 @@ def test_enumerate_rejects_large_inputs():
 
 def test_budget_exceeded(nr):
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_perm_automorphisms(nr, budget=10)
+        enumerate_perm_automorphisms(nr, budget=5)
 
 
 def test_search_node_budget_guard(nr, pn):
@@ -218,11 +217,12 @@ def test_search_node_counts(nr, pn, nr_perm_group, pn_perm_group):
         with pytest.raises(SearchBudgetExceeded):
             search(n - 1)
 
-    assert_nodes(lambda b: enumerate_perm_automorphisms(nr, budget=b), 26)
-    assert_nodes(lambda b: enumerate_perm_automorphisms(pn, budget=b), 11)
-    # generator assembly: 7 translated searches per code, one per word mover
-    assert_nodes(lambda b: assemble_aut_generators(nr, nr_perm_group, budget=b), 28)
-    assert_nodes(lambda b: assemble_aut_generators(pn, pn_perm_group, budget=b), 21)
+    assert_nodes(lambda b: enumerate_perm_automorphisms(nr, budget=b), 6)
+    assert_nodes(lambda b: enumerate_perm_automorphisms(pn, budget=b), 3)
+    # generator assembly: one translated search per code, for the first
+    # nonzero coset leader; its mover and the permutations reach the rest
+    assert_nodes(lambda b: assemble_aut_generators(nr, nr_perm_group, budget=b), 4)
+    assert_nodes(lambda b: assemble_aut_generators(pn, pn_perm_group, budget=b), 3)
 
 
 def test_negative_budget_rejected(nr):
@@ -416,24 +416,24 @@ def test_enumerate_agrees_with_oracles(code):
 
 
 def test_translation_kernel(nr, pn, rm):
-    assert translation_kernel(nr) == rm
-    assert translation_kernel(pn).size == 32
+    assert span(nr.kernel, 16) == rm
+    assert 1 << len(pn.kernel) == 32
     lin = span([0b011, 0b110], 3)
-    assert translation_kernel(lin) == lin
+    assert span(lin.kernel, 3) == lin
     for beta in nr.words:
-        if beta not in rm:
-            assert translate(nr, beta) != nr
-    with pytest.raises(ValueError):
-        translation_kernel(Code(3, [1, 2]))
+        assert (translate(nr, beta) == nr) == (beta in rm)
 
 
 def test_assembled_generators(nr, rm, nr_generators):
-    # permutation generators, a kernel basis, and 7 coset movers
+    # permutation generators, a kernel basis, and one coset mover: the
+    # permutation stabilizer moves the first nonzero coset leader's coset
+    # onto the other six, so no other leader is searched
     identity = tuple(range(16))
     n_perm = sum(1 for g in nr_generators if g.beta == 0 and g.sigma != identity)
     n_trans = sum(1 for g in nr_generators if g.sigma == identity)
+    assert n_perm == 5
     assert n_trans == 5  # dim of the kernel
-    assert len(nr_generators) == n_perm + n_trans + 7
+    assert len(nr_generators) == n_perm + n_trans + 1
     for g in nr_generators:
         assert maps_onto(g, nr, nr)
 
@@ -443,6 +443,37 @@ def test_assembled_generators_reach_every_kernel_coset(nr, nr_generators):
     zero_cell = verify_complete_transitivity(nr, nr_generators).cells[0]
     assert zero_cell.orbit_label == 0
     assert zero_cell.orbit_size == zero_cell.cell_size == nr.size
+
+
+@st.composite
+def codes_with_zero(draw):
+    """A code containing 0 with m <= 7: random words, or a union of cosets
+    of a random span (so the kernel, and the cosets assembly walks, are
+    often nontrivial)."""
+    m = draw(st.integers(2, 7))
+    word = st.integers(0, (1 << m) - 1)
+    if draw(st.booleans()):
+        return Code(m, [0] + draw(st.lists(word, max_size=12)))
+    subspace = span(draw(st.lists(word, min_size=1, max_size=3)), m).words
+    reps = [0] + draw(st.lists(word, max_size=4))
+    return Code(m, [v ^ r for r in reps for v in subspace])
+
+
+@settings(DETERMINISTIC, max_examples=80)
+@given(codes_with_zero())
+def test_assembly_reaches_every_word_an_automorphism_reaches(code):
+    # An automorphism sends 0 to c exactly when some coordinate permutation
+    # maps C onto C + c, so the assembled generators must move 0 onto
+    # those words and no others: the leaders they skip are reached.
+    m = code.m
+    gens = assemble_aut_generators(code, enumerate_perm_automorphisms(code))
+    labels = brute_orbits(gens, m)
+    reached = [v for v in range(1 << m) if labels[v] == 0]
+    movable = [
+        c for c in code.words
+        if plain_search_permutation(code.words, translate(code, c).words, m) is not None
+    ]
+    assert reached == movable
 
 
 def test_mu_image_order(nr_generators):
