@@ -2,10 +2,11 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .codes import (
     Code,
     code_predicates,
-    coset_decomposition,
     golay24,
     nordstrom_robinson,
     puncture,
@@ -36,4 +37,8 @@ from .symmetry import (
     verify_complete_transitivity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules bound as a side effect stay out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .codes import CodeFileError, code_predicates, named_code, read_code, write_code
-from .hamming import check_length
+from .hamming import check_length, parse_decimal
 from .report import Workbench, fmt, run_verification, transitivity_certificate
 from .spectrum import (
     FeasibilityError,
@@ -139,7 +139,8 @@ def cmd_verify(args) -> int:
 
 
 def _parse_template(spec: str, m: int, antipodal: bool):
-    """Comma list of 'i=value' or 'i=?'; unspecified entries default to 0
+    """Comma list of 'i=value' or 'i=?', i and value ASCII digits (spaces
+    around either side are ignored); unspecified entries default to 0
     (entry 0 defaults to 1).  Under the antipodal tie, an unspecified
     entry m-i inherits the specification of entry i."""
     template: list[int | None] = [0] * (m + 1)
@@ -151,11 +152,11 @@ def _parse_template(spec: str, m: int, antipodal: bool):
             continue
         if "=" not in part:
             raise ValueError(f"bad template entry {part!r}, expected i=value or i=?")
-        idx_s, _, val_s = part.partition("=")
-        idx = int(idx_s)
+        idx_s, _, val_s = (side.strip() for side in part.partition("="))
+        idx = parse_decimal(idx_s, "template index")
         if not 0 <= idx <= m:
             raise ValueError(f"template index {idx} outside 0..{m}")
-        template[idx] = None if val_s.strip() == "?" else int(val_s)
+        template[idx] = None if val_s == "?" else parse_decimal(val_s, "template value")
         explicit.add(idx)
     if antipodal:
         for idx in sorted(explicit):

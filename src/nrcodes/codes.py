@@ -1,10 +1,12 @@
 """Construction of the binary codes under study.
 
-The centerpiece is the coset construction of the Nordstrom-Robinson code
-from the extended binary Golay code: split the 24 coordinates into the
-first 8 (J*) and the last 16 (J), take the subcode D supported off J*
-together with seven cosets pinned by their support pattern on J*, and
-project the union onto J.  Everything downstream (distance spectra, group
+The centerpiece is the construction of the Nordstrom-Robinson code from
+the extended binary Golay code: split the 24 coordinates into the first 8
+(J*) and the last 16 (J), keep the Golay words whose support meets J* in
+none of it or in {i, 8} for some i = 1..7, and project them onto J.  The
+words with the empty pattern form the linear subcode D, whose projection
+is the [16,5,8] Reed-Muller kernel subcode; each other pattern holds a
+coset of D.  Everything downstream (distance spectra, group
 computations) consumes the immutable Code objects built here.
 """
 
@@ -313,54 +315,23 @@ def golay24() -> Code:
     return code
 
 
-_JSTAR_MASK = (1 << 8) - 1
+# The Golay words kept for NR, by their support pattern on coordinates 1..8
+# (bits 0..7): none, or {i, 8} for i = 1..7.  Pattern 0 alone keeps D.
+_NR_PATTERNS = frozenset([0] + [(1 << (i - 1)) | (1 << 7) for i in range(1, 8)])
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """The Golay code split along its first eight coordinates.
+def _pinned_projection(patterns) -> Code:
+    """The Golay words whose support meets coordinates 1..8 in one of the
+    given patterns, projected onto coordinates 9..24.
 
-    D is the subcode supported off {1..8}; reps[i-1] is the least codeword
-    whose support meets {1..8} exactly in {i, 8}; u_vectors[i] is the
-    projection of the i-th coset onto {1..8} (u_0 = 0).
+    w -> w & 0xFF is linear on the Golay code G, so each pattern holds no
+    word or a coset of its kernel D (32 words).  Two kept words with one
+    projection differ by a word of G supported on 1..8 whose pattern has
+    weight 0 or 2, and G has no nonzero word of weight below 8; so the
+    projection is injective, and the code has 32 words per pattern that
+    occurs.
     """
-
-    golay: Code
-    D: Code
-    reps: tuple[int, ...]
-    u_vectors: tuple[int, ...]
-
-    def cosets(self) -> list[tuple[int, ...]]:
-        """Word lists of D = D^0, D^1, ..., D^7, canonical order each."""
-        out = [self.D.words]
-        for rep in self.reps:
-            out.append(tuple(sorted(w ^ rep for w in self.D.words)))
-        return out
-
-
-def coset_decomposition(G: Code) -> CosetDecomposition:
-    """Split a Golay code satisfying golay24()'s postconditions."""
-    if G.m != 24:
-        raise ValueError("decomposition requires a length-24 code")
-    d_words = [w for w in G.words if w & _JSTAR_MASK == 0]
-    D = Code(24, d_words)
-    reps = []
-    for i in range(1, 8):
-        pattern = (1 << (i - 1)) | (1 << 7)
-        rep = next((w for w in G.words if w & _JSTAR_MASK == pattern), None)
-        if rep is None:
-            raise ConstructionError(
-                f"no codeword meets coordinates 1..8 exactly in {{{i}, 8}}"
-            )
-        reps.append(rep)
-    u_vectors = (0,) + tuple((1 << (i - 1)) | (1 << 7) for i in range(1, 8))
-    decomp = CosetDecomposition(golay=G, D=D, reps=tuple(reps), u_vectors=u_vectors)
-    for i, coset in enumerate(decomp.cosets()):
-        member = set(coset)
-        filtered = [w for w in G.words if w & _JSTAR_MASK == u_vectors[i]]
-        if sorted(filtered) != sorted(member):
-            raise ConstructionError(f"coset {i} does not match its support filter")
-    return decomp
+    return Code(16, [w >> 8 for w in golay24().words if (w & 0xFF) in patterns])
 
 
 def project(code: Code, coords) -> Code:
@@ -393,13 +364,12 @@ def translate(code: Code, beta: int) -> Code:
 def nordstrom_robinson() -> Code:
     """The (16,256,6) Nordstrom-Robinson code.
 
-    Union of the eight pinned Golay cosets projected onto coordinates
-    {9..24}.  Postconditions (size, distance, evenness, weight-6 count)
-    are asserted before returning.
+    The Golay words whose support meets coordinates 1..8 in none of them
+    or in {i, 8}, i = 1..7, projected onto coordinates 9..24.
+    Postconditions (size, distance, evenness, weight-6 count) are asserted
+    before returning; the size fails if a pattern holds no Golay word.
     """
-    decomp = coset_decomposition(golay24())
-    words = [w >> 8 for coset in decomp.cosets() for w in coset]
-    nr = Code(16, words)
+    nr = _pinned_projection(_NR_PATTERNS)
     if len(nr) != 256 or nr.min_distance != 6:
         raise ConstructionError("Nordstrom-Robinson postconditions failed")
     if any(w.bit_count() % 2 for w in nr.words):
@@ -411,9 +381,9 @@ def nordstrom_robinson() -> Code:
 
 @lru_cache(maxsize=1)
 def reed_muller_subcode() -> Code:
-    """The linear [16,5,8] subcode: projection of D onto {9..24}."""
-    decomp = coset_decomposition(golay24())
-    rm = Code(16, [w >> 8 for w in decomp.D.words])
+    """The linear [16,5,8] subcode: the Golay words supported off
+    coordinates 1..8 (the subcode D), projected onto 9..24."""
+    rm = _pinned_projection({0})
     if len(rm) != 32 or rm.min_distance != 8 or not is_linear(rm):
         raise ConstructionError("Reed-Muller subcode postconditions failed")
     return rm

@@ -185,8 +185,7 @@ def _puncture_equivalences(wb: Workbench) -> str:
     `maps_onto`; a position with no element in the row, or whose element
     fails the check, is not counted.
     """
-    nr = wb.code("nr")
-    base = puncture(nr, 1)
+    nr, base = wb.code("nr"), wb.code("pn")
     row = wb.perm_group("nr").row(0)
     found = 0
     for p in range(2, 17):

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -171,9 +172,9 @@ def _walsh_hadamard(x: np.ndarray) -> None:
         h *= 2
 
 
-def _profile_block(arr: np.ndarray, m: int, free: list[int], width: int,
-                   lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Profiles of the representatives whose high part is lo..hi-1.
+def _profile_blocks(arr: np.ndarray, m: int, free: list[int], width: int,
+                    step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Profiles of every representative, `step` high parts per block.
 
     Representative i is permute_bits(i, free): its low `width` bits sit
     on the low free coordinates L and the rest on the high ones.  For a
@@ -181,26 +182,30 @@ def _profile_block(arr: np.ndarray, m: int, free: list[int], width: int,
     off L.  Counting the words of each high part by (c_L, a) is one keyed
     pair scan; the sum over c_L is then an XOR-convolution with the
     weight-(t - a) indicator over F_2^width, whose transform is the
-    Krawtchouk value K_{t-a}(wt s).  Returns the representatives,
-    ascending, and their profiles, one row of m+1 counts each.
+    Krawtchouk value K_{t-a}(wt s).  The words' parts on and off L and
+    the Krawtchouk factors are the same for every block and are computed
+    once.  Yields, block by block in ascending order, the
+    representatives and their profiles, one row of m+1 counts each.
     """
-    reps = permute_bits(np.arange(lo << width, hi << width, dtype=np.uint32), free)
     n = 1 << width
     low = free[:width]
-    heads = permute_bits(np.arange(lo, hi, dtype=np.uint32), free[width:])
-    off_low = ((1 << m) - 1) ^ permute_bits(n - 1, low)
-    counts = distance_profiles(
-        heads, arr & off_low, m - width, unpermute_bits(arr, low), n
-    )
-    _walsh_hadamard(counts)
+    keys = unpermute_bits(arr, low)
+    off_low = arr & (((1 << m) - 1) ^ permute_bits(n - 1, low))
     wt = np.bitwise_count(np.arange(n, dtype=np.uint32))
     kraw = np.array(krawtchouk_table(width), dtype=np.int64)[:, wt]
-    profiles = np.zeros((n, hi - lo, m + 1), dtype=np.int64)
-    for j in range(width + 1):
-        profiles[:, :, j : j + m - width + 1] += counts * kraw[j][:, None, None]
-    _walsh_hadamard(profiles)
-    profiles >>= width
-    return reps, profiles.transpose(1, 0, 2).reshape(-1, m + 1)
+    nheads = 1 << (len(free) - width)
+    for lo in range(0, nheads, step):
+        hi = min(lo + step, nheads)
+        reps = permute_bits(np.arange(lo << width, hi << width, dtype=np.uint32), free)
+        heads = permute_bits(np.arange(lo, hi, dtype=np.uint32), free[width:])
+        counts = distance_profiles(heads, off_low, m - width, keys, n)
+        _walsh_hadamard(counts)
+        profiles = np.zeros((n, hi - lo, m + 1), dtype=np.int64)
+        for j in range(width + 1):
+            profiles[:, :, j : j + m - width + 1] += counts * kraw[j][:, None, None]
+        _walsh_hadamard(profiles)
+        profiles >>= width
+        yield reps, profiles.transpose(1, 0, 2).reshape(-1, m + 1)
 
 
 def completely_regular_check(code: Code) -> CompleteRegularityResult:
@@ -234,20 +239,16 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     """
     m = code.m
     basis = code.kernel
-    nreps = 1 << (m - len(basis))
-    estimate = nreps * code.size
+    estimate = code.size << (m - len(basis))
     if estimate > CR_WORK_LIMIT:
         raise RegularityWorkExceeded(estimate)
     free = free_coordinates(basis, m)
     width = _transform_width(code.size, m, len(free))
-    arr = code.words_u32()
     first: dict[int, tuple[int, tuple[int, ...]]] = {}
     deviant: dict[int, tuple[int, tuple[int, ...]]] = {}
     counts = [0] * (m + 1)
     step = max(1, PAIR_BLOCK // code.size)
-    nheads = nreps >> width
-    for lo in range(0, nheads, step):
-        reps, profiles = _profile_block(arr, m, free, width, lo, min(lo + step, nheads))
+    for reps, profiles in _profile_blocks(code.words_u32(), m, free, width, step):
         cells = (profiles != 0).argmax(axis=1)
         for c in np.unique(cells).tolist():
             idx = np.nonzero(cells == c)[0]

@@ -416,10 +416,11 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     p)` is unbalanced from the start, so no element of G_k sends k to p.
     It is searched, by `_extend` from that partition refined, only if the
     generators found so far, all in G_k, do not map k to p
-    (`_orbit_labels`); a permutation found is a new generator.  Every candidate outside the current orbit is searched, so
-    the orbit of k under the generators of levels >= k is its G_k-orbit;
-    by induction from the bottom they generate G_k, and the order is the
-    product of the orbit sizes, cross-checked against their Sims table.
+    (`_orbit_labels`); a permutation found is a new generator.  Every
+    candidate outside the current orbit is searched, so the orbit of k
+    under the generators of levels >= k is its G_k-orbit; by induction
+    from the bottom they generate G_k, and the order is the product of
+    the orbit sizes, cross-checked against their Sims table.
     """
     if code.m > 16 or code.size > 4096:
         raise ValueError("automorphism search supports m <= 16 and |C| <= 4096")

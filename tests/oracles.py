@@ -1,9 +1,10 @@
 """Independent brute-force oracles.
 
 Everything here recomputes quantities straight from the definitions,
-deliberately avoiding the code paths it is used to check: regularity by a
-double loop over vertices and spheres, one vertex's distance profile by a
-loop over the codewords, pair counts and linearity by a double loop over
+deliberately avoiding the code paths it is used to check, and importing
+nothing from the package but the Code container: regularity from every
+vertex's distance profile, one vertex's distance profile by a loop over
+the codewords, pair counts and linearity by a double loop over
 the codewords, coset leaders from a kernel found by trying every
 translation, automorphism groups by iterating all m! permutations, group
 orders by multiplicative closure, permutations between two codes by a
@@ -19,7 +20,6 @@ import itertools
 import numpy as np
 
 from nrcodes.codes import Code
-from nrcodes.hamming import permute_bits, sphere
 
 
 def brute_sphere(center: int, k: int, m: int) -> list[int]:
@@ -63,10 +63,7 @@ def brute_regularity(code: Code):
     m = code.m
     by_cell: dict[int, dict[tuple, int]] = {}
     for v in range(1 << m):
-        d = min((v ^ w).bit_count() for w in code.words)
-        profile = tuple(
-            sum(1 for u in sphere(v, k, m) if u in code) for k in range(m + 1)
-        )
+        d, profile = brute_profile(code, v)
         by_cell.setdefault(d, {}).setdefault(profile, v)
     if all(len(profiles) == 1 for profiles in by_cell.values()):
         rows = tuple(
@@ -179,9 +176,12 @@ def brute_orbits(gens, m: int) -> list[int]:
 
 
 def brute_perm_automorphisms(code: Code) -> list[tuple[int, ...]]:
+    """Every permutation p of the coordinates, moving bit j to bit p[j],
+    that maps each codeword to a codeword."""
     out = []
     for p in itertools.permutations(range(code.m)):
-        if all(permute_bits(w, p) in code for w in code.words):
+        if all(sum(((w >> j) & 1) << t for j, t in enumerate(p)) in code
+               for w in code.words):
             out.append(p)
     return out
 

@@ -1,17 +1,22 @@
+import ast
 import hashlib
 import random
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nrcodes
+import oracles
 from nrcodes import codes
 from nrcodes.codes import (
     Code,
     CodeFileError,
+    ConstructionError,
     code_predicates,
-    coset_decomposition,
     coset_leaders,
     golay24,
     free_coordinates,
@@ -33,6 +38,13 @@ from nrcodes.spectrum import distance_distribution
 from oracles import brute_coset_leaders, brute_distance_counts, brute_is_linear
 
 JSTAR_MASK = (1 << 8) - 1
+# The support patterns {i, 8}, i = 1..7, on coordinates 1..8 (bits 0..7).
+PINNED = [(1 << (i - 1)) | (1 << 7) for i in range(1, 8)]
+
+
+def pattern_class(golay, pattern):
+    """The Golay words whose support meets coordinates 1..8 in `pattern`."""
+    return [w for w in golay.words if w & JSTAR_MASK == pattern]
 
 # sha256 of the comma-joined Golay words.  Every later claim is stated in
 # this coordinate labelling, so a refactor must keep it.
@@ -65,16 +77,30 @@ def test_golay_construction_deterministic():
 
 
 def test_coset_decomposition(golay):
-    decomp = coset_decomposition(golay)
-    assert decomp.D.size == 32
-    assert 0 in decomp.D
-    assert all(w & JSTAR_MASK == 0 for w in decomp.D.words)
-    for i, rep in enumerate(decomp.reps, start=1):
-        assert rep & JSTAR_MASK == (1 << (i - 1)) | (1 << 7)
-    cosets = decomp.cosets()
-    assert len(cosets) == 8
+    # D holds the Golay words with pattern 0 on coordinates 1..8; each
+    # pattern {i, 8} holds the coset D + rep_i, rep_i its least word.
+    D = pattern_class(golay, 0)
+    assert len(D) == 32
+    assert 0 in D
+    cosets = [D]
+    for pattern in PINNED:
+        words = pattern_class(golay, pattern)
+        assert len(words) == 32
+        assert sorted(w ^ words[0] for w in D) == words
+        cosets.append(words)
     all_words = [w for c in cosets for w in c]
     assert len(set(all_words)) == 8 * 32  # pairwise disjoint
+
+
+def test_nr_construction_fails_without_a_pinned_pattern(golay, monkeypatch):
+    # 256 words need all eight patterns; the size postcondition is the
+    # check that notices a missing one.
+    for pattern in (0, *PINNED):
+        missing = Code(24, [w for w in golay.words if w & JSTAR_MASK != pattern])
+        assert missing.size == 4096 - 32
+        monkeypatch.setattr(codes, "golay24", lambda: missing)
+        with pytest.raises(ConstructionError, match="postconditions"):
+            nordstrom_robinson.__wrapped__()
 
 
 def test_projection():
@@ -87,9 +113,10 @@ def test_projection():
         project(c, [0, 1])
 
 
-def test_projection_of_d_is_injective(golay):
-    decomp = coset_decomposition(golay)
-    assert project(decomp.D, range(9, 25)).size == 32
+def test_projection_of_d_is_injective(golay, rm):
+    projected = project(Code(24, pattern_class(golay, 0)), range(9, 25))
+    assert projected.size == 32
+    assert projected == rm
 
 
 def test_nordstrom_robinson(nr):
@@ -107,23 +134,21 @@ def test_nr_construction_deterministic():
 
 
 def test_nr_is_union_of_kernel_cosets(nr, rm, golay):
-    decomp = coset_decomposition(golay)
     words = set(rm.words)
-    for rep in decomp.reps:
+    for pattern in PINNED:
+        rep = pattern_class(golay, pattern)[0]
         words.update(w ^ (rep >> 8) for w in rm.words)
     assert tuple(sorted(words)) == nr.words
 
 
 def test_nr_independent_of_representative_choice(nr, golay):
-    # the construction pins the least qualifying word; any qualifying word
-    # gives the same projected union
-    decomp = coset_decomposition(golay)
-    words = [w >> 8 for w in decomp.D.words]
-    for i in range(1, 8):
-        pattern = (1 << (i - 1)) | (1 << 7)
-        candidates = [w for w in golay.words if w & JSTAR_MASK == pattern]
-        second = candidates[1]
-        words.extend((second ^ w) >> 8 for w in decomp.D.words)
+    # the coset D + rep_i is the same for any qualifying word rep_i, so the
+    # second qualifying word gives the same projected union as the least
+    D = pattern_class(golay, 0)
+    words = [w >> 8 for w in D]
+    for pattern in PINNED:
+        second = pattern_class(golay, pattern)[1]
+        words.extend((second ^ w) >> 8 for w in D)
     assert tuple(sorted(set(words))) == nr.words
 
 
@@ -292,3 +317,24 @@ def test_quotient_helpers_match_coset_minima(subspace):
     assert reduced.dtype == np.uint32 and reduced.tolist() == minima
     free = free_coordinates(basis, m)
     assert [permute_bits(i, free) for i in range(2 ** len(free))] == sorted(set(minima))
+
+
+def test_package_exports_no_module():
+    # `from nrcodes import *` binds the public functions and classes only
+    modules = [n for n in nrcodes.__all__ if isinstance(getattr(nrcodes, n), ModuleType)]
+    assert modules == []
+
+
+def test_oracles_import_only_code_from_the_package():
+    # The oracles recompute from the definitions; a package helper shared
+    # with the code they check could hide the same fault on both sides.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "", alias.name) for alias in node.names}
+    package = {(module, name) for module, name in imported
+               if module == "nrcodes" or module.startswith("nrcodes.")}
+    assert package == {("nrcodes.codes", "Code")}

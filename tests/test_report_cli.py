@@ -85,12 +85,14 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 # once per generator the stabilizer walks find (5 for NR, 4 for PN), and in
 # each generator assembly once before and once after its one mover, with
 # no distance partition; the four codes with a regularity claim are
-# checked once each.
+# checked once each; the puncture claim punctures NR at 2..16 and reads
+# NR@1 from the "pn" stage.
 STAGE_CALLS = {
     "_orbit_labels": 20,
     "distance_partition": 0,
     "completely_regular_check": 4,
     "enumerate_perm_automorphisms": 2,
+    "puncture": 15,
 }
 
 
@@ -406,6 +408,16 @@ def test_cli_feasible_pn(capsys):
 def test_cli_feasible_bad_template(capsys):
     assert main(["feasible", "-m", "4", "-t", "9=1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# int() reads "-5" as a (negative) count, "+3" and "٣" (Arabic-Indic
+# three) as index 3 and "1_2" as 12; template entries are ASCII digits.
+@pytest.mark.parametrize("template", ["3=-5", "+3=?", "\u0663=?", "2=1_2"])
+def test_cli_feasible_template_takes_only_ascii_digits(template, capsys):
+    code, out, err = _run_cli(["feasible", "-m", "4", "-t", template], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: template ") and "ASCII digits" in err
 
 
 @pytest.mark.parametrize("m", [-1, 0, 25])

@@ -17,7 +17,7 @@ from nrcodes.spectrum import (
     ConstraintRow,
     FeasibilityError,
     RegularityWorkExceeded,
-    _profile_block,
+    _profile_blocks,
     _propagate_bounds,
     _transform_width,
     completely_regular_check,
@@ -260,13 +260,10 @@ def _free_coordinates(code):
 
 
 def _block_profiles(code, free, width, step):
-    """Every representative's profile, from _profile_block in blocks of
+    """Every representative's profile, from _profile_blocks in blocks of
     `step` high parts."""
-    nheads = 1 << (len(free) - width)
     reps, rows = [], []
-    for lo in range(0, nheads, step):
-        r, p = _profile_block(code.words_u32(), code.m, free, width, lo,
-                              min(lo + step, nheads))
+    for r, p in _profile_blocks(code.words_u32(), code.m, free, width, step):
         assert p.dtype == np.int64
         reps += r.tolist()
         rows += [tuple(row) for row in p.tolist()]
