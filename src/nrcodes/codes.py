@@ -45,10 +45,13 @@ class Code:
     one runs no pair scan: the translation kernel K, the pair distance
     counts, the minimum distance read off them and the weight histogram
     are computed lazily on first read and shared by every later reader.
-    The pair counts are taken over C/K, (|C|/|K|)*|C| word pairs.
+    So is the word array that words_u32 returns, which is read-only.  The
+    pair counts are taken over C/K, (|C|/|K|)*|C| word pairs.
     """
 
-    __slots__ = ("m", "words", "size", "_member", "_hist", "_kernel", "_counts")
+    __slots__ = (
+        "m", "words", "size", "_member", "_arr", "_hist", "_kernel", "_counts",
+    )
 
     def __init__(self, m: int, words):
         check_length(m)
@@ -61,6 +64,7 @@ class Code:
         self.words = tuple(ordered)
         self.size = len(self.words)
         self._member = frozenset(self.words)
+        self._arr = None
         self._hist = None
         self._kernel = None
         self._counts = None
@@ -88,7 +92,12 @@ class Code:
         return f"Code(m={self.m}, size={self.size})"
 
     def words_u32(self) -> np.ndarray:
-        return np.asarray(self.words, dtype=np.uint32)
+        """The words as one ascending uint32 array, built once and read-only."""
+        if self._arr is None:
+            arr = np.array(self.words, dtype=np.uint32)
+            arr.flags.writeable = False
+            self._arr = arr
+        return self._arr
 
     @property
     def kernel(self) -> tuple[int, ...]:
@@ -125,10 +134,8 @@ class Code:
     def weight_histogram(self) -> tuple[int, ...]:
         """Count of words per weight, indexed 0..m."""
         if self._hist is None:
-            hist = [0] * (self.m + 1)
-            for w in self.words:
-                hist[w.bit_count()] += 1
-            self._hist = tuple(hist)
+            weights = np.bitwise_count(self.words_u32())
+            self._hist = tuple(np.bincount(weights, minlength=self.m + 1).tolist())
         return self._hist
 
     def weight_class(self, k: int) -> tuple[int, ...]:
@@ -152,14 +159,19 @@ class CodePredicates:
 
 
 def code_predicates(code: Code) -> CodePredicates:
-    """Closure under sum / even weights / closure under complement."""
-    full = (1 << code.m) - 1
-    is_antipodal = all((w ^ full) in code for w in code.words)
-    is_even = all(w.bit_count() % 2 == 0 for w in code.words)
+    """Closure under sum / even weights / closure under complement.
+
+    Evenness reads the odd entries of the weight histogram.  Complementing
+    reverses ascending order, so the code is closed under complement
+    exactly when its complemented words, read in descending order, are its
+    words in ascending order.
+    """
+    arr = code.words_u32()
+    full = np.uint32((1 << code.m) - 1)
     return CodePredicates(
         is_linear=is_linear(code),
-        is_even=is_even,
-        is_antipodal=is_antipodal,
+        is_even=not any(code.weight_histogram[1::2]),
+        is_antipodal=np.array_equal(arr[::-1] ^ full, arr),
     )
 
 
@@ -186,8 +198,10 @@ def kernel_basis(code: Code) -> tuple[int, ...]:
     word c0 and some word c, so those are the candidates.  They are
     screened by a few probe words w (w + beta must be a word), kept
     reduced modulo the basis found so far, and confirmed in ascending
-    order on all words; a candidate that fails adds the word it fails on
-    as a probe, which removes every other candidate failing there.
+    order on all words: C + beta = C exactly when the sorted array of the
+    translated words equals the code's.  A candidate that fails adds the
+    first word it fails on as a probe, which removes every other candidate
+    failing there.
     """
     arr = code.words_u32()
     n = len(arr)
@@ -204,9 +218,9 @@ def kernel_basis(code: Code) -> tuple[int, ...]:
     basis: list[int] = []
     while len(cand):
         beta, cand = int(cand[0]), cand[1:]
-        bad = ~members(arr ^ np.uint32(beta))
-        if bad.any():
-            cand = cand[members(cand ^ arr[int(np.argmax(bad))])]
+        moved = arr ^ np.uint32(beta)
+        if not np.array_equal(np.sort(moved), arr):
+            cand = cand[members(cand ^ arr[np.argmin(members(moved))])]
             continue
         # beta is the least nonzero kernel vector that is zero on every
         # pivot so far, so its pivot is above them all and no earlier
@@ -329,9 +343,12 @@ def _pinned_projection(patterns) -> Code:
     projection differ by a word of G supported on 1..8 whose pattern has
     weight 0 or 2, and G has no nonzero word of weight below 8; so the
     projection is injective, and the code has 32 words per pattern that
-    occurs.
+    occurs.  Raises ConstructionError if no pattern occurs.
     """
-    return Code(16, [w >> 8 for w in golay24().words if (w & 0xFF) in patterns])
+    words = [w >> 8 for w in golay24().words if (w & 0xFF) in patterns]
+    if not words:
+        raise ConstructionError("no Golay word has a pinned pattern on coordinates 1..8")
+    return Code(16, words)
 
 
 def project(code: Code, coords) -> Code:
@@ -429,8 +446,27 @@ def write_code(code: Code, path) -> None:
 
 
 def read_code(path) -> Code:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Read a code file: the header "m=<length>", the length in ASCII
+    digits, then one word per line, a '0' or '1' per coordinate with
+    coordinate 1 leftmost.
+
+    Blank lines and whitespace around a line are skipped; words may come
+    in any order and repeat.  The body is checked and converted as one
+    array.  Only if that check fails are the word lines walked in order:
+    the error names the first bad one, by its length before its
+    characters.
+    """
+    m, words = _parse_code_text(Path(path).read_text(encoding="utf-8"))
+    return Code(m, words.tolist())
+
+
+def _parse_code_text(text: str) -> tuple[int, np.ndarray]:
+    """The length and the words, as uint32, of a code file's text.
+
+    Its lines, the text and the packed body are freed on return, before
+    the Code is built.
+    """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or not lines[0].startswith("m="):
         raise CodeFileError("first line must be 'm=<length>'")
     try:
@@ -438,15 +474,21 @@ def read_code(path) -> Code:
         check_length(m)
     except ValueError as exc:
         raise CodeFileError(f"bad length header: {exc}") from exc
-    words = []
-    for ln in lines[1:]:
-        if len(ln) != m:
-            raise CodeFileError(f"word {ln!r} does not have length {m}")
-        try:
-            w, _ = from_string(ln)
-        except ValueError as exc:
-            raise CodeFileError(str(exc)) from exc
-        words.append(w)
-    if not words:
+    rows = lines[1:]
+    if not rows:
         raise CodeFileError("code file contains no words")
-    return Code(m, words)
+    body = "".join(rows).encode("utf-8")
+    if set(map(len, rows)) != {m} or body.translate(None, b"01"):
+        for ln in rows:
+            if len(ln) != m:
+                raise CodeFileError(f"word {ln!r} does not have length {m}")
+            try:
+                from_string(ln)
+            except ValueError as exc:
+                raise CodeFileError(str(exc)) from exc
+    # character t of a row is bit t of its word: pack each row's bits
+    # little-endian into the low bytes of a uint32
+    bits = np.frombuffer(body, dtype=np.uint8).reshape(len(rows), m) & 1
+    packed = np.zeros((len(rows), 4), dtype=np.uint8)
+    packed[:, : (m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return m, packed.view("<u4").ravel()

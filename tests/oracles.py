@@ -4,9 +4,11 @@ Everything here recomputes quantities straight from the definitions,
 deliberately avoiding the code paths it is used to check, and importing
 nothing from the package but the Code container: regularity from every
 vertex's distance profile, one vertex's distance profile by a loop over
-the codewords, pair counts and linearity by a double loop over
-the codewords, coset leaders from a kernel found by trying every
-translation, automorphism groups by iterating all m! permutations, group
+the codewords, pair counts, linearity and the translation kernel by a
+double loop over the codewords, the weight histogram, evenness and
+closure under complement by a loop over the codewords, a code file by
+parsing it line by line, coset leaders from a kernel found by trying
+every translation, automorphism groups by iterating all m! permutations, group
 orders by multiplicative closure, permutations between two codes by a
 plain coordinate-by-coordinate backtrack, the ranks of refinement keys
 by sorting their distinct rows as Python tuples, a refined partition by
@@ -47,6 +49,59 @@ def brute_distance_counts(code: Code) -> tuple[int, ...]:
 def brute_is_linear(code: Code) -> bool:
     """Contains zero and every sum of two codewords."""
     return 0 in code and all((u ^ w) in code for u in code.words for w in code.words)
+
+
+def brute_kernel(code: Code) -> list[int]:
+    """Every beta with C + beta = C, ascending.  Each is w + c0 for the
+    first word c0 and some word w, so those are tried on every word."""
+    c0 = code.words[0]
+    return sorted(
+        w ^ c0 for w in code.words if all((x ^ w ^ c0) in code for x in code.words)
+    )
+
+
+def brute_weight_histogram(code: Code) -> tuple[int, ...]:
+    histogram = [0] * (code.m + 1)
+    for w in code.words:
+        histogram[bin(w).count("1")] += 1
+    return tuple(histogram)
+
+
+def brute_is_even(code: Code) -> bool:
+    return all(bin(w).count("1") % 2 == 0 for w in code.words)
+
+
+def brute_is_antipodal(code: Code) -> bool:
+    """The complement of every codeword is a codeword."""
+    full = (1 << code.m) - 1
+    return all((w ^ full) in code for w in code.words)
+
+
+def plain_read_code(text: str) -> Code | str:
+    """The code a code file's text holds, or the message of its first
+    error.  The stripped nonblank lines are a header "m=<length>" (ASCII
+    digits, 1..24) and then words, each checked in turn for its length and
+    then for a character other than '0' and '1'; character t is bit t."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("m="):
+        return "first line must be 'm=<length>'"
+    digits = lines[0][2:]
+    if not (digits.isascii() and digits.isdigit()):
+        return f"bad length header: length must be ASCII digits, got {digits!r}"
+    m = int(digits)
+    if not 1 <= m <= 24:
+        return f"bad length header: length must be in [1, 24], got {m}"
+    words = []
+    for ln in lines[1:]:
+        if len(ln) != m:
+            return f"word {ln!r} does not have length {m}"
+        for ch in ln:
+            if ch not in "01":
+                return f"invalid character {ch!r} in vertex string"
+        words.append(sum(1 << t for t, ch in enumerate(ln) if ch == "1"))
+    if not words:
+        return "code file contains no words"
+    return Code(m, words)
 
 
 def brute_coset_leaders(code: Code) -> list[int]:

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 
@@ -101,6 +102,16 @@ def test_nr_construction_fails_without_a_pinned_pattern(golay, monkeypatch):
         monkeypatch.setattr(codes, "golay24", lambda: missing)
         with pytest.raises(ConstructionError, match="postconditions"):
             nordstrom_robinson.__wrapped__()
+
+
+def test_rm_construction_fails_without_pattern_zero(golay, monkeypatch):
+    # RM(1,4) is the one pattern 0; without its 32 words nothing is left
+    # to project, and the construction must say so in its own error type.
+    missing = Code(24, [w for w in golay.words if w & JSTAR_MASK != 0])
+    assert missing.size == 4096 - 32
+    monkeypatch.setattr(codes, "golay24", lambda: missing)
+    with pytest.raises(ConstructionError, match="pinned pattern"):
+        reed_muller_subcode.__wrapped__()
 
 
 def test_projection():
@@ -252,6 +263,118 @@ def test_code_file_reader_rejects(tmp_path, content):
         read_code(path)
 
 
+# Characters that int() or str.isdigit() accept in a number, and an inner
+# space; one of them may replace one character of one word line.
+FOREIGN_CHARACTERS = ["2", "_", "+", " ", "\u0661", "\uff10"]
+
+
+@st.composite
+def code_file_texts(draw):
+    """The text of a code file for a random code, m in 1..24: blank lines,
+    spaces or tabs around lines, "\n" or "\r\n" endings, and at most one
+    corruption, a short or long word line or a foreign character."""
+    m = draw(st.integers(1, 24))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+    rows = ["".join(str(w >> t & 1) for t in range(m)) for w in words]
+    kinds = [None] * 4 + ["short", "long"] + FOREIGN_CHARACTERS
+    corruption = draw(st.sampled_from(kinds))
+    if corruption is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        if corruption == "short":
+            rows[i] = rows[i][:-1]
+        elif corruption == "long":
+            rows[i] += draw(st.sampled_from("01"))
+        else:
+            t = draw(st.integers(0, m - 1))
+            rows[i] = rows[i][:t] + corruption + rows[i][t + 1 :]
+    pad = st.sampled_from(["", "", " ", "\t", " \t "])
+    lines = []
+    for row in [f"m={m}"] + rows:
+        lines += [draw(pad)] * draw(st.integers(0, 1))
+        lines.append(draw(pad) + row + draw(pad))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end * draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(code_file_texts())
+def test_read_code_matches_the_line_by_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("code") / "c.code"
+    path.write_bytes(text.encode("utf-8"))
+    expected = oracles.plain_read_code(text)
+    if isinstance(expected, Code):
+        assert read_code(path) == expected
+    else:
+        with pytest.raises(CodeFileError) as err:
+            read_code(path)
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("m=3\n000\n1x1\n11\n", "invalid character 'x' in vertex string"),
+        ("m=3\n000\n11\n1x1\n", "word '11' does not have length 3"),
+        ("m=3\n000\n1x10\n", "word '1x10' does not have length 3"),
+    ],
+)
+def test_code_file_reader_names_the_first_bad_line(tmp_path, content, message):
+    # files with two faults, which the random files above never hold: the
+    # first bad line is named, and a wrong length before a bad character
+    path = tmp_path / "bad.code"
+    path.write_text(content)
+    assert oracles.plain_read_code(content) == message
+    with pytest.raises(CodeFileError) as err:
+        read_code(path)
+    assert str(err.value) == message
+
+
+def golay_image_file(golay, path) -> Code:
+    """Write the Golay code under a fixed coordinate permutation; return it."""
+    sigma = list(range(24))
+    random.Random(24).shuffle(sigma)
+    image = Code(24, permute_bits(golay.words_u32(), sigma).tolist())
+    write_code(image, path)
+    return image
+
+
+def test_read_code_parses_no_word_alone(golay, tmp_path, monkeypatch):
+    # A valid file is checked and converted as one array; the per-word
+    # parser is reached only to name a bad line.
+    path = tmp_path / "g24.code"
+    image = golay_image_file(golay, path)
+
+    def no_parse(*args):
+        raise AssertionError("a word was parsed on its own")
+
+    monkeypatch.setattr(codes, "from_string", no_parse)
+    assert read_code(path) == image
+
+
+def test_read_code_memory_peak(golay, tmp_path):
+    # A 4096-word m = 24 file (100 KB) peaks at about 0.7 MB; an int64 bit
+    # matrix for the conversion alone would take 0.8 MB.
+    path = tmp_path / "g24.code"
+    golay_image_file(golay, path)
+    read_code(path)
+    tracemalloc.start()
+    try:
+        read_code(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_word_array_is_built_once_and_read_only():
+    code = Code(5, [3, 17, 9])
+    arr = code.words_u32()
+    assert code.words_u32() is arr
+    assert arr.dtype == np.uint32 and arr.tolist() == [3, 9, 17]
+    with pytest.raises(ValueError):
+        arr[0] = 1
+
+
 @st.composite
 def pair_scan_codes(draw):
     """Random codes, translated spans, unions of cosets of a random
@@ -281,6 +404,38 @@ def test_pair_counts_match_all_pairs_oracle(code):
     assert code.min_distance == (min(nonzero) if nonzero else None)
     assert is_linear(code) == brute_is_linear(code)
     assert coset_leaders(code).tolist() == brute_coset_leaders(code)
+
+
+def check_scans_against_oracles(code):
+    assert code.weight_histogram == oracles.brute_weight_histogram(code)
+    preds = code_predicates(code)
+    assert preds.is_even == oracles.brute_is_even(code)
+    assert preds.is_antipodal == oracles.brute_is_antipodal(code)
+    assert preds.is_linear == brute_is_linear(code)
+    assert list(span(kernel_basis(code), code.m).words) == oracles.brute_kernel(code)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair_scan_codes())
+def test_array_scans_match_oracles(code):
+    check_scans_against_oracles(code)
+
+
+FULL24 = (1 << 24) - 1
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        [0, 5, 1 << 23, (1 << 23) | 5],  # a subspace through bit 23
+        [w ^ c for w in (0, 0x123456, 0xF0F0F0) for c in (0, FULL24)],
+        [1, 6, 1 << 23, 0xABCDEF, FULL24],  # no zero word
+        [0xABCDEF],
+    ],
+    ids=["bit23-subspace", "complement-closed", "no-zero", "one-word"],
+)
+def test_array_scans_match_oracles_at_length_24(words):
+    check_scans_against_oracles(Code(24, words))
 
 
 def test_code_construction_runs_no_pair_scan(monkeypatch):

@@ -12,7 +12,7 @@ from nrcodes import cli
 from nrcodes import report as report_module
 from nrcodes import symmetry
 from nrcodes.cli import build_parser, main
-from nrcodes.codes import Code, write_code
+from nrcodes.codes import Code, named_code, puncture, write_code
 from nrcodes.report import (
     Workbench,
     build_manifest,
@@ -263,6 +263,52 @@ def test_cli_analyze_output_pinned(tmp_path, capsys, name):
     assert main(["analyze", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+# sha256 of `analyze` stdout on one image of each family the benchmark's
+# `analyze` workload reads: the code under a fixed coordinate permutation,
+# translated as well when m <= 16.  These inputs read unsorted, permuted
+# and translated words, where the `construct` files above are canonical.
+# Every field is invariant under a permutation, so the Golay image, left
+# untranslated, prints what its `construct` file prints.
+IMAGE_ANALYZE_SHA256 = {
+    "golay24": "4b6e0a940d6067d33100a608611286fd5edbe1a52589183145a9292103985c03",
+    "golay24@1": "2dcd5e7468124f91647996fbe84f5730e048434bf1ea6e0d5b28938be1d19332",
+    "nr": "3436a1cbf2078eac55e6bab95ca431e0c41efd97c7e126bc025554d1a84c8a65",
+    "pn": "f5735cd93c37d957f39e8ba998ceb6fb729b9a9e08a71c89787125a0ffe2442f",
+    "reed_muller": "729af2237929afee4a2c5c716f6bc321e233a81b1f3f736451de7737476bc080",
+}
+
+
+def image_file(tmp_path, name):
+    """The code `name` (golay24@1 is the Golay code punctured at 1) moved
+    by a permutation sigma, bit j to bit sigma[j], after adding beta."""
+    if name == "golay24@1":
+        code = puncture(named_code("golay24"), 1)
+    else:
+        code = named_code(name)
+    m = code.m
+    rng = random.Random(name)
+    sigma = list(range(m))
+    rng.shuffle(sigma)
+    beta = rng.getrandbits(m) if m <= 16 else 0
+    image = [
+        sum(((w ^ beta) >> j & 1) << s for j, s in enumerate(sigma))
+        for w in code.words
+    ]
+    lines = [f"m={m}"] + [
+        "".join(str(w >> i & 1) for i in range(m)) for w in image
+    ]
+    path = tmp_path / f"{name}.code"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_ANALYZE_SHA256))
+def test_cli_analyze_image_output_pinned(tmp_path, capsys, name):
+    assert main(["analyze", str(image_file(tmp_path, name))]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == IMAGE_ANALYZE_SHA256[name]
 
 
 def test_cli_construct_pn_variants(tmp_path):
