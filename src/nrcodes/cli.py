@@ -120,15 +120,14 @@ def cmd_verify(args) -> int:
         f"{n_ext} external facts ({len(report.entries)} claims)"
     )
     if args.json:
-        doc = json.loads(report.to_json())
+        doc = report.to_dict()
         if args.target in ("nr", "all"):
             doc["nr_transitivity_certificate"] = transitivity_certificate(wb, "nr")
         if args.target in ("pn", "all"):
             doc["pn_transitivity_certificate"] = transitivity_certificate(wb, "pn")
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(doc, indent=2) + "\n")
         except OSError as exc:
             print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR

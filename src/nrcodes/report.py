@@ -566,13 +566,15 @@ class VerificationReport:
     def failing_ids(self) -> list[str]:
         return [e.claim_id for e in self.entries if e.status == "fail"]
 
-    def to_json(self, indent: int | None = 2) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "version": self.version,
             "target": self.target,
             "entries": [e.to_dict() for e in self.entries],
         }
-        return json.dumps(doc, indent=indent)
+
+    def to_json(self, indent: int | None = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
 
 
 def run_verification(

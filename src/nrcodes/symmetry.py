@@ -206,6 +206,8 @@ class PermGroup:
         def sifts(g, k: int) -> bool:
             # is g, which fixes 0..k-1, a product of elements of rows k..?
             for i in range(k, n):
+                if g[i] == i:
+                    continue  # row i maps i to the identity
                 inv = invs[i].get(g[i])
                 if inv is None:
                     return False
@@ -267,24 +269,36 @@ class _Incidence:
 def _ranks(first: np.ndarray, counts: np.ndarray):
     """Dense ranks of the key rows, or None if the two codes' ranks differ.
 
-    Row i's key is (first[i], *counts[i]).  Rows are ranked in
-    lexicographic order of their keys, so a `first` holding the previous
-    colour makes the new partition refine the old one.  One `np.lexsort`
-    orders the rows, with `first` as the primary key and the count
-    columns after it from left to right; each sorted row that differs
-    from the one before it starts a new rank, and a cumulative sum over
-    those starts numbers the ranks 0, 1, ...  The order, and so every
-    rank, equals that of the row-wise `np.unique` this replaced: the
-    partitions, branch order and node counts are the same.
-    The first half of the rows belongs to code a and the second to code
-    b; None means that the two halves' rank multisets differ.
+    Row i's key is (first[i], *counts[i]), non-negative integers below
+    2^63.  Rows are ranked 0, 1, ... in lexicographic order of their
+    keys, so a `first` holding the previous colour makes the new partition
+    refine the old one.  How the rows are ordered depends on the key's
+    width:
+    - one count column (the word step: 2n rows, one packed key): one
+      `np.lexsort`, `first` primary; each sorted row that differs from
+      the one before it starts a new rank, numbered by a cumulative sum;
+    - more (the colour step: 2m <= 32 rows, up to 2n + 1 keys): Python
+      sorts the distinct rows by their big-endian 8-byte encodings.  The
+      keys are non-negative, so the byte order of two encodings is the
+      lexicographic order of their keys.
+    Either way the ranks, and so the partitions, branch order and node
+    counts, are the same.  The first half of the rows belongs to code a
+    and the second to code b; None means that the two halves' rank
+    multisets differ.
     """
-    order = np.lexsort((*counts.T[::-1], first))
-    first, counts = first[order], counts[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (first[1:] != first[:-1]) | (counts[1:] != counts[:-1]).any(axis=1)
-    ranks = np.empty_like(order)
-    ranks[order] = np.cumsum(starts) - 1
+    if counts.shape[1] > 1:
+        keys = np.column_stack((first, counts)).astype(">i8").tobytes()
+        width = 8 * (counts.shape[1] + 1)
+        rows = [keys[i : i + width] for i in range(0, len(keys), width)]
+        rank = {row: r for r, row in enumerate(sorted(set(rows)))}
+        ranks = np.array([rank[row] for row in rows], dtype=np.int64)
+    else:
+        order = np.lexsort((*counts.T, first))
+        first, counts = first[order], counts[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (first[1:] != first[:-1]) | (counts[1:] != counts[:-1]).any(axis=1)
+        ranks = np.empty_like(order)
+        ranks[order] = np.cumsum(starts) - 1
     half = len(ranks) // 2
     if not np.array_equal(np.sort(ranks[:half]), np.sort(ranks[half:])):
         return None

@@ -117,16 +117,22 @@ def words_and_positions(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(words_and_positions())
 def test_bit_permutation_helpers(case):
-    """Array and int paths agree; unpermute inverts permute; on a subset,
+    """Array and int paths agree, and the array path keeps its dtype, on a
+    permutation, a subset and no positions at all; permute drops the bits
+    at j >= len(positions); unpermute inverts permute; on a subset,
     unpermute is the projection read off the text form."""
     m, words, sigma, subset = case
-    arr = np.asarray(words, dtype=np.uint32)
-    for positions in (sigma, subset):
-        for f in (permute_bits, unpermute_bits):
-            out = f(arr, positions)
-            assert out.dtype == np.uint32
-            assert out.tolist() == [f(v, positions) for v in words]
+    for dtype in (np.uint32, np.int64, np.intp):
+        arr = np.asarray(words, dtype=dtype)
+        for positions in (sigma, subset, ()):
+            for f in (permute_bits, unpermute_bits):
+                out = f(arr, positions)
+                assert out.dtype == dtype
+                assert out.tolist() == [f(v, positions) for v in words]
+    low = (1 << len(subset)) - 1
     for v in words:
+        assert permute_bits(v, ()) == unpermute_bits(v, ()) == 0
+        assert permute_bits(v, subset) == permute_bits(v & low, subset)
         assert unpermute_bits(permute_bits(v, sigma), sigma) == v
         text = to_string(v, m)
         projected, _ = from_string("".join(text[i] for i in subset))

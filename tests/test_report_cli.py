@@ -168,6 +168,20 @@ def test_reports_identical_apart_from_wall_time():
     assert hashlib.sha256(c.to_json().encode()).hexdigest() == REPORT_ALL_SHA256
 
 
+# sha256 of the file `verify all --json` writes, with the report's clock
+# frozen so that every wall_time reads "0.000000": the report and both
+# transitivity certificates, byte for byte, as the command encodes them.
+VERIFY_ALL_JSON_SHA256 = "51b6f3d9903ec5561e949d563e7e2a6eae1cc824e1e4544336ff7730c749c8e9"
+
+
+def test_verify_all_json_file_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(report_module, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    path = tmp_path / "report.json"
+    assert main(["verify", "all", "--json", str(path)]) == 1
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
 # sha256 of each transitivity certificate as `json.dumps(cert, sort_keys=True)`:
 # the searches must return exactly these generators and orbit sizes, which
 # test_transitivity_certificates_hold_by_definition checks from the text.

@@ -138,6 +138,27 @@ def test_perm_group_order_matches_sympy(case):
     assert PermGroup(n, gens).order() == group.order()
 
 
+@settings(DETERMINISTIC, max_examples=50)  # two Schreier-Sims runs per example
+@given(perm_generators(24))
+def test_perm_group_rows_hold_their_coset_representatives(case):
+    # Row k's keys are the orbit of k under the stabilizer of 0..k-1, and
+    # each of its elements is a group element that fixes 0..k-1 and sends
+    # k to its key.  The stabilizers come from sympy's strong generating
+    # set over the base 0..n-1: those of its elements that fix 0..k-1.
+    n, gens = case
+    table = PermGroup(n, gens)
+    group = PermutationGroup([Permutation(list(g)) for g in gens])
+    _, strong = group.schreier_sims_incremental(base=list(range(n)))
+    for k in range(n):
+        row = table.row(k)
+        fixing = [s for s in strong if s.array_form[:k] == list(range(k))]
+        orbit = PermutationGroup(fixing).orbit(k) if fixing else {k}
+        assert set(row) == set(orbit)
+        for j, rep in row.items():
+            assert rep[:k] == tuple(range(k)) and rep[k] == j
+            assert group.contains(Permutation(list(rep)))
+
+
 def test_perm_group_order_is_transversal_product(nr_perm_group):
     prod = 1
     for k in range(nr_perm_group.degree):
