@@ -167,13 +167,14 @@ def _parse_template(spec: str, m: int, antipodal: bool):
 
 def cmd_feasible(args) -> int:
     try:
-        check_length(args.m)
-        template = _parse_template(args.template, args.m, args.antipodal)
+        m = parse_decimal(args.m, "length")
+        check_length(m)
+        template = _parse_template(args.template, m, args.antipodal)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        res = feasible_distributions(args.m, template, antipodal=args.antipodal)
+        res = feasible_distributions(m, template, antipodal=args.antipodal)
     except FeasibilityError as exc:
         print(json.dumps({"error": str(exc)}, indent=2))
         return EXIT_CLAIM_FAILURE
@@ -181,7 +182,7 @@ def cmd_feasible(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     doc = {
-        "m": str(args.m),
+        "m": str(m),
         "unknowns": [
             {"name": name, "entries": fmt(list(group)), "range": fmt(list(b))}
             for name, group, b in zip(res.names, res.variables, res.bounds)
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("feasible", help="solve a distance-distribution template")
-    p.add_argument("-m", type=int, required=True, help="code length")
+    p.add_argument("-m", required=True, help="code length, in ASCII digits")
     p.add_argument(
         "-t", "--template", required=True,
         help="comma list of i=value and i=? entries; others default to 0",

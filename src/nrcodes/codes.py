@@ -345,10 +345,11 @@ def _pinned_projection(patterns) -> Code:
     projection is injective, and the code has 32 words per pattern that
     occurs.  Raises ConstructionError if no pattern occurs.
     """
-    words = [w >> 8 for w in golay24().words if (w & 0xFF) in patterns]
-    if not words:
+    arr = golay24().words_u32()
+    words = arr[np.isin(arr & 0xFF, list(patterns))] >> 8
+    if not len(words):
         raise ConstructionError("no Golay word has a pinned pattern on coordinates 1..8")
-    return Code(16, words)
+    return Code(16, words.tolist())
 
 
 def project(code: Code, coords) -> Code:
@@ -389,7 +390,7 @@ def nordstrom_robinson() -> Code:
     nr = _pinned_projection(_NR_PATTERNS)
     if len(nr) != 256 or nr.min_distance != 6:
         raise ConstructionError("Nordstrom-Robinson postconditions failed")
-    if any(w.bit_count() % 2 for w in nr.words):
+    if any(nr.weight_histogram[1::2]):
         raise ConstructionError("Nordstrom-Robinson contains an odd-weight word")
     if nr.weight_histogram[6] != 112:
         raise ConstructionError("Nordstrom-Robinson weight-6 count is not 112")
@@ -456,7 +457,10 @@ def read_code(path) -> Code:
     the error names the first bad one, by its length before its
     characters.
     """
-    m, words = _parse_code_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        m, words = _parse_code_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CodeFileError(f"code file is not UTF-8 text: {exc}") from exc
     return Code(m, words.tolist())
 
 

@@ -293,14 +293,15 @@ def design_check(words: Code, t: int) -> DesignCheckResult:
     """Does every weight-t vertex sit under exactly lambda of the words?
 
     The weight-t vertices are taken in ascending (Gosper) order, in blocks
-    of at most PAIR_BLOCK (vertex, word) pairs, and numpy counts the words
-    covering each.  lambda is the first vertex's count; the witness is the
-    first vertex whose count differs from it, with that count.
+    of at most PAIR_BLOCK (vertex, word) pairs; one lies under a weight-k
+    word exactly when they are at distance k - t, so its count is column
+    k - t of its `distance_profiles` row.  lambda is the first vertex's
+    count; the witness is the first deviating vertex, with its count.
     """
-    weights = {w.bit_count() for w in words.words}
+    weights = [w for w, n in enumerate(words.weight_histogram) if n]
     if len(weights) != 1:
-        raise ValueError(f"design words must share one weight, got {sorted(weights)}")
-    k = weights.pop()
+        raise ValueError(f"design words must share one weight, got {weights}")
+    k = weights[0]
     if not 0 <= t <= k:
         raise ValueError(f"design strength t={t} outside [0, {k}]")
     arr = words.words_u32()
@@ -310,14 +311,13 @@ def design_check(words: Code, t: int) -> DesignCheckResult:
     lam = None
     step = max(1, PAIR_BLOCK // words.size)
     for lo in range(0, len(verts), step):
-        block = verts[lo : lo + step, None]
-        counts = np.count_nonzero((block & arr) == block, axis=1)
+        counts = distance_profiles(verts[lo : lo + step], arr, words.m)[:, k - t]
         if lam is None:
             lam = int(counts[0])
         bad = np.flatnonzero(counts != lam)
         if len(bad):
             i = int(bad[0])
-            witness = (int(block[i, 0]), int(counts[i]))
+            witness = (int(verts[lo + i]), int(counts[i]))
             return DesignCheckResult(ok=False, lam=None, witness=witness)
     return DesignCheckResult(ok=True, lam=lam, witness=None)
 

@@ -354,6 +354,15 @@ def test_cli_analyze_malformed(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_analyze_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.code"
+    bad.write_bytes(b"m=4\n0101\n\xff\xfe01\n")
+    code, out, err = _run_cli(["analyze", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cli_analyze_small_witness(tmp_path, capsys):
     path = tmp_path / "c.code"
     path.write_text("m=3\n000\n110\n")
@@ -484,7 +493,20 @@ def test_cli_feasible_template_takes_only_ascii_digits(template, capsys):
 def test_cli_feasible_length_out_of_range(m, capsys):
     code, _, err = _run_cli(["feasible", "-m", str(m), "-t", ""], capsys)
     assert code == 2
-    assert err == f"error: length must be in [1, 24], got {m}\n"
+    if m < 0:
+        assert err == "error: length must be ASCII digits, got '-1'\n"
+    else:
+        assert err == f"error: length must be in [1, 24], got {m}\n"
+
+
+# int() reads each of these as 16; a length, like a length header, is
+# ASCII digits only.
+@pytest.mark.parametrize("m", ["1_6", "+16", " 16", "\u0661\u0666"])
+def test_cli_feasible_length_takes_only_ascii_digits(m, capsys):
+    code, out, err = _run_cli(["feasible", "-m", m, "-t", "0=1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: length must be ASCII digits, got {m!r}\n"
 
 
 def _run_cli(argv, capsys):

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from nrcodes import symmetry
 from nrcodes.codes import Code, span, translate
-from nrcodes.hamming import from_string, permute_bits
+from nrcodes.hamming import from_string, permute_bits, unpermute_bits
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
@@ -652,6 +655,40 @@ def test_complete_transitivity_pn(pn, pn_generators):
     res = verify_complete_transitivity(pn, pn_generators)
     assert res.ok
     assert len(res.cells) == 4
+
+
+@pytest.mark.parametrize("name, minima", [("nr", 5), ("pn", 4)])
+def test_complete_transitivity_scans_orbit_minima_only(name, minima, request):
+    # d(v, C) is computed for one vertex per orbit, the certificates'
+    # orbit labels in cell order, not for every kernel-coset representative
+    code = request.getfixturevalue(name)
+    gens = request.getfixturevalue(f"{name}_generators")
+    scan = mock.patch.object(
+        symmetry, "_distances_to_code", wraps=symmetry._distances_to_code
+    )
+    with scan as spy:
+        res = verify_complete_transitivity(code, gens)
+    assert res.ok and spy.call_count == 1
+    verts = spy.call_args.args[1].tolist()
+    assert len(verts) == minima
+    assert verts == [c.orbit_label for c in res.cells]
+
+
+def test_complete_transitivity_of_a_code_without_zero():
+    # Vertex 0 lies in cell 2 of {110}, so the orbit minima 0, 1, 3, 4
+    # ascend in the cell order 2, 1, 0, 3: each cell's sizes must come
+    # from its own minimum.  The stabilizer of a vertex, x = (w + s^-1(w),
+    # s) for every coordinate permutation s, is transitive on each sphere.
+    m, w = 3, 0b011
+    gens = [
+        AutElement(m, w ^ unpermute_bits(w, s), s)
+        for s in itertools.permutations(range(m))
+    ]
+    res = verify_complete_transitivity(Code(m, [w]), gens)
+    assert res.ok
+    assert [(c.cell_size, c.orbit_label, c.orbit_size) for c in res.cells] == [
+        (1, 0b011, 1), (3, 0b001, 3), (3, 0b000, 3), (1, 0b100, 1),
+    ]
 
 
 def test_complete_transitivity_negative():
