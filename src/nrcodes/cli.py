@@ -4,7 +4,9 @@ Subcommands: `construct` writes a named code to a file, `analyze` prints
 the full spectrum of a code file as JSON, `verify` runs the built-in claim
 manifest, and `feasible` solves a partially specified distance
 distribution.  Exit codes are stable: 0 success, 1 claim or feasibility
-failure, 2 input error.
+failure, 2 input error, and 141 when standard output is closed before the
+output is written (`nrcodes verify all | head -1`): the run ends quietly,
+with the status of a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .codes import CodeFileError, code_predicates, named_code, read_code, write_code
@@ -31,6 +34,7 @@ from .symmetry import SearchBudgetExceeded, parse_budget
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE
 
 
 def cmd_construct(args) -> int:
@@ -253,10 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Looked up per call rather than stored in the cached parser, so that
-    # a handler rebound after the first call (perfbench's tracer wraps
-    # them) is the one that runs.
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # Looked up per call rather than stored in the cached parser, so
+        # that a handler rebound after the first call (perfbench's tracer
+        # wraps them) is the one that runs.
+        status = globals()[f"cmd_{args.command}"](args)
+        # a closed pipe shows on the first write that reaches it
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Output still buffered would fail again at exit: send it nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_OUTPUT
+    return status
 
 
 if __name__ == "__main__":

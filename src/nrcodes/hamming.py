@@ -124,6 +124,29 @@ def weight_masks(m: int, k: int) -> Iterator[int]:
         x = (((r ^ x) >> 2) // c) | r
 
 
+def weight_vertices(m: int, k: int) -> np.ndarray:
+    """The C(m, k) weight-k words of length m, ascending, as one uint32 array.
+
+    Ascending order of the words is colex order of their supports, which
+    the combinatorial number system ranks: word r has support
+    c_k > ... > c_1, where r = C(c_k, k) + ... + C(c_1, 1) and each c_i is
+    the largest c with C(c, i) at most the rank left.  All ranks are
+    decoded at once, one support element per step, so no array is longer
+    than C(m, k).
+    """
+    check_length(m)
+    if not 0 <= k <= m:
+        raise ValueError(f"weight {k} outside [0, {m}]")
+    rank = np.arange(math.comb(m, k), dtype=np.int64)
+    out = np.zeros(len(rank), dtype=np.uint32)
+    for i in range(k, 0, -1):
+        binom = np.array([math.comb(c, i) for c in range(m)], dtype=np.int64)
+        c = np.searchsorted(binom, rank, side="right") - 1
+        out |= (1 << c).astype(np.uint32)
+        rank -= binom[c]
+    return out
+
+
 def sphere(center: int, k: int, m: int) -> Iterator[int]:
     """All words at distance exactly k from center, ascending by bit word.
 

@@ -18,8 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
-from .codes import Code, code_predicates, named_code, puncture, span
+from .codes import Code, code_predicates, named_code, span
+from .hamming import permute_bits
 from .spectrum import (
     CompleteRegularityResult,
     FeasibilityResult,
@@ -38,8 +41,9 @@ from .symmetry import (
     assemble_aut_generators,
     enumerate_perm_automorphisms,
     format_aut_element,
-    maps_onto,
     orbits_on_sphere,
+    punctured_candidates,
+    punctured_perm_group,
     verify_complete_transitivity,
 )
 
@@ -72,6 +76,10 @@ def fmt(value):
 # feasibility claims.
 _FEASIBILITY = {"nr": (16, NR_TEMPLATE), "pn": (15, PN_TEMPLATE)}
 
+# The codes whose symmetry is read off that of their even-weight
+# extension: PN is NR punctured at coordinate 1, which is NR's bit 0.
+_EVEN_EXTENSION = {"pn": "nr"}
+
 
 def _stage(build):
     """Build a Workbench stage once per code name and keep the result."""
@@ -90,7 +98,11 @@ class Workbench:
     """Lazily built shared state for one verification run.
 
     Each method answers one question about the code it is given by name
-    (see `named_code`) and is computed at most once per name.
+    (see `named_code`) and is computed at most once per name.  PN's
+    symmetry comes from NR's, its even-weight extension, with no search:
+    its permutation group is read off NR's Sims table
+    (`punctured_perm_group`), and its generator assembly starts from NR's
+    movers with coordinate 1 fixed (`punctured_candidates`).
     """
 
     def __init__(self, budget: int | None = None):
@@ -107,12 +119,23 @@ class Workbench:
 
     @_stage
     def perm_group(self, name: str) -> PermGroup:
+        if name in _EVEN_EXTENSION:
+            ext = _EVEN_EXTENSION[name]
+            return punctured_perm_group(
+                self.code(name), self.code(ext), self.perm_group(ext)
+            )
         return enumerate_perm_automorphisms(self.code(name), self.budget)
 
     @_stage
     def generators(self, name: str) -> list[AutElement]:
+        candidates = ()
+        if name in _EVEN_EXTENSION:
+            ext = _EVEN_EXTENSION[name]
+            candidates = punctured_candidates(
+                self.generators(ext), self.perm_group(ext)
+            )
         return assemble_aut_generators(
-            self.code(name), self.perm_group(name), self.budget
+            self.code(name), self.perm_group(name), self.budget, candidates
         )
 
     @_stage
@@ -181,11 +204,13 @@ def _puncture_equivalences(wb: Workbench) -> str:
     g of NR with g(0) = j, so g^-1 sends coordinate p-1 to 0.  Deleting
     coordinate p-1 from every word of NR, and its image 0 from every
     image word, turns g^-1 into a coordinate permutation of length 15
-    that maps NR@p onto NR@1.  Each such element is checked with
-    `maps_onto`; a position with no element in the row, or whose element
-    fails the check, is not counted.
+    that maps NR@p onto NR@1.  Each such element is checked on NR's words
+    as `maps_onto` would check it on NR@p, with no punctured code built:
+    NR's words permuted by g^-1, with bit 0 dropped, must be NR@1's.  A
+    position with no element in the row, or whose element fails the
+    check, is not counted.
     """
-    nr, base = wb.code("nr"), wb.code("pn")
+    nr, base = wb.code("nr").words_u32(), wb.code("pn").words_u32()
     row = wb.perm_group("nr").row(0)
     found = 0
     for p in range(2, 17):
@@ -193,10 +218,7 @@ def _puncture_equivalences(wb: Workbench) -> str:
         if g is None:
             continue
         sigma = AutElement.permutation(16, g).inverse().sigma
-        x = AutElement.permutation(
-            15, [s - 1 for j, s in enumerate(sigma) if j != p - 1]
-        )
-        if maps_onto(x, puncture(nr, p), base):
+        if np.array_equal(np.sort(permute_bits(nr, sigma) >> 1), base):
             found += 1
     return f"equivalent for {found}/15 puncture positions"
 
@@ -207,8 +229,10 @@ def _kernel_summary(wb: Workbench) -> list:
 
 
 def _mu_image_order(wb: Workbench) -> str:
-    sigmas = sorted(set(g.sigma for g in wb.generators("nr")))
-    return str(PermGroup(16, sigmas).order())
+    """The order of the group of the generators' coordinate permutations:
+    NR's permutation group, its Sims table extended by them."""
+    sigmas = [g.sigma for g in wb.generators("nr")]
+    return str(wb.perm_group("nr").extended(sigmas).order())
 
 
 def build_manifest() -> tuple[Claim, ...]:

@@ -26,7 +26,7 @@ from .hamming import (
     krawtchouk_table,
     permute_bits,
     unpermute_bits,
-    weight_masks,
+    weight_vertices,
 )
 
 INF_DIST = 64  # sentinel above any achievable distance, safe in uint8 arithmetic
@@ -292,10 +292,10 @@ class DesignCheckResult:
 def design_check(words: Code, t: int) -> DesignCheckResult:
     """Does every weight-t vertex sit under exactly lambda of the words?
 
-    The weight-t vertices are taken in ascending (Gosper) order, in blocks
-    of at most PAIR_BLOCK (vertex, word) pairs; one lies under a weight-k
-    word exactly when they are at distance k - t, so its count is column
-    k - t of its `distance_profiles` row.  lambda is the first vertex's
+    The weight-t vertices are taken in ascending order (`weight_vertices`),
+    in blocks of at most PAIR_BLOCK (vertex, word) pairs; one lies under a
+    weight-k word exactly when they are at distance k - t, so its count is
+    column k - t of its `distance_profiles` row.  lambda is the first vertex's
     count; the witness is the first deviating vertex, with its count.
     """
     weights = [w for w, n in enumerate(words.weight_histogram) if n]
@@ -305,9 +305,7 @@ def design_check(words: Code, t: int) -> DesignCheckResult:
     if not 0 <= t <= k:
         raise ValueError(f"design strength t={t} outside [0, {k}]")
     arr = words.words_u32()
-    verts = np.fromiter(
-        weight_masks(words.m, t), dtype=np.uint32, count=math.comb(words.m, t)
-    )
+    verts = weight_vertices(words.m, t)
     lam = None
     step = max(1, PAIR_BLOCK // words.size)
     for lo in range(0, len(verts), step):

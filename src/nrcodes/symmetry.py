@@ -21,6 +21,19 @@ orbits of a permutation group on a weight sphere, and certifies complete
 transitivity: each orbit on the cosets of the group's translations lies
 in one distance cell, which is one orbit when it holds one orbit minimum.
 
+A code punctured at coordinate 0 needs no stabilizer walk of its own once
+its even-weight (parity) extension has been walked; PN, NR punctured at
+coordinate 1, is such a code.  An automorphism of the extension that fixes
+coordinate 0 commutes with dropping bit 0, so it restricts to one of the
+punctured code.  Conversely a coordinate permutation of the punctured
+code, extended by fixing coordinate 0, keeps every parity bit.  So the
+punctured code's permutation stabilizer is the stabilizer of coordinate 0
+in the extension's, which rows 1.. of the extension's Sims table hold
+(`punctured_perm_group`).  The extension's movers, times row-0 elements
+that bring coordinate 0 back, restrict to automorphisms of the punctured
+code (`punctured_candidates`).  Generator assembly takes them as
+candidates and searches only where they leave a gap: for PN, nowhere.
+
 Each stabilizer enumeration and each generator assembly has one node
 budget (NRCODES_BUDGET or 10^8 by default), shared by all of its searches;
 one node is one candidate image tried for a coordinate.  Exceeding the
@@ -44,9 +57,9 @@ from .hamming import (
     distance_profiles,
     parse_decimal,
     permute_bits,
-    sphere,
     to_string,
     unpermute_bits,
+    weight_vertices,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -195,13 +208,63 @@ class PermGroup:
         )
 
     @functools.cached_property
-    def _reps(self) -> list[dict[int, tuple[int, ...]]]:
-        n = self.degree
+    def _table(self) -> "_SimsTable":
+        table = _SimsTable(self.degree)
+        table.add(self.generators)
+        return table
+
+    def extended(self, generators) -> "PermGroup":
+        """The group generated by this group's generators and `generators`.
+
+        Knuth's algorithm adds one generator at a time, so the new table
+        continues a copy of this one with the new generators; it is the
+        table that a fresh build from all the generators gives.
+        """
+        group = PermGroup(self.degree, self.generators + tuple(generators))
+        table = self._table.copy()
+        table.add(group.generators[len(self.generators):])
+        group._table = table
+        return group
+
+    def order(self) -> int:
+        return math.prod(len(row) for row in self._table.reps)
+
+    def row(self, k: int) -> types.MappingProxyType:
+        """Row k of the Sims table, read-only: for each point j of the orbit
+        of k under the stabilizer of 0..k-1, a group element that fixes
+        0..k-1 and sends k to j."""
+        return types.MappingProxyType(self._table.reps[k])
+
+
+class _SimsTable:
+    """The rows of a Sims table, with the inverse of each row element and
+    the generators of each level, as Knuth's `add` grows them."""
+
+    __slots__ = ("reps", "invs", "gens")
+
+    def __init__(self, n: int):
         identity = _perm_identity(n)
-        reps = [{k: identity} for k in range(n)]
-        # the inverse of each row element, stored when the element is entered
-        invs = [{k: identity} for k in range(n)]
-        gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        self.reps = [{k: identity} for k in range(n)]
+        self.invs = [{k: identity} for k in range(n)]
+        self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+
+    def copy(self) -> "_SimsTable":
+        out = _SimsTable.__new__(_SimsTable)
+        out.reps = [dict(row) for row in self.reps]
+        out.invs = [dict(row) for row in self.invs]
+        out.gens = [list(level) for level in self.gens]
+        return out
+
+    def add(self, generators) -> None:
+        """Knuth's add(g, 0) for each generator g in turn.
+
+        add(g, k): g joins the generators of level k unless rows k..
+        already hold it; extend(h, k) then enters each product h of a row-k
+        element and a level-k generator in row k, or passes its residue
+        modulo row k on to add(., k + 1).
+        """
+        reps, invs, gens = self.reps, self.invs, self.gens
+        n = len(reps)
 
         def sifts(g, k: int) -> bool:
             # is g, which fixes 0..k-1, a product of elements of rows k..?
@@ -214,11 +277,7 @@ class PermGroup:
                 g = _perm_mult(g, inv)
             return True
 
-        # Knuth's add(g, k): g joins the generators of level k unless rows
-        # k.. already hold it; extend(h, k) then enters each product h of a
-        # row-k element and a level-k generator in row k, or passes its
-        # residue modulo row k on to add(., k + 1).
-        todo = [(g, 0) for g in reversed(self.generators)]
+        todo = [(g, 0) for g in reversed(generators)]
         while todo:
             g, k = todo.pop()
             if sifts(g, k):
@@ -234,16 +293,6 @@ class PermGroup:
                     reps[k][h[k]] = h
                     invs[k][h[k]] = _perm_inv(h)
                     orbit.extend(_perm_mult(h, s) for s in gens[k])
-        return reps
-
-    def order(self) -> int:
-        return math.prod(len(row) for row in self._reps)
-
-    def row(self, k: int) -> types.MappingProxyType:
-        """Row k of the Sims table, read-only: for each point j of the orbit
-        of k under the stabilizer of 0..k-1, a group element that fixes
-        0..k-1 and sends k to j."""
-        return types.MappingProxyType(self._reps[k])
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +528,25 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
 
 
 def assemble_aut_generators(
-    code: Code, perm_group: PermGroup, budget: int | None = None
+    code: Code, perm_group: PermGroup, budget: int | None = None, candidates=()
 ) -> list[AutElement]:
     """Generators of the code's full stabilizer: the codeword level on top
     of the chain of `enumerate_perm_automorphisms`.
 
     Starts from the generators of `perm_group`, the zero word's stabilizer,
     and a basis of the translation kernel K.  The zero word's orbit is a
-    union of K-cosets; the least word c of each other coset in C
+    union of K-cosets.  Each of the `candidates` must stabilize the code
+    (ValueError otherwise), and joins the generators if it maps the zero
+    word's coset outside the orbit that the generators so far give it
+    (`_coset_labels`).  Then the least word c of each other coset in C
     (`coset_leaders`) is searched only if the generators so far do not map
-    the zero word's coset onto c's (`_coset_labels`).  A coordinate
-    permutation sigma taking C onto C + c gives the mover
-    (unpermute(c, sigma), sigma), which sends 0 to c.  Every coset outside
-    the current orbit is searched, so the zero word's orbit is its orbit
-    under the full stabilizer, and the generators generate the full
-    stabilizer if `perm_group` is the whole permutation stabilizer.  Every
-    element is re-verified to stabilize the code.
+    the zero word's coset onto c's.  A coordinate permutation sigma taking
+    C onto C + c gives the mover (unpermute(c, sigma), sigma), which sends
+    0 to c.  Every coset outside the current orbit is searched, so the
+    zero word's orbit is its orbit under the full stabilizer, and the
+    generators generate the full stabilizer if `perm_group` is the whole
+    permutation stabilizer.  Every element is re-verified to stabilize the
+    code.
     """
     if 0 not in code:
         raise ValueError("generator assembly requires the zero word in the code")
@@ -506,6 +558,14 @@ def assemble_aut_generators(
     words = code.words_u32()
     leaders = coset_leaders(code)
     labels = _coset_labels(out, leaders, code.kernel)
+    for x in candidates:
+        if not maps_onto(x, code, code):
+            raise ValueError("candidate does not stabilize the code")
+        # x stabilizes C and so K: it maps the zero word's coset onto x(0)'s
+        i = int(np.searchsorted(leaders, reduce_mod(x.act(0), code.kernel)))
+        if labels[i] != 0:
+            out.append(x)
+            labels = _coset_labels(out, leaders, code.kernel)
     for i, c in enumerate(leaders.tolist()):
         if labels[i] == 0:
             continue
@@ -516,6 +576,77 @@ def assemble_aut_generators(
     for x in out:
         if not maps_onto(x, code, code):
             raise RuntimeError("assembled generator does not stabilize the code")
+    return out
+
+
+def _drop_coordinate_0(x: AutElement) -> AutElement:
+    """x, which fixes coordinate 0, acting on the words with bit 0
+    dropped: coordinates 1..m-1 renumbered 0..m-2.  (If x moved
+    coordinate 0, the images would hold -1, which AutElement rejects.)"""
+    return AutElement(x.m - 1, x.beta >> 1, [s - 1 for s in x.sigma[1:]])
+
+
+def punctured_perm_group(
+    punctured: Code, extended: Code, group: PermGroup
+) -> PermGroup:
+    """The permutation stabilizer of `punctured`, read off the Sims table
+    of `group`, the permutation stabilizer of its even-weight extension.
+
+    `extended` must be `punctured` with a parity bit added as coordinate 0:
+    every word even, and dropping bit 0 gives the words of `punctured`, one
+    each (ValueError otherwise).  The answer is then the stabilizer of
+    coordinate 0 in `group` (module docstring), which rows 1.. of its Sims
+    table hold.  They are read bottom-up, as the stabilizer walk reads its
+    levels: an element of row k is taken only if it sends k outside the
+    orbit that those taken so far give it (`_orbit_labels`).  Row k lists
+    the whole orbit of k under the stabilizer of 0..k-1, so by induction
+    from the bottom the elements taken generate it.  Each is checked with
+    `maps_onto`, and their own Sims table must have the order of rows 1..
+    """
+    if (
+        extended.m != punctured.m + 1
+        or any(extended.weight_histogram[1::2])
+        or not np.array_equal(np.sort(extended.words_u32() >> 1), punctured.words_u32())
+    ):
+        raise ValueError("not the even-weight extension of the punctured code")
+    m = punctured.m
+    gens: list[tuple[int, ...]] = []
+    labels = np.arange(m)
+    for k in reversed(range(1, group.degree)):
+        row = group.row(k)
+        for j in sorted(row):
+            if labels[j - 1] == labels[k - 1]:
+                continue
+            x = _drop_coordinate_0(AutElement.permutation(group.degree, row[j]))
+            if not maps_onto(x, punctured, punctured):
+                raise RuntimeError("Sims-table element does not stabilize the code")
+            gens.append(x.sigma)
+            labels = _orbit_labels(gens, m)
+    out = PermGroup(m, gens)
+    expected = math.prod(len(group.row(k)) for k in range(1, group.degree))
+    if out.order() != expected:
+        raise RuntimeError(f"punctured order {out.order()} != row product {expected}")
+    return out
+
+
+def punctured_candidates(gens, group: PermGroup) -> list[AutElement]:
+    """Candidate automorphisms of a code punctured at coordinate 0, for
+    `assemble_aut_generators`, from the generators `gens` of its even-weight
+    extension's full stabilizer and that extension's permutation stabilizer
+    `group`.
+
+    Each generator x that is neither a permutation nor a translation (the
+    punctured code's own group and kernel give those), times the inverse of
+    `group`'s row-0 element at x.sigma[0], fixes coordinate 0, and so
+    restricts to an automorphism of the punctured code (module docstring).
+    A generator whose x.sigma[0] is outside row 0 is skipped.
+    """
+    row = group.row(0)
+    out = []
+    for x in gens:
+        if x.beta and x.sigma != _perm_identity(x.m) and x.sigma[0] in row:
+            fix = AutElement.permutation(x.m, row[x.sigma[0]]).inverse()
+            out.append(_drop_coordinate_0(x * fix))
     return out
 
 
@@ -558,7 +689,7 @@ def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
     C(degree, k) weight-k vertices; each image is found in their ascending
     list by binary search.
     """
-    verts = np.fromiter(sphere(0, k, group.degree), dtype=np.uint32)
+    verts = weight_vertices(group.degree, k)
     tables = [np.searchsorted(verts, permute_bits(verts, g)) for g in group.generators]
     _, counts = np.unique(_orbit_labels(tables, len(verts)), return_counts=True)
     return SphereOrbits(
@@ -569,7 +700,12 @@ def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
 def _coset_labels(gens, reps: np.ndarray, basis) -> np.ndarray:
     """Orbit labels of the AutElements `gens` on a set of cosets of
     span(basis) that they permute, given by their least vertices `reps`
-    (ascending uint32): r maps to reduce_mod(g(r)), found by binary search."""
+    (ascending uint32): r maps to reduce_mod(g(r)), found by binary search.
+    A translation by a vector of span(basis) fixes every coset, so it is
+    dropped before any image is computed."""
+    gens = [
+        g for g in gens if reduce_mod(g.beta, basis) or g.sigma != _perm_identity(g.m)
+    ]
     images = (permute_bits(reps ^ np.uint32(g.beta), g.sigma) for g in gens)
     tables = [np.searchsorted(reps, reduce_mod(v, basis)) for v in images]
     return _orbit_labels(tables, len(reps))

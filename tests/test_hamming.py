@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nrcodes.hamming import (
     to_string,
     unpermute_bits,
     weight_masks,
+    weight_vertices,
 )
 from oracles import brute_sphere
 
@@ -59,6 +61,33 @@ def test_weight_masks_gosper():
     assert masks == sorted(masks)
     assert len(masks) == 15
     assert all(m.bit_count() == 2 for m in masks)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 11])
+def test_weight_vertices_match_brute_filter(m):
+    for k in range(m + 1):
+        verts = weight_vertices(m, k)
+        assert verts.dtype == np.uint32
+        assert verts.tolist() == brute_sphere(0, k, m)
+
+
+def test_weight_vertices_range_errors():
+    for m, k in ((4, 5), (4, -1), (25, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            weight_vertices(m, k)
+
+
+def test_weight_vertices_build_no_full_space_array():
+    # m = 24 is allowed, and 2^24 uint32 words would take 64 MB: the
+    # C(24, 2) = 276 words of weight 2 must cost a few KB.
+    tracemalloc.start()
+    try:
+        verts = weight_vertices(MAX_LENGTH, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verts.tolist() == list(weight_masks(MAX_LENGTH, 2))
+    assert peak < 64 << 10
 
 
 def test_krawtchouk_values():

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,17 +86,19 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 
 # Calls per `verify all`: orbit labels are computed once per sphere claim
 # (weights 1, 2, 3 and 4 for NR, 3 for PN), once per transitivity check,
-# once per generator the stabilizer walks find (5 for NR, 4 for PN), and in
-# each generator assembly once before and once after its one mover, with
-# no distance partition; the four codes with a regularity claim are
-# checked once each; the puncture claim punctures NR at 2..16 and reads
-# NR@1 from the "pn" stage.
+# once per generator that NR's stabilizer walk finds (5), once per element
+# that PN's group takes from NR's Sims table (4), and in each generator
+# assembly once before and once after its one mover (searched for NR, NR's
+# mover with coordinate 1 fixed for PN), with no distance partition; the
+# four codes with a regularity claim are checked once each; only NR's
+# stabilizer is walked, PN's is read off its Sims table; the puncture
+# claim checks NR's words and builds no punctured code.
 STAGE_CALLS = {
     "_orbit_labels": 20,
     "distance_partition": 0,
     "completely_regular_check": 4,
-    "enumerate_perm_automorphisms": 2,
-    "puncture": 15,
+    "enumerate_perm_automorphisms": 1,
+    "puncture": 0,
 }
 
 
@@ -121,15 +127,15 @@ def test_verify_all_builds_each_stage_once(monkeypatch):
 
 
 def test_verify_all_search_work_pinned(monkeypatch):
-    # Per `verify all`: generator assembly makes one word-mover search per
-    # code, on its own incidence, as the permutations move that mover's
-    # coset onto every other; the stabilizer chains of NR and PN build one
-    # incidence each and descend from their level partitions without a
-    # search call; the puncture claim reads NR's Sims table and searches
-    # nothing.
+    # Per `verify all`: NR's generator assembly makes one word-mover search,
+    # on its own incidence, as the permutations move that mover's coset
+    # onto every other; NR's stabilizer chain builds one incidence and
+    # descends from its level partitions without a search call.  PN's group
+    # and generators come from NR's, and the puncture claim reads NR's Sims
+    # table: neither searches nor builds an incidence.
     calls = count_calls(monkeypatch, ["_search_permutation", "_Incidence"])
     run_verification("all")
-    assert calls == {"_search_permutation": 2, "_Incidence": 4}
+    assert calls == {"_search_permutation": 1, "_Incidence": 2}
 
 
 def test_puncture_claim_rests_on_maps_onto(monkeypatch):
@@ -452,6 +458,36 @@ def test_cli_verify_bad_budget_option(value, capsys):
     code, _, err = _run_cli(["verify", "pn", "--budget", value], capsys)
     assert code == 2
     assert "argument --budget: node budget must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"],
+    ["feasible", "-m", "16", "-t", "0=1,6=112,7=?,8=?,10=112,16=1", "--antipodal"],
+])
+def test_cli_closed_stdout_exits_quietly(argv, unbuffered):
+    # `nrcodes verify all | head -1`: the reader goes away while the
+    # command still has output to write.  Here it is gone before the first
+    # line, so that the write fails on every run, not only when it loses
+    # the race with the reader's exit.  Buffered, the output first reaches
+    # the pipe when `main` flushes it; unbuffered, at the first `print`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nrcodes.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == cli.EXIT_CLOSED_OUTPUT
 
 
 def test_cli_feasible(capsys):

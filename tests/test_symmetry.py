@@ -11,22 +11,33 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from nrcodes import symmetry
-from nrcodes.codes import Code, span, translate
+from nrcodes.codes import (
+    Code,
+    free_coordinates,
+    puncture,
+    reduce_mod,
+    span,
+    translate,
+)
 from nrcodes.hamming import from_string, permute_bits, unpermute_bits
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
     SearchBudgetExceeded,
     _Budget,
+    _coset_labels,
     _Incidence,
     _ranks,
     _refine,
     _search_permutation,
+    _translation_subspace,
     assemble_aut_generators,
     enumerate_perm_automorphisms,
     format_aut_element,
     maps_onto,
     orbits_on_sphere,
+    punctured_candidates,
+    punctured_perm_group,
     verify_complete_transitivity,
 )
 from oracles import (
@@ -162,6 +173,29 @@ def test_perm_group_rows_hold_their_coset_representatives(case):
             assert group.contains(Permutation(list(rep)))
 
 
+@settings(DETERMINISTIC, max_examples=50)
+@given(perm_generators(12), st.integers(1, 3))
+def test_extended_perm_group_matches_one_built_at_once(case, split):
+    # The table grown by `extended` is the one a build from all the
+    # generators gives, row for row.
+    n, gens = case
+    gens = gens + [tuple(reversed(range(n)))]
+    split = min(split, len(gens))
+    grown = PermGroup(n, gens[:split]).extended(gens[split:])
+    at_once = PermGroup(n, gens)
+    assert grown.generators == at_once.generators
+    assert grown.order() == at_once.order()
+    assert all(dict(grown.row(k)) == dict(at_once.row(k)) for k in range(n))
+
+
+def test_extended_perm_group_leaves_the_original(nr_perm_group, nr_generators):
+    before = [dict(nr_perm_group.row(k)) for k in range(16)]
+    mu_image = nr_perm_group.extended(g.sigma for g in nr_generators)
+    assert mu_image.order() == 322560
+    assert nr_perm_group.order() == 40320
+    assert [dict(nr_perm_group.row(k)) for k in range(16)] == before
+
+
 def test_perm_group_order_is_transversal_product(nr_perm_group):
     prod = 1
     for k in range(nr_perm_group.degree):
@@ -247,6 +281,70 @@ def test_search_node_counts(nr, pn, nr_perm_group, pn_perm_group):
     # nonzero coset leader; its mover and the permutations reach the rest
     assert_nodes(lambda b: assemble_aut_generators(nr, nr_perm_group, budget=b), 4)
     assert_nodes(lambda b: assemble_aut_generators(pn, pn_perm_group, budget=b), 3)
+
+
+def test_punctured_perm_group_of_pn(nr, pn, nr_perm_group, pn_perm_group):
+    # PN's group read off NR's Sims table is the one the stabilizer walk
+    # finds on PN: each one's generators lie in the other.
+    derived = punctured_perm_group(pn, nr, nr_perm_group)
+    assert derived.order() == 2520
+    for g in pn_perm_group.generators:
+        assert derived.extended([g]).order() == 2520
+    for g in derived.generators:
+        assert pn_perm_group.extended([g]).order() == 2520
+
+
+def test_punctured_perm_group_rejects_a_code_that_is_no_even_extension(
+    nr, pn, nr_perm_group
+):
+    # NR with coordinate 1 flipped: dropping it still gives PN, but every
+    # word has odd weight
+    odd = translate(nr, 1)
+    with pytest.raises(ValueError, match="even-weight extension"):
+        punctured_perm_group(pn, odd, enumerate_perm_automorphisms(odd))
+    with pytest.raises(ValueError, match="even-weight extension"):
+        punctured_perm_group(puncture(nr, 2), nr, nr_perm_group)
+    with pytest.raises(ValueError, match="even-weight extension"):
+        punctured_perm_group(Code(15, pn.words[:-1]), nr, nr_perm_group)
+
+
+def test_punctured_perm_group_checks_what_it_reads(nr, pn, nr_perm_group, monkeypatch):
+    # A row element that is no automorphism fails `maps_onto`; elements
+    # skipped by a broken orbit rule fail the order cross-check.
+    row = PermGroup.row
+    swap = (0, 2, 1) + tuple(range(3, 16))
+
+    def tampered(self, k):
+        return {**row(self, k), 2: swap} if k == 1 else row(self, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PermGroup, "row", tampered)
+        with pytest.raises(RuntimeError, match="does not stabilize"):
+            punctured_perm_group(pn, nr, nr_perm_group)
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_orbit_labels", lambda gens, n: np.zeros(n, np.intp))
+        with pytest.raises(RuntimeError, match="row product"):
+            punctured_perm_group(pn, nr, nr_perm_group)
+
+
+@st.composite
+def even_codes(draw):
+    """A code of length m <= 8 whose words all have even weight."""
+    m = draw(st.integers(2, 8))
+    evens = [v for v in range(1 << m) if v.bit_count() % 2 == 0]
+    return Code(m, draw(st.lists(st.sampled_from(evens), min_size=1, max_size=12)))
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(even_codes())
+def test_punctured_perm_group_agrees_with_brute_force(code):
+    # The brute-force automorphisms are a whole group, so their closure
+    # (`mulclose_order`, quadratic in the order) is their count.
+    punctured = Code(code.m - 1, [w >> 1 for w in code.words])
+    derived = punctured_perm_group(punctured, code, enumerate_perm_automorphisms(code))
+    brute = brute_perm_automorphisms(punctured)
+    assert derived.order() == len(brute)
+    assert set(derived.generators) <= set(brute)
 
 
 def test_negative_budget_rejected(nr):
@@ -498,6 +596,68 @@ def test_assembly_reaches_every_word_an_automorphism_reaches(code):
         if plain_search_permutation(code.words, translate(code, c).words, m) is not None
     ]
     assert reached == movable
+
+
+def test_pn_assembly_from_nr_candidates_searches_nothing(
+    nr, pn, nr_perm_group, nr_generators
+):
+    # NR's mover, with coordinate 0 fixed and dropped, moves PN's zero word
+    # onto every other kernel coset: no search, no incidence, and the
+    # generators that PN's own searches give.
+    derived = punctured_perm_group(pn, nr, nr_perm_group)
+    candidates = punctured_candidates(nr_generators, nr_perm_group)
+    with mock.patch.object(symmetry, "_search_permutation") as search:
+        gens = assemble_aut_generators(pn, derived, budget=0, candidates=candidates)
+    assert search.call_count == 0
+    assert gens == assemble_aut_generators(pn, enumerate_perm_automorphisms(pn))
+
+
+def test_assembly_rejects_a_candidate_that_moves_the_code(nr, nr_perm_group):
+    with pytest.raises(ValueError, match="candidate does not stabilize"):
+        assemble_aut_generators(
+            nr, nr_perm_group, candidates=[AutElement.translation(16, 1)]
+        )
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(codes_with_zero(), st.randoms(use_true_random=False))
+def test_assembly_with_candidates_reaches_the_same_orbit(code, rng):
+    # Candidates that stabilize the code (here the assembled generators
+    # themselves, shuffled) replace searches, never the orbit of 0.
+    m = code.m
+    group = enumerate_perm_automorphisms(code)
+    gens = assemble_aut_generators(code, group)
+    candidates = rng.sample(gens, len(gens))
+    with_candidates = assemble_aut_generators(code, group, candidates=candidates)
+    orbit = brute_orbits(gens, m)
+    assert brute_orbits(with_candidates, m) == orbit
+
+
+@settings(DETERMINISTIC, max_examples=80)
+@given(codes_with_zero(), st.randoms(use_true_random=False))
+def test_coset_labels_ignore_translations_in_the_span(code, rng):
+    # A translation by a vector of span(basis) fixes every coset: adding
+    # such translations anywhere among the generators leaves the labels.
+    m = code.m
+    gens = assemble_aut_generators(code, enumerate_perm_automorphisms(code))
+    basis = _translation_subspace(gens, m)
+    free = free_coordinates(basis, m)
+    reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
+    extra = list(gens)
+    for _ in range(rng.randint(1, 4)):
+        beta = 0
+        for b in basis:
+            beta ^= b * rng.randint(0, 1)
+        extra.insert(rng.randint(0, len(extra)), AutElement.translation(m, beta))
+    labels = _coset_labels(gens, reps, basis)
+    assert np.array_equal(_coset_labels(extra, reps, basis), labels)
+    assert np.array_equal(_coset_labels(extra[::-1], reps, basis), labels)
+    # one outside the span is kept: it joins the coset of r to that of r + v
+    v = rng.randrange(1 << m)
+    if reduce_mod(v, basis):
+        joined = _coset_labels(gens + [AutElement.translation(m, v)], reps, basis)
+        moved = np.searchsorted(reps, reduce_mod(reps ^ np.uint32(v), basis))
+        assert np.array_equal(joined, joined[moved])
 
 
 def test_mu_image_order(nr_generators):
