@@ -110,20 +110,6 @@ def parse_decimal(text: str, what: str) -> int:
     return int(text)
 
 
-def weight_masks(m: int, k: int) -> Iterator[int]:
-    """All weight-k words of length m in ascending integer order (Gosper)."""
-    if k == 0:
-        yield 0
-        return
-    x = (1 << k) - 1
-    limit = 1 << m
-    while x < limit:
-        yield x
-        c = x & -x
-        r = x + c
-        x = (((r ^ x) >> 2) // c) | r
-
-
 def weight_vertices(m: int, k: int) -> np.ndarray:
     """The C(m, k) weight-k words of length m, ascending, as one uint32 array.
 
@@ -156,10 +142,7 @@ def sphere(center: int, k: int, m: int) -> Iterator[int]:
     check_vertex(center, m)
     if not 0 <= k <= m:
         raise ValueError(f"sphere radius {k} outside [0, {m}]")
-    if center == 0:
-        yield from weight_masks(m, k)
-        return
-    yield from sorted(center ^ mask for mask in weight_masks(m, k))
+    yield from np.sort(weight_vertices(m, k) ^ np.uint32(center)).tolist()
 
 
 def krawtchouk(m: int, k: int, x: int) -> int:

@@ -12,10 +12,13 @@ turn, and every branch whose two sides stop matching is cut at once.
 The full stabilizer of a code is built as one stabilizer chain, with the
 coordinates 0, 1, ... as its base and the zero word on top.  Every level
 follows one rule, bottom-up: a candidate image is searched only if the
-generators found so far (`_orbit_labels`) do not already reach it.  As
-every candidate outside the current orbit is searched, every orbit is
-complete: the permutation stabilizer's order is the product of its orbit
-sizes, cross-checked against a Sims table (Knuth), and the top level's
+generators found so far do not already reach it.  On the coordinates,
+the orbit they reach is a row of their Sims table (Knuth, `PermGroup`),
+which grows with each generator found; on the cosets of the translation
+kernel it is `_coset_labels`.  As every candidate outside the current
+orbit is searched, every orbit is complete: the permutation stabilizer's
+order is the product of the table's rows, at most the product of the
+cells that refinement leaves k at each level, and the top level's
 generators generate the full stabilizer.  The module also counts the
 orbits of a permutation group on a weight sphere, and certifies complete
 transitivity: each orbit on the cosets of the group's translations lies
@@ -42,7 +45,7 @@ budget raises, never returns a partial answer.
 
 from __future__ import annotations
 
-import functools
+import copy
 import math
 import operator
 import os
@@ -191,71 +194,51 @@ def format_aut_element(x: AutElement) -> str:
 # Permutation groups as Sims tables.
 
 class PermGroup:
-    """Permutation group given by generators; order from a Sims table.
+    """Permutation group given by generators, held as a Sims table.
 
     Knuth, "Efficient representation of perm groups" (Combinatorica 11,
     1991), over the base 0, 1, ..., degree - 1: row k maps each point j of
     the orbit of k under the stabilizer of 0..k-1 to an element that fixes
     0..k-1 and sends k to j.  Every element of the group is, in exactly one
     way, a product of one element of each row, so the order is the product
-    of the row lengths.
+    of the row lengths.  The table is built when the group is made, by
+    Knuth's `add` with one generator at a time, and `extended` continues a
+    copy of it.
     """
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators=()):
+        identity = _perm_identity(degree)
         self.degree = degree
-        self.generators = tuple(
-            _check_perm(g, degree) for g in generators
-        )
-
-    @functools.cached_property
-    def _table(self) -> "_SimsTable":
-        table = _SimsTable(self.degree)
-        table.add(self.generators)
-        return table
+        self.generators: tuple[tuple[int, ...], ...] = ()
+        # the rows, the inverse of each row element, the generators of each level
+        self._reps = [{k: identity} for k in range(degree)]
+        self._invs = [{k: identity} for k in range(degree)]
+        self._gens: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
+        self._add(generators)
 
     def extended(self, generators) -> "PermGroup":
         """The group generated by this group's generators and `generators`.
 
-        Knuth's algorithm adds one generator at a time, so the new table
-        continues a copy of this one with the new generators; it is the
-        table that a fresh build from all the generators gives.
+        Its table continues a copy of this one with the new generators; it
+        is the table that a fresh build from all the generators gives.
         """
-        group = PermGroup(self.degree, self.generators + tuple(generators))
-        table = self._table.copy()
-        table.add(group.generators[len(self.generators):])
-        group._table = table
+        group = copy.copy(self)
+        group._reps = [dict(row) for row in self._reps]
+        group._invs = [dict(row) for row in self._invs]
+        group._gens = [list(level) for level in self._gens]
+        group._add(generators)
         return group
 
     def order(self) -> int:
-        return math.prod(len(row) for row in self._table.reps)
+        return math.prod(map(len, self._reps))
 
     def row(self, k: int) -> types.MappingProxyType:
         """Row k of the Sims table, read-only: for each point j of the orbit
         of k under the stabilizer of 0..k-1, a group element that fixes
         0..k-1 and sends k to j."""
-        return types.MappingProxyType(self._table.reps[k])
+        return types.MappingProxyType(self._reps[k])
 
-
-class _SimsTable:
-    """The rows of a Sims table, with the inverse of each row element and
-    the generators of each level, as Knuth's `add` grows them."""
-
-    __slots__ = ("reps", "invs", "gens")
-
-    def __init__(self, n: int):
-        identity = _perm_identity(n)
-        self.reps = [{k: identity} for k in range(n)]
-        self.invs = [{k: identity} for k in range(n)]
-        self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-
-    def copy(self) -> "_SimsTable":
-        out = _SimsTable.__new__(_SimsTable)
-        out.reps = [dict(row) for row in self.reps]
-        out.invs = [dict(row) for row in self.invs]
-        out.gens = [list(level) for level in self.gens]
-        return out
-
-    def add(self, generators) -> None:
+    def _add(self, generators) -> None:
         """Knuth's add(g, 0) for each generator g in turn.
 
         add(g, k): g joins the generators of level k unless rows k..
@@ -263,8 +246,10 @@ class _SimsTable:
         element and a level-k generator in row k, or passes its residue
         modulo row k on to add(., k + 1).
         """
-        reps, invs, gens = self.reps, self.invs, self.gens
-        n = len(reps)
+        generators = tuple(_check_perm(g, self.degree) for g in generators)
+        self.generators += generators
+        reps, invs, gens = self._reps, self._invs, self._gens
+        n = self.degree
 
         def sifts(g, k: int) -> bool:
             # is g, which fixes 0..k-1, a product of elements of rows k..?
@@ -477,13 +462,17 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
     the chain.  The levels are then searched bottom-up.  An image p of k
     is a candidate only in k's cell: elsewhere `_individualize(level, k,
     p)` is unbalanced from the start, so no element of G_k sends k to p.
-    It is searched, by `_extend` from that partition refined, only if the
-    generators found so far, all in G_k, do not map k to p
-    (`_orbit_labels`); a permutation found is a new generator.  Every
-    candidate outside the current orbit is searched, so the orbit of k
-    under the generators of levels >= k is its G_k-orbit; by induction
-    from the bottom they generate G_k, and the order is the product of
-    the orbit sizes, cross-checked against their Sims table.
+    It is searched, by `_extend` from that partition refined, only if row
+    k of the Sims table of the generators found so far does not hold it;
+    a permutation found is a new generator.  Those generators all lie in
+    G_k, so row k is the orbit of k under them.  Every candidate outside
+    it is searched, so it is k's G_k-orbit; by induction from the bottom
+    the generators generate G_k, and the order is the product of the rows.
+
+    Refinement is invariant, so an element of G_k maps k into k's cell,
+    and the order is at most the product of the level-cell sizes; a group
+    above that bound means a generator that refinement does not respect
+    (RuntimeError).
     """
     if code.m > 16 or code.size > 4096:
         raise ValueError("automorphism search supports m <= 16 and |C| <= 4096")
@@ -502,27 +491,22 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
         if colors.max() == m - 1:
             break
         levels.append((colors, cells))
-    gens: list[tuple[int, ...]] = []
-    labels = np.arange(m)  # no generators yet: each point is its own orbit
-    order = 1
+    group = PermGroup(m)
+    bound = 1
     for k in reversed(range(len(levels))):
         colors, cells = levels[k]
-        for p in np.flatnonzero(colors[m:] == colors[k]).tolist():
-            if labels[p] == labels[k]:
+        cell = np.flatnonzero(colors[m:] == colors[k]).tolist()
+        bound *= len(cell)
+        for p in cell:
+            if p in group.row(k):
                 continue
             child = _refine(inc, _individualize(colors, k, p), cells)
             sigma = None if child is None else _extend(inc, words, words, child, tracker)
             if sigma is not None:
-                gens.append(sigma)
-                labels = _orbit_labels(gens, m)
-        order *= int(np.count_nonzero(labels == labels[k]))
-    group = PermGroup(m, gens)
-    for g in gens:
-        if not maps_onto(AutElement.permutation(m, g), code, code):
-            raise RuntimeError("backtrack produced a non-automorphism")
-    if group.order() != order:
+                group = group.extended([sigma])
+    if group.order() > bound:
         raise RuntimeError(
-            f"stabilizer-chain order {group.order()} != orbit product {order}"
+            f"stabilizer order {group.order()} exceeds the level-cell bound {bound}"
         )
     return group
 
@@ -535,32 +519,36 @@ def assemble_aut_generators(
 
     Starts from the generators of `perm_group`, the zero word's stabilizer,
     and a basis of the translation kernel K.  The zero word's orbit is a
-    union of K-cosets.  Each of the `candidates` must stabilize the code
-    (ValueError otherwise), and joins the generators if it maps the zero
-    word's coset outside the orbit that the generators so far give it
-    (`_coset_labels`).  Then the least word c of each other coset in C
-    (`coset_leaders`) is searched only if the generators so far do not map
-    the zero word's coset onto c's.  A coordinate permutation sigma taking
-    C onto C + c gives the mover (unpermute(c, sigma), sigma), which sends
-    0 to c.  Every coset outside the current orbit is searched, so the
-    zero word's orbit is its orbit under the full stabilizer, and the
-    generators generate the full stabilizer if `perm_group` is the whole
-    permutation stabilizer.  Every element is re-verified to stabilize the
-    code.
+    union of K-cosets.  Each of the `candidates` joins the generators if it
+    maps the zero word's coset outside the orbit that the generators so
+    far give it (`_coset_labels`).  Then the least word c of each other
+    coset in C (`coset_leaders`) is searched only if the generators so far
+    do not map the zero word's coset onto c's.  A coordinate permutation
+    sigma taking C onto C + c gives the mover (unpermute(c, sigma), sigma),
+    which sends 0 to c.  Every coset outside the current orbit is searched,
+    so the zero word's orbit is its orbit under the full stabilizer, and
+    the generators generate the full stabilizer if `perm_group` is the
+    whole permutation stabilizer.  The permutation generators and the
+    candidates, which the caller supplies, are checked to stabilize the
+    code on entry (ValueError otherwise); the translations and the movers
+    found here passed the same test where they were made.
     """
     if 0 not in code:
         raise ValueError("generator assembly requires the zero word in the code")
     m = code.m
     tracker = _Budget(budget)
-    out: list[AutElement] = []
-    out.extend(AutElement.permutation(m, g) for g in perm_group.generators)
+    out = [AutElement.permutation(m, g) for g in perm_group.generators]
+    candidates = list(candidates)
+    for x in out + candidates:
+        if not maps_onto(x, code, code):
+            raise ValueError(
+                "permutation generator or candidate does not stabilize the code"
+            )
     out.extend(AutElement.translation(m, b) for b in code.kernel)
     words = code.words_u32()
     leaders = coset_leaders(code)
     labels = _coset_labels(out, leaders, code.kernel)
     for x in candidates:
-        if not maps_onto(x, code, code):
-            raise ValueError("candidate does not stabilize the code")
         # x stabilizes C and so K: it maps the zero word's coset onto x(0)'s
         i = int(np.searchsorted(leaders, reduce_mod(x.act(0), code.kernel)))
         if labels[i] != 0:
@@ -573,9 +561,6 @@ def assemble_aut_generators(
         if sigma is not None:
             out.append(AutElement(m, unpermute_bits(c, sigma), sigma))
             labels = _coset_labels(out, leaders, code.kernel)
-    for x in out:
-        if not maps_onto(x, code, code):
-            raise RuntimeError("assembled generator does not stabilize the code")
     return out
 
 
@@ -597,11 +582,12 @@ def punctured_perm_group(
     each (ValueError otherwise).  The answer is then the stabilizer of
     coordinate 0 in `group` (module docstring), which rows 1.. of its Sims
     table hold.  They are read bottom-up, as the stabilizer walk reads its
-    levels: an element of row k is taken only if it sends k outside the
-    orbit that those taken so far give it (`_orbit_labels`).  Row k lists
-    the whole orbit of k under the stabilizer of 0..k-1, so by induction
-    from the bottom the elements taken generate it.  Each is checked with
-    `maps_onto`, and their own Sims table must have the order of rows 1..
+    levels: an element of row k is taken only if row k - 1 of the Sims
+    table of those taken so far, which all fix 0..k-2 once bit 0 is
+    dropped, does not already send k - 1 to its image.  Row k lists the
+    whole orbit of k under the stabilizer of 0..k-1, so by induction from
+    the bottom the elements taken generate it.  Each is checked with
+    `maps_onto`, and their order must be the product of rows 1..
     """
     if (
         extended.m != punctured.m + 1
@@ -609,20 +595,16 @@ def punctured_perm_group(
         or not np.array_equal(np.sort(extended.words_u32() >> 1), punctured.words_u32())
     ):
         raise ValueError("not the even-weight extension of the punctured code")
-    m = punctured.m
-    gens: list[tuple[int, ...]] = []
-    labels = np.arange(m)
+    out = PermGroup(punctured.m)
     for k in reversed(range(1, group.degree)):
         row = group.row(k)
         for j in sorted(row):
-            if labels[j - 1] == labels[k - 1]:
+            if j - 1 in out.row(k - 1):
                 continue
             x = _drop_coordinate_0(AutElement.permutation(group.degree, row[j]))
             if not maps_onto(x, punctured, punctured):
                 raise RuntimeError("Sims-table element does not stabilize the code")
-            gens.append(x.sigma)
-            labels = _orbit_labels(gens, m)
-    out = PermGroup(m, gens)
+            out = out.extended([x.sigma])
     expected = math.prod(len(group.row(k)) for k in range(1, group.degree))
     if out.order() != expected:
         raise RuntimeError(f"punctured order {out.order()} != row product {expected}")

@@ -86,15 +86,20 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 
 # Calls per `verify all`: orbit labels are computed once per sphere claim
 # (weights 1, 2, 3 and 4 for NR, 3 for PN), once per transitivity check,
-# once per generator that NR's stabilizer walk finds (5), once per element
-# that PN's group takes from NR's Sims table (4), and in each generator
-# assembly once before and once after its one mover (searched for NR, NR's
-# mover with coordinate 1 fixed for PN), with no distance partition; the
-# four codes with a regularity claim are checked once each; only NR's
-# stabilizer is walked, PN's is read off its Sims table; the puncture
-# claim checks NR's words and builds no punctured code.
+# and in each generator assembly once before and once after its one mover
+# (searched for NR, NR's mover with coordinate 1 fixed for PN); the
+# stabilizer walk and PN's group read off NR's Sims table skip images that
+# their own growing Sims table already holds, with no orbit labels.
+# `maps_onto` checks each automorphism once per entry point: PN's 4 Sims
+# row elements as its group takes them, each generator assembly's
+# permutation generators and candidates on entry (NR 5 + 0, PN 4 + 1), and
+# each transitivity check its generators (NR 11, PN 10).  No distance
+# partition is built; the four codes with a regularity claim are checked
+# once each; only NR's stabilizer is walked, PN's is read off its Sims
+# table; the puncture claim checks NR's words and builds no punctured code.
 STAGE_CALLS = {
-    "_orbit_labels": 20,
+    "_orbit_labels": 11,
+    "maps_onto": 35,
     "distance_partition": 0,
     "completely_regular_check": 4,
     "enumerate_perm_automorphisms": 1,

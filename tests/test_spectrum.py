@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nrcodes import golay24, spectrum
 from nrcodes.codes import Code, kernel_basis, span
-from nrcodes.hamming import from_string, krawtchouk, permute_bits, weight_masks
+from nrcodes.hamming import from_string, krawtchouk, permute_bits, weight_vertices
 from nrcodes.spectrum import (
     CR_WORK_LIMIT,
     ConstraintRow,
@@ -411,7 +411,7 @@ def design_cases(draw):
     1-design), or a random subset (mostly no design for t >= 1)."""
     m = draw(st.integers(1, 10))
     k = draw(st.integers(1, m))
-    pool = list(weight_masks(m, k))
+    pool = weight_vertices(m, k).tolist()
     kind = draw(st.sampled_from(["all", "cyclic", "subset"]))
     if kind == "all":
         words = pool

@@ -260,6 +260,22 @@ def test_budget_exceeded(nr):
         enumerate_perm_automorphisms(nr, budget=5)
 
 
+def test_walk_generator_outside_its_level_cell_fails(nr, monkeypatch):
+    # NR's walk starts at its bottom level, k = 3, where 0 is a cell of its
+    # own: a first generator swapping 0 and 3, which refinement would never
+    # allow, must push the order past the level-cell bound 16*15*14*12.
+    extend = symmetry._extend
+    planted = [(3, 1, 2, 0) + tuple(range(4, 16))]
+
+    def faulty(*args):
+        return planted.pop() if planted else extend(*args)
+
+    monkeypatch.setattr(symmetry, "_extend", faulty)
+    with pytest.raises(RuntimeError, match="level-cell bound 40320"):
+        enumerate_perm_automorphisms(nr)
+    assert not planted
+
+
 def test_search_node_budget_guard(nr, pn):
     for code, order in ((nr, 40320), (pn, 2520)):
         group = enumerate_perm_automorphisms(code, budget=GUARD_BUDGET)
@@ -310,7 +326,7 @@ def test_punctured_perm_group_rejects_a_code_that_is_no_even_extension(
 
 def test_punctured_perm_group_checks_what_it_reads(nr, pn, nr_perm_group, monkeypatch):
     # A row element that is no automorphism fails `maps_onto`; elements
-    # skipped by a broken orbit rule fail the order cross-check.
+    # taken by a broken orbit rule fail the order cross-check.
     row = PermGroup.row
     swap = (0, 2, 1) + tuple(range(3, 16))
 
@@ -322,7 +338,8 @@ def test_punctured_perm_group_checks_what_it_reads(nr, pn, nr_perm_group, monkey
         with pytest.raises(RuntimeError, match="does not stabilize"):
             punctured_perm_group(pn, nr, nr_perm_group)
     with monkeypatch.context() as patch:
-        patch.setattr(symmetry, "_orbit_labels", lambda gens, n: np.zeros(n, np.intp))
+        # every Sims table stays trivial, so every row element is taken
+        patch.setattr(PermGroup, "extended", lambda self, gens: self)
         with pytest.raises(RuntimeError, match="row product"):
             punctured_perm_group(pn, nr, nr_perm_group)
 
@@ -617,6 +634,14 @@ def test_assembly_rejects_a_candidate_that_moves_the_code(nr, nr_perm_group):
         assemble_aut_generators(
             nr, nr_perm_group, candidates=[AutElement.translation(16, 1)]
         )
+
+
+def test_assembly_rejects_a_permutation_generator_that_moves_the_code(nr):
+    # NR's group is 2-transitive, and of order 40320 < 16!, so it holds no
+    # transposition: with one it would hold them all
+    swap = (1, 0) + tuple(range(2, 16))
+    with pytest.raises(ValueError, match="permutation generator"):
+        assemble_aut_generators(nr, PermGroup(16, [swap]))
 
 
 @settings(DETERMINISTIC, max_examples=60)
