@@ -478,7 +478,7 @@ def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermG
         raise ValueError("automorphism search supports m <= 16 and |C| <= 4096")
     tracker = _Budget(budget)
     m = code.m
-    words = np.asarray(code.words, dtype=np.int64)
+    words = code.words_u32().astype(np.int64)
     inc = _Incidence(words, words, m)
     colors = np.zeros(2 * m, dtype=np.int64)
     cells = np.zeros(2 * len(words), dtype=np.int64)

@@ -216,6 +216,54 @@ def test_code_basics():
         Code(3, [])
     with pytest.raises(ValueError):
         Code(3, [9])
+    assert Code(3, range(8)) == span([1, 2, 4], 3)
+
+
+@st.composite
+def handed_words(draw):
+    """m <= 10, some words, and the same words with duplicates, shuffled."""
+    m = draw(st.integers(1, 10))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=30))
+    extra = draw(st.lists(st.sampled_from(words), max_size=10))
+    return m, words, draw(st.permutations(words + extra))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(handed_words())
+def test_code_is_one_array_however_its_words_are_handed_in(case):
+    m, words, handed = case
+    expected = tuple(sorted(set(words)))
+    forms = [
+        list(handed),
+        tuple(handed),
+        (w for w in handed),
+        np.array(handed, dtype=np.uint32),
+        np.array(handed, dtype=np.int64),
+        np.array(handed, dtype=np.uint64),
+    ]
+    built = [Code(m, form) for form in forms]
+    for code in built:
+        assert code.words == expected
+        assert code.words_u32().dtype == np.uint32
+        assert code.words_u32().tolist() == list(expected)
+        assert code == built[0] and hash(code) == hash(built[0])
+    for dtype in (np.uint32, np.int64):
+        arr = np.array(handed, dtype=dtype)
+        code = Code(m, arr)
+        arr ^= 1
+        assert code.words_u32().tolist() == list(expected)
+    for bad in (
+        [],
+        np.array([], dtype=np.uint32),
+        handed + [-1],
+        np.array(handed + [-1], dtype=np.int64),
+        handed + [1 << m],
+        np.array(handed + [1 << m], dtype=np.uint64),
+        handed + [1 << 64],
+        np.array(handed, dtype=np.float64),
+    ):
+        with pytest.raises(ValueError):
+            Code(m, bad)
 
 
 def test_code_file_round_trip(tmp_path, nr):
@@ -352,8 +400,9 @@ def test_read_code_parses_no_word_alone(golay, tmp_path, monkeypatch):
 
 
 def test_read_code_memory_peak(golay, tmp_path):
-    # A 4096-word m = 24 file (100 KB) peaks at about 0.7 MB; an int64 bit
-    # matrix for the conversion alone would take 0.8 MB.
+    # A 4096-word m = 24 file (100 KB) peaks at about 0.7 MB (698 263 bytes
+    # under tracemalloc, numpy 2.4); an int64 bit matrix for the conversion
+    # alone would take 0.8 MB.
     path = tmp_path / "g24.code"
     golay_image_file(golay, path)
     read_code(path)

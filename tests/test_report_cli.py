@@ -336,6 +336,28 @@ def test_cli_analyze_image_output_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(stdout.encode()).hexdigest() == IMAGE_ANALYZE_SHA256[name]
 
 
+def test_analyze_never_builds_the_word_tuple(tmp_path, capsys, monkeypatch):
+    # analyze reads every quantity off the code's word array; the tuple of
+    # Python ints is for the claims that walk the words one at a time.
+    cases = []
+    for name in sorted(ANALYZE_SHA256):
+        path = tmp_path / f"construct-{name}.code"
+        assert main(["construct", name, "-o", str(path)]) == 0
+        cases.append((path, ANALYZE_SHA256[name]))
+    (tmp_path / "image").mkdir()
+    cases.append((image_file(tmp_path / "image", "nr"), IMAGE_ANALYZE_SHA256["nr"]))
+    capsys.readouterr()
+
+    def no_tuple(code):
+        raise AssertionError("the word tuple was built")
+
+    monkeypatch.setattr(Code, "words", property(no_tuple))
+    for path, digest in cases:
+        assert main(["analyze", str(path)]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 def test_cli_construct_pn_variants(tmp_path):
     for name, m in (("pn", 15), ("pn@3", 15), ("golay24", 24), ("reed_muller", 16)):
         out = tmp_path / f"{name.replace('@', '_')}.code"

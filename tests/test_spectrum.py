@@ -334,9 +334,11 @@ def test_regularity_check_memory(make):
 
 
 def test_kernel_basis_confirms_candidates_beyond_the_probes():
-    # 32 words of a subspace and the word 1, which sits at index 1 where
-    # no probe looks: every nonzero subspace word passes the probes, but
-    # none maps 1 into the code, so the kernel is trivial.
+    # 32 words of a subspace and the word 1: every nonzero subspace word
+    # maps the subspace into the code but not the word 1, so the kernel is
+    # trivial.  The first candidate, 1, fails on the word 32, a probe that
+    # removes no subspace word; the next, 32, fails on the word 1, and that
+    # probe removes every other candidate.
     subspace = span([0b0000100000, 0b0001000000, 0b0010000000,
                      0b0100000000, 0b1000000000], 10)
     code = Code(10, subspace.words + (1,))
