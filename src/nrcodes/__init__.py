@@ -17,7 +17,7 @@ from .codes import (
     translate,
     write_code,
 )
-from .hamming import krawtchouk, sphere
+from .hamming import krawtchouk
 from .spectrum import (
     completely_regular_check,
     design_arithmetic,
@@ -31,8 +31,8 @@ from .spectrum import (
 from .symmetry import (
     AutElement,
     PermGroup,
+    affine_stabilizer,
     assemble_aut_generators,
-    enumerate_perm_automorphisms,
     orbits_on_sphere,
     verify_complete_transitivity,
 )

@@ -236,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the JSON report to this path")
     p.add_argument(
         "--budget", type=_node_budget, default=None,
-        help="node budget of each stabilizer enumeration and of each "
-        "generator assembly, shared by that stage's searches; one node is "
-        "one candidate image tried for a coordinate (default: "
+        help="node budget of each orbit walk of a code's images under the "
+        "affine group of its kernel, one node per image (default: "
         "NRCODES_BUDGET or 10^8)",
     )
 

@@ -12,9 +12,10 @@ bit positions[j] back to bit j.  They serve relabelling, projection,
 deposit and the permutation part of an automorphism alike, on one word or
 elementwise on a numpy array of words.  On one word `permute_bits` moves
 one bit at a time.  On an array it moves a source byte at a time: for each
-run of 8 positions it builds the 256-entry table of where the bits of
+run of 8 positions it takes the 256-entry table of where the bits of
 each byte value land and ORs in one gather of that table, so a word of
 m <= 24 bits takes at most 3 gathers instead of m shift-mask-or rounds.
+Tables are kept per position tuple: `verify` reuses each about ten times.
 
 Krawtchouk values are exact arbitrary-precision integers.  No floating
 point is used anywhere in this module: downstream feasibility arguments
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +47,18 @@ def check_vertex(v: int, m: int) -> None:
         raise ValueError(f"vertex {v:#x} does not fit in {m} coordinates")
 
 
+@lru_cache(maxsize=256)
+def _byte_tables(positions: tuple[int, ...], dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """Per run of 8 positions, where each byte value's bits land (read-only)."""
+    tables = []
+    for lo in range(0, len(positions), 8):
+        chunk = np.asarray(positions[lo : lo + 8], dtype=np.int64)
+        table = (_BYTE_BITS[:, : len(chunk)] @ (1 << chunk)).astype(dtype)
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
 def permute_bits(v, positions):
     """Move bit j of v to bit positions[j], for every j.
 
@@ -62,12 +74,8 @@ def permute_bits(v, positions):
             out |= ((v >> j) & 1) << p
         return out
     out = np.zeros_like(v)
-    for lo in range(0, len(positions), 8):
-        chunk = np.asarray(positions[lo : lo + 8], dtype=np.int64)
-        # table[b]: the bits of byte value b at source bits lo.. moved to
-        # their positions; it reads only len(chunk) bits of each byte
-        table = (_BYTE_BITS[:, : len(chunk)] @ (1 << chunk)).astype(v.dtype)
-        out |= table[(v >> lo) & 0xFF]
+    for i, table in enumerate(_byte_tables(tuple(positions), v.dtype)):
+        out |= table[(v >> 8 * i) & 0xFF]
     return out
 
 
@@ -131,18 +139,6 @@ def weight_vertices(m: int, k: int) -> np.ndarray:
         out |= (1 << c).astype(np.uint32)
         rank -= binom[c]
     return out
-
-
-def sphere(center: int, k: int, m: int) -> Iterator[int]:
-    """All words at distance exactly k from center, ascending by bit word.
-
-    Yields binomial(m, k) distinct words.  The list is materialized
-    internally so the output order is independent of the center.
-    """
-    check_vertex(center, m)
-    if not 0 <= k <= m:
-        raise ValueError(f"sphere radius {k} outside [0, {m}]")
-    yield from np.sort(weight_vertices(m, k) ^ np.uint32(center)).tolist()
 
 
 def krawtchouk(m: int, k: int, x: int) -> int:

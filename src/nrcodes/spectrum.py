@@ -250,7 +250,7 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     step = max(1, PAIR_BLOCK // code.size)
     for reps, profiles in _profile_blocks(code.words_u32(), m, free, width, step):
         cells = (profiles != 0).argmax(axis=1)
-        for c in np.unique(cells).tolist():
+        for c in np.flatnonzero(np.bincount(cells, minlength=m + 1)).tolist():
             idx = np.nonzero(cells == c)[0]
             counts[c] += len(idx)
             if c not in first:
@@ -380,6 +380,22 @@ class ConstraintRow:
         return " ".join(parts) + " >= 0"
 
 
+# Grid points that feasible_distributions may try: about a second at the
+# 3.6 us per point measured at m = 16 on a 2-core VM (more at larger m).
+FEASIBILITY_GRID_LIMIT = 1 << 18
+
+
+class FeasibilityWorkExceeded(ValueError):
+    """The grid of a feasibility search is too large."""
+
+    def __init__(self, estimate: int):
+        super().__init__(
+            f"feasibility grid has {estimate} points, "
+            f"above the limit of {FEASIBILITY_GRID_LIMIT}"
+        )
+        self.estimate = estimate
+
+
 @dataclass(frozen=True)
 class FeasibilityResult:
     m: int
@@ -400,7 +416,8 @@ def feasible_distributions(
     slots.  With `antipodal`, slots i and m-i are tied to one unknown.
     Bounds on each unknown are derived from the constraint rows themselves
     by interval propagation; a system leaving any unknown unbounded is an
-    error.
+    error, and so is a grid of more than FEASIBILITY_GRID_LIMIT points
+    (FeasibilityWorkExceeded, before the first point is tried).
     """
     check_length(m)
     template = list(template)
@@ -447,6 +464,9 @@ def feasible_distributions(
     distributions = []
     if all(l <= h for l, h in zip(lo, hi)):
         ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
+        estimate = math.prod(map(len, ranges))
+        if estimate > FEASIBILITY_GRID_LIMIT:
+            raise FeasibilityWorkExceeded(estimate)
         for point in itertools.product(*ranges):
             if all(
                 row.const + sum(c * x for c, x in zip(row.coeffs, point)) >= 0

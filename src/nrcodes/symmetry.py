@@ -1,46 +1,31 @@
-"""Hamming-graph automorphisms: search, group order, orbits, transitivity.
+"""Hamming-graph automorphisms: NR's stabilizer, group order, orbits, transitivity.
 
 An automorphism of the Hamming graph on m coordinates is a translation
-followed by a coordinate permutation.  One backtrack search answers every
-question here: is there a coordinate permutation, respecting a partition
-of the coordinates, that maps one code onto another?  It works by
-individualization and refinement.  One partition of the coordinates and
-codewords of both codes is refined to a fixed point; a coordinate of
-the smallest open colour is then paired with each candidate image in
-turn, and every branch whose two sides stop matching is cut at once.
+followed by a coordinate permutation.  The permutation stabilizer G of a
+code whose translation kernel K is RM(1,r) on all 2^r coordinates, as
+NR's is RM(1,4), is written down from the affine geometry of K, with no
+search (`affine_stabilizer`): the coordinates are the points of F_2^r,
+AGL(r,2) keeps K, and every permutation automorphism of the code keeps its
+kernel.  The order of G is two-sided: at least the Sims order (Knuth,
+`PermGroup`) of generators each checked to stabilize the code, at most
+the frame bound on |PAut(K)|, counted off K's words, over the number of
+the code's images under AGL(r,2).  The affine generators that move the
+code lift to automorphisms that move its zero word; generator assembly
+takes them as candidates (`assemble_aut_generators`).  The module also
+counts orbits on weight spheres and certifies complete transitivity: each
+orbit on the cosets of the group's translations lies in one distance
+cell, which is one orbit when it holds one orbit minimum.
 
-The full stabilizer of a code is built as one stabilizer chain, with the
-coordinates 0, 1, ... as its base and the zero word on top.  Every level
-follows one rule, bottom-up: a candidate image is searched only if the
-generators found so far do not already reach it.  On the coordinates,
-the orbit they reach is a row of their Sims table (Knuth, `PermGroup`),
-which grows with each generator found; on the cosets of the translation
-kernel it is `_coset_labels`.  As every candidate outside the current
-orbit is searched, every orbit is complete: the permutation stabilizer's
-order is the product of the table's rows, at most the product of the
-cells that refinement leaves k at each level, and the top level's
-generators generate the full stabilizer.  The module also counts the
-orbits of a permutation group on a weight sphere, and certifies complete
-transitivity: each orbit on the cosets of the group's translations lies
-in one distance cell, which is one orbit when it holds one orbit minimum.
+A code punctured at coordinate 0, as PN is NR punctured at coordinate 1,
+takes its symmetry from its even-weight (parity) extension.  Dropping bit
+0 restricts the extension's automorphisms that fix coordinate 0 to the
+punctured code's, and fixing coordinate 0 extends its permutations back,
+keeping every parity bit.  So its permutation stabilizer is read off rows
+1.. of the extension's Sims table (`punctured_perm_group`), and its movers
+are the extension's that fix coordinate 0 (`drop_coordinate_0`).
 
-A code punctured at coordinate 0 needs no stabilizer walk of its own once
-its even-weight (parity) extension has been walked; PN, NR punctured at
-coordinate 1, is such a code.  An automorphism of the extension that fixes
-coordinate 0 commutes with dropping bit 0, so it restricts to one of the
-punctured code.  Conversely a coordinate permutation of the punctured
-code, extended by fixing coordinate 0, keeps every parity bit.  So the
-punctured code's permutation stabilizer is the stabilizer of coordinate 0
-in the extension's, which rows 1.. of the extension's Sims table hold
-(`punctured_perm_group`).  The extension's movers, times row-0 elements
-that bring coordinate 0 back, restrict to automorphisms of the punctured
-code (`punctured_candidates`).  Generator assembly takes them as
-candidates and searches only where they leave a gap: for PN, nowhere.
-
-Each stabilizer enumeration and each generator assembly has one node
-budget (NRCODES_BUDGET or 10^8 by default), shared by all of its searches;
-one node is one candidate image tried for a coordinate.  Exceeding the
-budget raises, never returns a partial answer.
+Each orbit walk has a budget (NRCODES_BUDGET or 10^8) of one node per
+image of the code; exceeding it raises, never returns a partial answer.
 """
 
 from __future__ import annotations
@@ -54,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod
+from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod, span
 from .hamming import (
     check_vertex,
     distance_profiles,
@@ -69,12 +54,16 @@ DEFAULT_BUDGET = 10**8
 _BUDGET_ENV = "NRCODES_BUDGET"
 
 
+class KernelNotAffine(ValueError):
+    """The code's translation kernel is not RM(1,r) on all 2^r coordinates."""
+
+
 class SearchBudgetExceeded(RuntimeError):
-    """A backtrack search ran past its node limit."""
+    """An orbit walk found more images than its budget allows."""
 
 
 def parse_budget(text: str, name: str = _BUDGET_ENV) -> int:
-    """A node budget written as text; ValueError naming `name` unless it is
+    """A budget written as text; ValueError naming `name` unless it is
     a non-negative integer in ASCII digits (`parse_decimal`)."""
     try:
         return parse_decimal(text, name)
@@ -96,9 +85,8 @@ class _Budget:
     def charge(self) -> None:
         self.used += 1
         if self.used > self.limit:
-            raise SearchBudgetExceeded(
-                f"search exceeded its node budget of {self.limit}"
-            )
+            limit = self.limit
+            raise SearchBudgetExceeded(f"orbit walk exceeded its node budget of {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,290 +269,196 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# Partition refinement of two codes' coordinates and codewords.
+# The stabilizer of a code whose kernel is RM(1,r), from the affine geometry
+# of that kernel.
 
-class _Incidence:
-    """The ones of two codes' codeword-by-coordinate 0/1 matrices.
+def _affine_points(basis, m: int) -> list[int]:
+    """The point of F_2^r that each coordinate is, for the kernel K with
+    the reduced echelon basis `basis`; KernelNotAffine (a ValueError)
+    unless K is RM(1,r) on all 2^r coordinates.
 
-    The two codes sit side by side: the n words and m coordinates of code
-    a are numbered 0..n-1 and 0..m-1, those of code b n..2n-1 and m..2m-1.
+    The all-ones word must lie in K.  It and the basis less its last
+    vector, the only one with the all-ones word's leading bit, span K.
+    Those r vectors, each made zero at coordinate 1 by adding the all-ones
+    word if it is not, give point j their r bits at j.  K is RM(1,r), with
+    these as coordinate functions, exactly when that is a bijection onto
+    F_2^r.  Coordinate 1 is the origin.
     """
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, words_a, words_b, m: int):
-        arr = np.concatenate(
-            (np.asarray(words_a, dtype=np.int64), np.asarray(words_b, dtype=np.int64))
-        )
-        self.rows, cols = np.nonzero((arr[:, None] >> np.arange(m)) & 1)
-        self.cols = cols + m * (self.rows >= len(words_a))
+    ones = (1 << m) - 1
+    functions = [b ^ ones if b & 1 else b for b in basis[:-1]]
+    points = [sum((f >> j & 1) << i for i, f in enumerate(functions)) for j in range(m)]
+    if len(basis) < 2 or reduce_mod(ones, basis) or sorted(points) != list(range(m)):
+        raise KernelNotAffine("the kernel is not RM(1,r) on all coordinates")
+    return points
 
 
-def _ranks(first: np.ndarray, counts: np.ndarray):
-    """Dense ranks of the key rows, or None if the two codes' ranks differ.
+def _affine_generators(points) -> list[tuple[int, ...]]:
+    """AGL(r,2) as coordinate permutations: x -> x + e_0, then the
+    transvections x_a += x_b by ascending (a, b), which generate GL(r,2)."""
+    where = _perm_inv(points)
+    r = len(points).bit_length() - 1
+    shears = [(1 << a, b) for a in range(r) for b in range(r) if a != b]
+    return [tuple(where[x ^ 1] for x in points)] + [
+        tuple(where[x ^ a * (x >> b & 1)] for x in points) for a, b in shears
+    ]
 
-    Row i's key is (first[i], *counts[i]), non-negative integers below
-    2^63.  Rows are ranked 0, 1, ... in lexicographic order of their
-    keys, so a `first` holding the previous colour makes the new partition
-    refine the old one.  How the rows are ordered depends on the key's
-    width:
-    - one count column (the word step: 2n rows, one packed key): one
-      `np.lexsort`, `first` primary; each sorted row that differs from
-      the one before it starts a new rank, numbered by a cumulative sum;
-    - more (the colour step: 2m <= 32 rows, up to 2n + 1 keys): Python
-      sorts the distinct rows by their big-endian 8-byte encodings.  The
-      keys are non-negative, so the byte order of two encodings is the
-      lexicographic order of their keys.
-    Either way the ranks, and so the partitions, branch order and node
-    counts, are the same.  The first half of the rows belongs to code a
-    and the second to code b; None means that the two halves' rank
-    multisets differ.
+
+def _frame_bound(kernel: Code) -> int:
+    """An upper bound on the order of the permutation group of `kernel`,
+    RM(1,r) on 2^r coordinates, read off its words.
+
+    A permutation that keeps the kernel keeps its half-weight words, so it
+    maps the completion of three coordinates, the meet of those words
+    through all three less the three, to the completion of their images;
+    each one used is checked to be one coordinate (RuntimeError
+    otherwise).  The frame's next point p is the least coordinate not yet
+    derived; it derives p and the completions of (coordinate 1, d, p) for
+    each derived d.  Then a permutation that keeps the kernel is fixed by
+    its frame images, each outside the images of the coordinates derived
+    before it: 16.15.14.12.8 = 322560 = |AGL(4,2)| choices for RM(1,4).
     """
-    if counts.shape[1] > 1:
-        keys = np.column_stack((first, counts)).astype(">i8").tobytes()
-        width = 8 * (counts.shape[1] + 1)
-        rows = [keys[i : i + width] for i in range(0, len(keys), width)]
-        rank = {row: r for r, row in enumerate(sorted(set(rows)))}
-        ranks = np.array([rank[row] for row in rows], dtype=np.int64)
-    else:
-        order = np.lexsort((*counts.T, first))
-        first, counts = first[order], counts[order]
-        starts = np.ones(len(order), dtype=bool)
-        starts[1:] = (first[1:] != first[:-1]) | (counts[1:] != counts[:-1]).any(axis=1)
-        ranks = np.empty_like(order)
-        ranks[order] = np.cumsum(starts) - 1
-    half = len(ranks) // 2
-    if not np.array_equal(np.sort(ranks[:half]), np.sort(ranks[half:])):
-        return None
-    return ranks
+    m = kernel.m
+    hyperplanes = kernel.weight_class(m // 2).tolist()
+
+    def completion(t: int) -> int:
+        meet = (1 << m) - 1
+        for w in hyperplanes:
+            if w & t == t:
+                meet &= w
+        extra = meet & ~t
+        if extra.bit_count() != 1:
+            raise RuntimeError("a coordinate triple has no single completion")
+        return extra
+
+    derived: list[int] = []  # one bit per coordinate
+    covered, bound = 0, 1
+    while covered != (1 << m) - 1:
+        p = ~covered & (covered + 1)
+        bound *= m - len(derived)
+        for q in [p] + [completion(derived[0] | d | p) for d in derived[1:]]:
+            if not q & covered:
+                derived.append(q)
+                covered |= q
+    return bound
 
 
-def _refine(inc: _Incidence, colors, cells):
-    """Refine a partition of two codes' coordinates and words to its fixed point.
+def affine_stabilizer(
+    code: Code, budget: int | None = None
+) -> tuple[PermGroup, list[AutElement]]:
+    """(G, movers): the permutation stabilizer G of a code whose translation
+    kernel K is RM(1,r) on all 2^r coordinates, as NR's is RM(1,4), and the
+    lifts of the affine generators that move the code.
 
-    `colors` holds the colours of the 2m coordinates and `cells` the cells
-    of the 2n codewords, numbered as in `inc`.  A word's new cell is keyed
-    by its cell and its number of ones in each coordinate colour; a
-    coordinate's new colour by its colour and its number of ones in each
-    word cell.  Ranks are shared by both codes, so a permutation mapping
-    code a onto code b and respecting the input partition maps each colour
-    and cell of a onto the same one of b.  Returns the refined
-    (colors, cells), or None as soon as the two codes' colour or cell
-    multisets differ.
-
-    The word step packs a word's counts into one mixed-radix key,
-    sum over c of count_c * place[c] with place[c] the product of
-    s_c' + 1 over the colours c' > c, s_c being the number of colour-c
-    coordinates of code a.  When the two sides hold equally many
-    coordinates of each colour, a word has at most s_c ones of colour c,
-    so the keys order the words as their count vectors do and the ranks
-    are those of the count matrix.  The colours come from the input or
-    from a `_ranks` call that has checked this balance; if the input is
-    unbalanced, the colour step returns None whatever the word keys were,
-    since its keys start with the input colours.  Every key is below the
-    product of all s_c + 1, which is at most 2^m <= 2^24 (s + 1 <= 2^s,
-    and m is at most MAX_LENGTH), so the float64 sums of `np.bincount`
-    are exact integers.
+    The generators of AGL(r,2) are each checked to keep K.  Every
+    permutation automorphism of the code keeps K, so G is the code's
+    stabilizer in PAut(K), of order at most the frame bound B.  The code's
+    images, unions of K-cosets keyed by their least words, are walked
+    breadth-first; a Schreier generator that grows the order of the one
+    Sims table is kept once `maps_onto` confirms it.  The walk stops when
+    order times images reaches B, as then |G| = |PAut(K)| / |orbit| <=
+    B / images <= order <= |G|, and raises RuntimeError if the orbit
+    closes first.  Each image charges one budget node.  A generator s
+    mapping the code onto its translate by a word g lifts to (s^-1(g), s).
     """
-    m = len(colors) // 2
-    n_colors = len(np.unique(colors))
-    while True:
-        sizes = np.bincount(colors[:m], minlength=int(colors.max()) + 1)
-        place = np.ones(len(sizes))
-        place[:-1] = np.cumprod(sizes[:0:-1] + 1)[::-1]
-        packed = np.bincount(inc.rows, weights=place[colors[inc.cols]], minlength=len(cells))
-        cells = _ranks(cells, packed[:, None])
-        if cells is None:
-            return None
-        w = int(cells.max()) + 1
-        counts = np.bincount(inc.cols * w + cells[inc.rows], minlength=len(colors) * w)
-        colors = _ranks(colors, counts.reshape(-1, w))
-        if colors is None:
-            return None
-        # Word cells are a function of the colours, so stable colours mean
-        # the whole partition is stable.
-        refined = int(colors.max()) + 1
-        if refined == n_colors:
-            return colors, cells
-        n_colors = refined
-
-
-# ---------------------------------------------------------------------------
-# Backtrack search for a coordinate permutation mapping one code to another.
-
-def _individualize(colors: np.ndarray, i: int, p: int) -> np.ndarray:
-    """Coordinate i of code a and p of code b moved into a colour of their
-    own; unbalanced, so `_refine` rejects it, unless they shared one."""
-    m = len(colors) // 2
-    single = 2 * colors
-    single[i] += 1
-    single[m + p] += 1
-    return single
-
-
-def _extend(inc: _Incidence, source, target, node, budget: _Budget):
-    """A permutation within the refined partition `node` (colors, cells)
-    mapping the words `source` onto the sorted words `target`, or None.
-
-    Takes the least coordinate i of code a in the smallest non-singleton
-    colour and tries each coordinate p of code b of that colour as its
-    image, in ascending order, refining `_individualize(colors, i, p)`;
-    each image tried charges one node to the budget.  Once every colour
-    holds one coordinate per side the permutation is fixed, and it is
-    accepted only if it maps source exactly onto target.
-    """
-    colors, cells = node
-    m = len(colors) // 2
-    sizes = np.bincount(colors[:m])
-    if sizes.max() == 1:
-        coord_b = np.empty(len(sizes), dtype=np.int64)
-        coord_b[colors[m:]] = np.arange(m)
-        sigma = tuple(coord_b[colors[:m]].tolist())
-        image = np.sort(permute_bits(source, sigma))
-        return sigma if np.array_equal(image, target) else None
-    open_colors = np.flatnonzero(sizes > 1)
-    color = open_colors[np.argmin(sizes[open_colors])]
-    i = int(np.flatnonzero(colors[:m] == color)[0])
-    for p in np.flatnonzero(colors[m:] == color).tolist():
-        budget.charge()
-        child = _refine(inc, _individualize(colors, i, p), cells)
-        if child is not None:
-            sigma = _extend(inc, source, target, child, budget)
-            if sigma is not None:
-                return sigma
-    return None
-
-
-def _search_permutation(words_a, words_b, m: int, budget: _Budget) -> tuple[int, ...] | None:
-    """Some coordinate permutation with words_a^sigma == words_b, or None.
-
-    Individualize and refine (McKay & Piperno, "Practical graph
-    isomorphism II", 2014; Leon, "Permutation group algorithms based on
-    partitions I", 1991).  The search keeps one partition of the
-    coordinates and the codewords of both codes, refines it from the unit
-    partition with `_refine`, and descends the search tree with `_extend`.
-    """
-    if len(words_a) != len(words_b):
-        return None
-    inc = _Incidence(words_a, words_b, m)
-    root = _refine(inc, np.zeros(2 * m, np.int64), np.zeros(2 * len(words_a), np.int64))
-    source = np.asarray(words_a, dtype=np.int64)
-    target = np.sort(np.asarray(words_b, dtype=np.int64))
-    return None if root is None else _extend(inc, source, target, root, budget)
-
-
-def enumerate_perm_automorphisms(code: Code, budget: int | None = None) -> PermGroup:
-    """Full permutation stabilizer of the code, with exact order.
-
-    A stabilizer chain over the base 0, 1, ...; G_k fixes 0..k-1.  Level
-    k's partition, 0..k-1 individualized, is refined once, top-down from
-    the level before; the first discrete level has a trivial G_k and ends
-    the chain.  The levels are then searched bottom-up.  An image p of k
-    is a candidate only in k's cell: elsewhere `_individualize(level, k,
-    p)` is unbalanced from the start, so no element of G_k sends k to p.
-    It is searched, by `_extend` from that partition refined, only if row
-    k of the Sims table of the generators found so far does not hold it;
-    a permutation found is a new generator.  Those generators all lie in
-    G_k, so row k is the orbit of k under them.  Every candidate outside
-    it is searched, so it is k's G_k-orbit; by induction from the bottom
-    the generators generate G_k, and the order is the product of the rows.
-
-    Refinement is invariant, so an element of G_k maps k into k's cell,
-    and the order is at most the product of the level-cell sizes; a group
-    above that bound means a generator that refinement does not respect
-    (RuntimeError).
-    """
-    if code.m > 16 or code.size > 4096:
-        raise ValueError("automorphism search supports m <= 16 and |C| <= 4096")
-    tracker = _Budget(budget)
     m = code.m
-    words = code.words_u32().astype(np.int64)
-    inc = _Incidence(words, words, m)
-    colors = np.zeros(2 * m, dtype=np.int64)
-    cells = np.zeros(2 * len(words), dtype=np.int64)
-    levels = []
-    for k in range(m):
-        if k:
-            colors = _individualize(colors, k - 1, k - 1)
-        # both sides are the same code, so the refinement stays balanced
-        colors, cells = _refine(inc, colors, cells)
-        if colors.max() == m - 1:
-            break
-        levels.append((colors, cells))
+    basis = code.kernel
+    points = _affine_points(basis, m)
+    kernel = span(basis, m)
+    gens = _affine_generators(points)
+    for s in gens:
+        if not maps_onto(AutElement.permutation(m, s), kernel, kernel):
+            raise RuntimeError("affine generator does not keep the kernel")
+    bound = _frame_bound(kernel)
+    # tables[i][h][b]: byte value b at bits 8h.. (m = 2^r <= 16) moved by
+    # generator i and reduced mod K; a coset's image sums its two bytes' rows
+    units = np.zeros((len(gens), 16), dtype=np.uint32)
+    units[:, :m] = reduce_mod(np.uint32(1) << np.array(gens, dtype=np.uint32), basis)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    tables = np.bitwise_xor.reduce(
+        byte_bits[:, None, None, :] * units.reshape(-1, 2, 8), axis=3
+    ).transpose(1, 2, 0).tolist()
+
+    def image(key, table) -> tuple[int, ...]:
+        return tuple(sorted(table[0][c & 0xFF] ^ table[1][c >> 8] for c in key))
+
+    tracker = _Budget(budget)
+    start = tuple(coset_leaders(code).tolist())
+    tracker.charge()
+    transversal = {start: _perm_identity(m)}  # image -> a permutation onto it
+    queue = [start]
     group = PermGroup(m)
-    bound = 1
-    for k in reversed(range(len(levels))):
-        colors, cells = levels[k]
-        cell = np.flatnonzero(colors[m:] == colors[k]).tolist()
-        bound *= len(cell)
-        for p in cell:
-            if p in group.row(k):
-                continue
-            child = _refine(inc, _individualize(colors, k, p), cells)
-            sigma = None if child is None else _extend(inc, words, words, child, tracker)
-            if sigma is not None:
-                group = group.extended([sigma])
-    if group.order() > bound:
-        raise RuntimeError(
-            f"stabilizer order {group.order()} exceeds the level-cell bound {bound}"
-        )
-    return group
+    for key, s, table in ((k, s, t) for k in queue for s, t in zip(gens, tables)):
+        if group.order() * len(transversal) >= bound:
+            break
+        to_key = transversal[key]
+        moved = image(key, table)
+        if moved not in transversal:
+            tracker.charge()
+            transversal[moved] = _perm_mult(to_key, s)
+            queue.append(moved)
+            continue
+        g = _perm_mult(_perm_mult(to_key, s), _perm_inv(transversal[moved]))
+        bigger = group.extended([g])
+        if bigger.order() == group.order():
+            continue
+        if not maps_onto(AutElement.permutation(m, g), code, code):
+            raise RuntimeError("Schreier generator does not stabilize the code")
+        group = bigger
+    if group.order() * len(transversal) != bound:
+        raise RuntimeError(f"order times orbit differs from the frame bound {bound}")
+    translates = {
+        tuple(sorted(reduce_mod(c ^ g, basis) for c in start)): g for g in start
+    }
+    movers = []
+    for s, table in zip(gens, tables):
+        moved = image(start, table)
+        if moved != start and moved in translates:
+            movers.append(AutElement(m, unpermute_bits(translates[moved], s), s))
+    return group, movers
 
 
 def assemble_aut_generators(
-    code: Code, perm_group: PermGroup, budget: int | None = None, candidates=()
+    code: Code, perm_group: PermGroup, candidates=()
 ) -> list[AutElement]:
-    """Generators of the code's full stabilizer: the codeword level on top
-    of the chain of `enumerate_perm_automorphisms`.
+    """Generators of the code's full stabilizer: the generators of
+    `perm_group`, the zero word's stabilizer, a basis of the translation
+    kernel K, and those of the `candidates` that reach more of the code.
 
-    Starts from the generators of `perm_group`, the zero word's stabilizer,
-    and a basis of the translation kernel K.  The zero word's orbit is a
-    union of K-cosets.  Each of the `candidates` joins the generators if it
-    maps the zero word's coset outside the orbit that the generators so
-    far give it (`_coset_labels`).  Then the least word c of each other
-    coset in C (`coset_leaders`) is searched only if the generators so far
-    do not map the zero word's coset onto c's.  A coordinate permutation
-    sigma taking C onto C + c gives the mover (unpermute(c, sigma), sigma),
-    which sends 0 to c.  Every coset outside the current orbit is searched,
-    so the zero word's orbit is its orbit under the full stabilizer, and
-    the generators generate the full stabilizer if `perm_group` is the
-    whole permutation stabilizer.  The permutation generators and the
-    candidates, which the caller supplies, are checked to stabilize the
-    code on entry (ValueError otherwise); the translations and the movers
-    found here passed the same test where they were made.
+    The zero word's orbit is a union of K-cosets.  Each candidate joins
+    the generators if it maps the zero word's coset outside the orbit
+    that the generators so far give it (`_coset_labels`).  The permutation
+    generators and each candidate that joins are checked to stabilize the
+    code, and every candidate to map the zero word into it (ValueError
+    otherwise).  The orbit must end up all of the code (RuntimeError
+    otherwise); then the generators generate the full stabilizer if
+    `perm_group` is the whole permutation stabilizer.
     """
     if 0 not in code:
         raise ValueError("generator assembly requires the zero word in the code")
     m = code.m
-    tracker = _Budget(budget)
     out = [AutElement.permutation(m, g) for g in perm_group.generators]
-    candidates = list(candidates)
-    for x in out + candidates:
-        if not maps_onto(x, code, code):
-            raise ValueError(
-                "permutation generator or candidate does not stabilize the code"
-            )
+    moves = "permutation generator or candidate does not stabilize the code"
+    if not all(maps_onto(x, code, code) for x in out):
+        raise ValueError(moves)
     out.extend(AutElement.translation(m, b) for b in code.kernel)
-    words = code.words_u32()
     leaders = coset_leaders(code)
     labels = _coset_labels(out, leaders, code.kernel)
     for x in candidates:
-        # x stabilizes C and so K: it maps the zero word's coset onto x(0)'s
-        i = int(np.searchsorted(leaders, reduce_mod(x.act(0), code.kernel)))
+        # if x stabilizes C, it maps the zero word's coset onto x(0)'s, in C
+        target = reduce_mod(x.act(0), code.kernel)
+        i = int(np.searchsorted(leaders, target))
+        if i == len(leaders) or leaders[i] != target:
+            raise ValueError(moves)
         if labels[i] != 0:
+            if not maps_onto(x, code, code):
+                raise ValueError(moves)
             out.append(x)
             labels = _coset_labels(out, leaders, code.kernel)
-    for i, c in enumerate(leaders.tolist()):
-        if labels[i] == 0:
-            continue
-        sigma = _search_permutation(words, np.sort(words ^ np.uint32(c)), m, tracker)
-        if sigma is not None:
-            out.append(AutElement(m, unpermute_bits(c, sigma), sigma))
-            labels = _coset_labels(out, leaders, code.kernel)
+    if labels.any():
+        raise RuntimeError("the candidates leave a kernel coset of the code unreached")
     return out
 
-
-def _drop_coordinate_0(x: AutElement) -> AutElement:
+def drop_coordinate_0(x: AutElement) -> AutElement:
     """x, which fixes coordinate 0, acting on the words with bit 0
     dropped: coordinates 1..m-1 renumbered 0..m-2.  (If x moved
     coordinate 0, the images would hold -1, which AutElement rejects.)"""
@@ -581,13 +475,12 @@ def punctured_perm_group(
     every word even, and dropping bit 0 gives the words of `punctured`, one
     each (ValueError otherwise).  The answer is then the stabilizer of
     coordinate 0 in `group` (module docstring), which rows 1.. of its Sims
-    table hold.  They are read bottom-up, as the stabilizer walk reads its
-    levels: an element of row k is taken only if row k - 1 of the Sims
-    table of those taken so far, which all fix 0..k-2 once bit 0 is
-    dropped, does not already send k - 1 to its image.  Row k lists the
-    whole orbit of k under the stabilizer of 0..k-1, so by induction from
-    the bottom the elements taken generate it.  Each is checked with
-    `maps_onto`, and their order must be the product of rows 1..
+    table hold.  They are read bottom-up: an element of row k is taken
+    only if row k - 1 of the Sims table of those taken so far, which all
+    fix 0..k-2 once bit 0 is dropped, does not already send k - 1 to its
+    image.  Row k lists the whole orbit of k under the stabilizer of
+    0..k-1, so by induction from the bottom the elements taken generate it.
+    Each is checked with `maps_onto`; their order must be the row product.
     """
     if (
         extended.m != punctured.m + 1
@@ -601,34 +494,13 @@ def punctured_perm_group(
         for j in sorted(row):
             if j - 1 in out.row(k - 1):
                 continue
-            x = _drop_coordinate_0(AutElement.permutation(group.degree, row[j]))
+            x = drop_coordinate_0(AutElement.permutation(group.degree, row[j]))
             if not maps_onto(x, punctured, punctured):
                 raise RuntimeError("Sims-table element does not stabilize the code")
             out = out.extended([x.sigma])
     expected = math.prod(len(group.row(k)) for k in range(1, group.degree))
     if out.order() != expected:
         raise RuntimeError(f"punctured order {out.order()} != row product {expected}")
-    return out
-
-
-def punctured_candidates(gens, group: PermGroup) -> list[AutElement]:
-    """Candidate automorphisms of a code punctured at coordinate 0, for
-    `assemble_aut_generators`, from the generators `gens` of its even-weight
-    extension's full stabilizer and that extension's permutation stabilizer
-    `group`.
-
-    Each generator x that is neither a permutation nor a translation (the
-    punctured code's own group and kernel give those), times the inverse of
-    `group`'s row-0 element at x.sigma[0], fixes coordinate 0, and so
-    restricts to an automorphism of the punctured code (module docstring).
-    A generator whose x.sigma[0] is outside row 0 is skipped.
-    """
-    row = group.row(0)
-    out = []
-    for x in gens:
-        if x.beta and x.sigma != _perm_identity(x.m) and x.sigma[0] in row:
-            fix = AutElement.permutation(x.m, row[x.sigma[0]]).inverse()
-            out.append(_drop_coordinate_0(x * fix))
     return out
 
 
@@ -664,15 +536,21 @@ class SphereOrbits:
     sizes: tuple[int, ...]  # by ascending least member
 
 
+def _image_indices(images: np.ndarray) -> np.ndarray:
+    """Each image's index among the ascending points it permutes, by argsort."""
+    table = np.empty(len(images), dtype=np.intp)
+    table[np.argsort(images)] = np.arange(len(images))
+    return table
+
+
 def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
     """The orbits of a permutation group on the weight-k vertices.
 
     A coordinate permutation keeps the weight, so it permutes the
-    C(degree, k) weight-k vertices; each image is found in their ascending
-    list by binary search.
+    C(degree, k) weight-k vertices, in ascending order (`_image_indices`).
     """
     verts = weight_vertices(group.degree, k)
-    tables = [np.searchsorted(verts, permute_bits(verts, g)) for g in group.generators]
+    tables = [_image_indices(permute_bits(verts, g)) for g in group.generators]
     _, counts = np.unique(_orbit_labels(tables, len(verts)), return_counts=True)
     return SphereOrbits(
         k=k, orbit_count=len(counts), sizes=tuple(int(c) for c in counts)
@@ -682,14 +560,14 @@ def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
 def _coset_labels(gens, reps: np.ndarray, basis) -> np.ndarray:
     """Orbit labels of the AutElements `gens` on a set of cosets of
     span(basis) that they permute, given by their least vertices `reps`
-    (ascending uint32): r maps to reduce_mod(g(r)), found by binary search.
+    (ascending uint32): r maps to reduce_mod(g(r)) (`_image_indices`).
     A translation by a vector of span(basis) fixes every coset, so it is
     dropped before any image is computed."""
     gens = [
         g for g in gens if reduce_mod(g.beta, basis) or g.sigma != _perm_identity(g.m)
     ]
     images = (permute_bits(reps ^ np.uint32(g.beta), g.sigma) for g in gens)
-    tables = [np.searchsorted(reps, reduce_mod(v, basis)) for v in images]
+    tables = [_image_indices(reduce_mod(v, basis)) for v in images]
     return _orbit_labels(tables, len(reps))
 
 

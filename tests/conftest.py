@@ -6,7 +6,12 @@ from nrcodes import (
     puncture,
     reed_muller_subcode,
 )
-from nrcodes.symmetry import assemble_aut_generators, enumerate_perm_automorphisms
+from nrcodes.symmetry import (
+    affine_stabilizer,
+    assemble_aut_generators,
+    drop_coordinate_0,
+    punctured_perm_group,
+)
 
 
 @pytest.fixture(scope="session")
@@ -30,20 +35,26 @@ def pn():
 
 
 @pytest.fixture(scope="session")
-def nr_perm_group(nr):
-    return enumerate_perm_automorphisms(nr)
+def nr_affine(nr):
+    return affine_stabilizer(nr)
 
 
 @pytest.fixture(scope="session")
-def pn_perm_group(pn):
-    return enumerate_perm_automorphisms(pn)
+def nr_perm_group(nr_affine):
+    return nr_affine[0]
 
 
 @pytest.fixture(scope="session")
-def nr_generators(nr, nr_perm_group):
-    return assemble_aut_generators(nr, nr_perm_group)
+def pn_perm_group(nr, pn, nr_perm_group):
+    return punctured_perm_group(pn, nr, nr_perm_group)
 
 
 @pytest.fixture(scope="session")
-def pn_generators(pn, pn_perm_group):
-    return assemble_aut_generators(pn, pn_perm_group)
+def nr_generators(nr, nr_perm_group, nr_affine):
+    return assemble_aut_generators(nr, nr_perm_group, nr_affine[1])
+
+
+@pytest.fixture(scope="session")
+def pn_generators(pn, pn_perm_group, nr_affine):
+    movers = [drop_coordinate_0(x) for x in nr_affine[1]]
+    return assemble_aut_generators(pn, pn_perm_group, movers)

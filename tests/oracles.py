@@ -10,11 +10,11 @@ closure under complement by a loop over the codewords, a code file by
 parsing it line by line, coset leaders from a kernel found by trying
 every translation, automorphism groups by iterating all m! permutations, group
 orders by multiplicative closure, permutations between two codes by a
-plain coordinate-by-coordinate backtrack, the ranks of refinement keys
-by sorting their distinct rows as Python tuples, a refined partition by
-ranking explicit count tuples, design multiplicities by counting the
-words over every t-subset of the coordinates, and vertex orbits by a
-breadth-first closure over all of F_2^m.
+plain coordinate-by-coordinate backtrack, generators of a code's
+automorphism group by that backtrack with prescribed images, design
+multiplicities by counting the words over every t-subset of the
+coordinates, and vertex orbits by a breadth-first closure over all of
+F_2^m.
 """
 
 import itertools
@@ -127,58 +127,6 @@ def brute_regularity(code: Code):
         return True, rows
     bad = next(i for i in sorted(by_cell) if len(by_cell[i]) > 1)
     return False, sorted(by_cell[bad].values())[:2]
-
-
-def brute_ranks(keys) -> list[int] | None:
-    """Dense lexicographic ranks of the rows of `keys`, or None when the
-    sorted ranks of its first and second halves differ."""
-    rows = [tuple(row) for row in keys.tolist()]
-    rank = {row: r for r, row in enumerate(sorted(set(rows)))}
-    ranks = [rank[row] for row in rows]
-    half = len(ranks) // 2
-    if sorted(ranks[:half]) != sorted(ranks[half:]):
-        return None
-    return ranks
-
-
-def brute_refine(words_a, words_b, m: int, colors, cells):
-    """The stable refinement of a colouring of two codes' coordinates and
-    words, as (colors, cells) lists, or None.
-
-    Coordinates and words are numbered as in `symmetry._Incidence` (code
-    b's after code a's).  Each round ranks every word by the tuple (its
-    cell, its number of ones of each coordinate colour), then every
-    coordinate by (its colour, its number of ones in each word cell), with
-    `brute_ranks`; it stops when a round splits no colour, and gives None
-    as soon as a ranking's two halves differ.
-    """
-    n = len(words_a)
-    ones = [
-        [j + m * (i >= n) for j in range(m) if (w >> j) & 1]
-        for i, w in enumerate(list(words_a) + list(words_b))
-    ]
-    colors, cells = list(colors), list(cells)
-    n_colors = len(set(colors))
-    while True:
-        keys = []
-        for cell, coords in zip(cells, ones):
-            counts = [0] * (max(colors) + 1)
-            for j in coords:
-                counts[colors[j]] += 1
-            keys.append([cell] + counts)
-        cells = brute_ranks(np.array(keys))
-        if cells is None:
-            return None
-        keys = [[c] + [0] * (max(cells) + 1) for c in colors]
-        for cell, coords in zip(cells, ones):
-            for j in coords:
-                keys[j][1 + cell] += 1
-        colors = brute_ranks(np.array(keys))
-        if colors is None:
-            return None
-        if len(set(colors)) == n_colors:
-            return colors, cells
-        n_colors = len(set(colors))
 
 
 def brute_design(code: Code, t: int):
@@ -319,3 +267,49 @@ def plain_search_permutation(words_a, words_b, m: int, prefix=()):
         return False
 
     return tuple(sigma) if extend(0, [(full, full)]) else None
+
+
+def plain_perm_generators(code: Code) -> list[tuple[int, ...]]:
+    """For each coordinate k and each p > k, the first permutation that
+    fixes 0..k-1, sends k to p and maps the code onto itself
+    (plain_search_permutation), where one exists.  For each k they send k
+    to every point of its orbit under the stabilizer of 0..k-1, so they
+    generate the permutation stabilizer."""
+    m, words = code.m, code.words
+    found = (
+        plain_search_permutation(words, words, m, [(i, i) for i in range(k)] + [(k, p)])
+        for k in range(m) for p in range(k + 1, m)
+    )
+    return [sigma for sigma in found if sigma is not None]
+
+
+def plain_movers(code: Code, perms) -> list[tuple[int, tuple[int, ...]]]:
+    """Automorphisms (beta, sigma), v -> sigma(v + beta), that move the
+    zero word of a code containing it, one per orbit of the coordinate
+    permutations `perms` on the words: for the least word c of each orbit,
+    sigma is the first permutation mapping C onto C + c
+    (plain_search_permutation) and beta = sigma^-1(c), if there is one.
+    If an automorphism sends 0 to one word of an orbit, one sends it to
+    the least, so with the code's permutation stabilizer they generate
+    its full stabilizer."""
+    out, seen = [], set()
+    for c in code.words:
+        if c in seen:
+            continue
+        seen.add(c)
+        orbit = [c]
+        for u in orbit:
+            for p in perms:
+                v = sum(((u >> j) & 1) << t for j, t in enumerate(p))
+                if v not in seen:
+                    seen.add(v)
+                    orbit.append(v)
+        moved = sorted(w ^ c for w in code.words)
+        # a permutation keeps every weight: no search unless C + c has C's
+        if sorted(map(int.bit_count, moved)) != sorted(map(int.bit_count, code.words)):
+            continue
+        sigma = plain_search_permutation(code.words, moved, code.m)
+        if sigma is not None:
+            beta = sum(((c >> s) & 1) << j for j, s in enumerate(sigma))
+            out.append((beta, sigma))
+    return out

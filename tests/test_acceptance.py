@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from nrcodes.codes import Code, code_predicates, puncture, span, translate
 from nrcodes.hamming import from_string
 from nrcodes.report import build_manifest
@@ -26,8 +28,7 @@ from nrcodes.spectrum import (
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
-    enumerate_perm_automorphisms,
-    maps_onto,
+    affine_stabilizer,
     orbits_on_sphere,
     verify_complete_transitivity,
 )
@@ -36,6 +37,7 @@ from oracles import (
     brute_profile,
     brute_regularity,
     mulclose_order,
+    plain_perm_generators,
 )
 
 NR_DIST = (1, 0, 0, 0, 0, 0, 112, 0, 30, 0, 112, 0, 0, 0, 0, 0, 1)
@@ -274,7 +276,8 @@ def test_criterion_14_oracle_suites():
     t0 = time.perf_counter()
     rng = random.Random(99)
 
-    # backtrack versus all-permutations enumeration, m <= 8
+    # the oracle's plain backtrack, and on RM(1,3) the affine route, versus
+    # all-permutations enumeration, m <= 8
     small = [
         Code(3, [0, 7]),
         Code(4, [0b0110, 0b1001, 0b0000, 0b1111]),
@@ -284,10 +287,13 @@ def test_criterion_14_oracle_suites():
         span([from_string(s)[0] for s in ("11111111", "01010101", "00110011", "00001111")], 8),
     ]
     for code in small:
-        group = enumerate_perm_automorphisms(code)
+        gens = plain_perm_generators(code)
         brute = brute_perm_automorphisms(code)
-        assert group.order() == len(brute)
-        assert mulclose_order(group.generators, code.m) == len(brute)
+        assert PermGroup(code.m, gens).order() == len(brute)
+        assert mulclose_order(gens, code.m) == len(brute)
+    group, _ = affine_stabilizer(small[-1])
+    assert group.order() == len(brute) == 1344
+    assert mulclose_order(group.generators, 8) == 1344
 
     # regularity checker versus the definitional double loop, m <= 10
     for code in [
@@ -316,7 +322,7 @@ def test_criterion_14_oracle_suites():
     report(14, "oracle suites", True, t0)
 
 
-def test_mutation_detects_corruption(nr):
+def test_mutation_detects_corruption(nr, nr_generators):
     t0 = time.perf_counter()
     words = list(nr.words)
     words[17] ^= 1
@@ -333,11 +339,10 @@ def test_mutation_detects_corruption(nr):
     # criterion 5 breaks: the corrupted code is no longer completely regular
     assert not completely_regular_check(corrupted).ok
 
-    # criterion 12 breaks: no assembled generator set matches the partition
-    from nrcodes.symmetry import assemble_aut_generators
-
-    gens = assemble_aut_generators(corrupted, enumerate_perm_automorphisms(corrupted))
-    for g in gens:
-        assert maps_onto(g, corrupted, corrupted)
-    assert not verify_complete_transitivity(corrupted, gens).ok
+    # criterion 12 breaks: the corrupted code's kernel is no longer RM(1,4),
+    # so the affine route refuses it, and NR's generators do not stabilize it
+    with pytest.raises(ValueError, match="not RM"):
+        affine_stabilizer(corrupted)
+    with pytest.raises(ValueError, match="does not stabilize"):
+        verify_complete_transitivity(corrupted, nr_generators)
     report(0, "mutation detection (criteria 2, 5, 12)", True, t0)

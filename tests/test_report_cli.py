@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -86,23 +87,24 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 
 # Calls per `verify all`: orbit labels are computed once per sphere claim
 # (weights 1, 2, 3 and 4 for NR, 3 for PN), once per transitivity check,
-# and in each generator assembly once before and once after its one mover
-# (searched for NR, NR's mover with coordinate 1 fixed for PN); the
-# stabilizer walk and PN's group read off NR's Sims table skip images that
-# their own growing Sims table already holds, with no orbit labels.
-# `maps_onto` checks each automorphism once per entry point: PN's 4 Sims
-# row elements as its group takes them, each generator assembly's
-# permutation generators and candidates on entry (NR 5 + 0, PN 4 + 1), and
-# each transitivity check its generators (NR 11, PN 10).  No distance
-# partition is built; the four codes with a regularity claim are checked
-# once each; only NR's stabilizer is walked, PN's is read off its Sims
-# table; the puncture claim checks NR's words and builds no punctured code.
+# and in each generator assembly once before and once after its one kept
+# mover; NR's orbit walk and PN's group read off NR's Sims table skip
+# elements that their own growing Sims table already holds, with no orbit
+# labels.  `maps_onto` checks each automorphism once per entry point: the
+# orbit walk's 13 affine generators on NR's kernel and its 5 kept Schreier
+# generators on NR, PN's 4 Sims row elements as its group takes them, each
+# generator assembly's permutation generators on entry and the one mover it
+# takes (NR 5 + 1, PN 4 + 1), and each transitivity check its generators
+# (NR 11, PN 10).  No distance partition is built; the four codes with a
+# regularity claim are checked once each; only NR's orbit is walked, PN's
+# group is read off its Sims table; the puncture claim checks NR's words
+# and builds no punctured code.
 STAGE_CALLS = {
     "_orbit_labels": 11,
-    "maps_onto": 35,
+    "maps_onto": 54,
     "distance_partition": 0,
     "completely_regular_check": 4,
-    "enumerate_perm_automorphisms": 1,
+    "affine_stabilizer": 1,
     "puncture": 0,
 }
 
@@ -132,15 +134,17 @@ def test_verify_all_builds_each_stage_once(monkeypatch):
 
 
 def test_verify_all_search_work_pinned(monkeypatch):
-    # Per `verify all`: NR's generator assembly makes one word-mover search,
-    # on its own incidence, as the permutations move that mover's coset
-    # onto every other; NR's stabilizer chain builds one incidence and
-    # descends from its level partitions without a search call.  PN's group
-    # and generators come from NR's, and the puncture claim reads NR's Sims
-    # table: neither searches nor builds an incidence.
-    calls = count_calls(monkeypatch, ["_search_permutation", "_Incidence"])
+    # Per `verify all`, NR's and PN's symmetry takes one orbit walk of NR's
+    # 8 images under AGL(4,2), one budget node each, and no backtrack
+    # search: none of its functions exists any more.
+    for name in ("_Incidence", "_refine", "_search_permutation",
+                 "enumerate_perm_automorphisms"):
+        assert not hasattr(symmetry, name)
+    charge = symmetry._Budget.charge
+    nodes = []
+    monkeypatch.setattr(symmetry._Budget, "charge", lambda b: nodes.append(charge(b)))
     run_verification("all")
-    assert calls == {"_search_permutation": 1, "_Incidence": 2}
+    assert len(nodes) == 8
 
 
 def test_puncture_claim_rests_on_maps_onto(monkeypatch):
@@ -182,7 +186,7 @@ def test_reports_identical_apart_from_wall_time():
 # sha256 of the file `verify all --json` writes, with the report's clock
 # frozen so that every wall_time reads "0.000000": the report and both
 # transitivity certificates, byte for byte, as the command encodes them.
-VERIFY_ALL_JSON_SHA256 = "51b6f3d9903ec5561e949d563e7e2a6eae1cc824e1e4544336ff7730c749c8e9"
+VERIFY_ALL_JSON_SHA256 = "ab58e1e722a8e057948fb97a2807136534193f37f0fa1408ff8a28e4bfc61efd"
 
 
 def test_verify_all_json_file_pinned(tmp_path, capsys, monkeypatch):
@@ -194,11 +198,11 @@ def test_verify_all_json_file_pinned(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of each transitivity certificate as `json.dumps(cert, sort_keys=True)`:
-# the searches must return exactly these generators and orbit sizes, which
+# the affine route must give exactly these generators and orbit sizes, which
 # test_transitivity_certificates_hold_by_definition checks from the text.
 CERTIFICATE_SHA256 = {
-    "nr": "d7fba7e3d5c53a650847bd0ac9843388a812a8b3a286ac5b89f000294b20884d",
-    "pn": "fa7bb39e155515a038f8b34e022e0b834efbf07dbccf8589a67b37e1d58705f8",
+    "nr": "91dae4d6617c53ea4fa14401d2014c39edc7cb5edc2eef2e84212c4673eceb37",
+    "pn": "35d089c55a5597a13408fb2aefe659af5aff28f37d2ba0a647fed93de393264c",
 }
 
 
@@ -459,13 +463,13 @@ def test_cli_verify_budget_exceeded(capsys):
 
 
 def test_cli_verify_budget_is_per_stage(capsys):
-    # `verify nr` charges 6 nodes to NR's stabilizer enumeration and 4 to
-    # its generator assembly, each stage against a budget of its own: 6
-    # suffices (only the by-design failure rm.cr remains), 5 does not.
-    code, _, err = _run_cli(["verify", "nr", "--budget", "6"], capsys)
+    # `verify nr` charges one node per image of NR to its one orbit walk,
+    # which finds 8: 8 suffices (only the by-design failure rm.cr
+    # remains), 7 does not.
+    code, _, err = _run_cli(["verify", "nr", "--budget", "8"], capsys)
     assert code == 1 and err.endswith("failing claims: rm.cr\n")
-    code, _, err = _run_cli(["verify", "nr", "--budget", "5"], capsys)
-    assert code == 2 and "node budget of 5" in err
+    code, _, err = _run_cli(["verify", "nr", "--budget", "7"], capsys)
+    assert code == 2 and "node budget of 7" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", ""])
@@ -535,6 +539,38 @@ def test_cli_feasible_pn(capsys):
     assert main(args) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["solutions"] == [{"a6": "70", "a7": "15"}]
+
+
+# sha256 of `feasible`'s output on NR's and PN's templates: bounding the
+# grid must leave every answer that fits within it byte-identical.
+FEASIBLE_SHA256 = {
+    "16": "330f378c37c519cc238bdaadf6166eafc98551911c7722b6b40233a0fc76f04a",
+    "15": "dd048a79cf70c696a11d2bd3557ecdd2d6906ddd1f496f478f8291873fd3ded5",
+}
+
+
+@pytest.mark.parametrize("m, template", [
+    ("16", "0=1,6=112,7=?,8=?,10=112,16=1"),
+    ("15", "5=42,6=?,7=?,10=42,15=1"),
+])
+def test_cli_feasible_output_pinned(m, template, capsys):
+    argv = ["feasible", "-m", m, "-t", template, "--antipodal"]
+    code, out, _ = _run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FEASIBLE_SHA256[m]
+
+
+def test_cli_feasible_grid_too_large_exits_at_once(capsys):
+    # Propagation bounds the three unknowns by 2762, 4952 and 2762, a grid
+    # of 3.78e10 points: the estimate is refused before the first one.
+    start = time.perf_counter()
+    argv = ["feasible", "-m", "24", "-t", "0=1,8=?,12=?,16=?,24=1"]
+    code, out, err = _run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: feasibility grid has 37812039057 points, above the limit of 262144\n"
+    )
 
 
 def test_cli_feasible_bad_template(capsys):

@@ -16,6 +16,7 @@ from nrcodes.spectrum import (
     CR_WORK_LIMIT,
     ConstraintRow,
     FeasibilityError,
+    FeasibilityWorkExceeded,
     RegularityWorkExceeded,
     _profile_blocks,
     _propagate_bounds,
@@ -519,6 +520,17 @@ def test_feasibility_validation():
         feasible_distributions(4, [1, 0, 0])
     with pytest.raises(ValueError):
         feasible_distributions(4, [1, 3, 0, 5, 0], antipodal=True)
+
+
+def test_feasibility_grid_is_bounded(monkeypatch):
+    # NR's template has a one-point grid; with the limit below it the
+    # estimate is refused, as a ValueError that is no FeasibilityError
+    # (the CLI exits 2 on it, not 1).
+    monkeypatch.setattr(spectrum, "FEASIBILITY_GRID_LIMIT", 0)
+    with pytest.raises(FeasibilityWorkExceeded, match="grid has 1 points") as info:
+        feasible_distributions(16, NR_TEMPLATE, antipodal=True)
+    assert info.value.estimate == 1
+    assert not isinstance(info.value, FeasibilityError)
 
 
 def test_propagation_reports_unbounded_system():

@@ -24,35 +24,29 @@ from nrcodes.symmetry import (
     AutElement,
     PermGroup,
     SearchBudgetExceeded,
-    _Budget,
+    _affine_generators,
+    _affine_points,
     _coset_labels,
-    _Incidence,
-    _ranks,
-    _refine,
-    _search_permutation,
+    _frame_bound,
     _translation_subspace,
+    affine_stabilizer,
     assemble_aut_generators,
-    enumerate_perm_automorphisms,
+    drop_coordinate_0,
     format_aut_element,
     maps_onto,
     orbits_on_sphere,
-    punctured_candidates,
     punctured_perm_group,
     verify_complete_transitivity,
 )
 from oracles import (
     brute_orbits,
     brute_perm_automorphisms,
-    brute_ranks,
-    brute_refine,
     mulclose_order,
+    plain_movers,
+    plain_perm_generators,
     plain_search_permutation,
 )
 
-# Node budget for the regression guard below: the permutation stabilizers
-# of NR and PN and their generator assembly (6, 3, 4 and 3 nodes, as
-# test_search_node_counts pins) must each finish within it.
-GUARD_BUDGET = 30
 DETERMINISTIC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -206,8 +200,25 @@ def test_perm_group_order_is_transversal_product(nr_perm_group):
     assert prod == nr_perm_group.order() == 40320
 
 
-def test_enumerate_automorphisms_repetition_code():
-    assert enumerate_perm_automorphisms(Code(3, [0, 7])).order() == 6
+def oracle_symmetry(code: Code) -> tuple[PermGroup, list[AutElement]]:
+    """The permutation stabilizer and movers of a code containing the zero
+    word, from the oracle's plain backtrack: with the kernel they generate
+    the code's full stabilizer."""
+    perms = plain_perm_generators(code)
+    movers = [AutElement(code.m, b, s) for b, s in plain_movers(code, perms)]
+    return PermGroup(code.m, perms), movers
+
+
+def oracle_generators(code: Code) -> list[AutElement]:
+    """Generators of the full stabilizer of a code containing the zero
+    word: `oracle_symmetry`'s, and a kernel basis."""
+    group, movers = oracle_symmetry(code)
+    m = code.m
+    return (
+        [AutElement.permutation(m, g) for g in group.generators]
+        + [AutElement.translation(m, b) for b in code.kernel]
+        + movers
+    )
 
 
 SMALL_CODES = [
@@ -224,22 +235,102 @@ SMALL_CODES = [
 
 @pytest.mark.parametrize("m,words", SMALL_CODES)
 def test_backtrack_matches_brute_force(m, words):
+    # The random-code tests take their generators from the oracle's plain
+    # backtrack: they must generate the whole permutation stabilizer.
     if words is None:
         rng = random.Random(m)
         words = [0] + rng.sample(range(1, 1 << m), 4)
     code = Code(m, words)
     brute = brute_perm_automorphisms(code)
-    group = enumerate_perm_automorphisms(code)
-    assert group.order() == len(brute)
-    assert mulclose_order(group.generators, m) == len(brute)
+    gens = plain_perm_generators(code)
+    assert PermGroup(m, gens).order() == len(brute)
+    assert mulclose_order(gens, m) == len(brute)
+
+
+RM13_ROWS = ("11111111", "01010101", "00110011", "00001111")
 
 
 def test_backtrack_matches_brute_force_rm13():
-    rows = ("11111111", "01010101", "00110011", "00001111")
-    code = span([from_string(s)[0] for s in rows], 8)
+    # RM(1,3) is its own kernel: the affine route's group is all of
+    # AGL(3,2), reached with no image of the code but itself.
+    code = span([from_string(s)[0] for s in RM13_ROWS], 8)
     brute = brute_perm_automorphisms(code)
-    group = enumerate_perm_automorphisms(code)
+    group, movers = affine_stabilizer(code)
     assert group.order() == len(brute) == 1344
+    assert set(group.generators) <= set(brute) and movers == []
+    assert PermGroup(8, plain_perm_generators(code)).order() == 1344
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_affine_stabilizer_matches_brute_force(seed):
+    # Three cosets of RM(1,3): an odd number, so no translation outside
+    # RM(1,3) keeps the code, and its kernel is RM(1,3).
+    rng = random.Random(seed)
+    kernel = span([from_string(s)[0] for s in RM13_ROWS], 8)
+    u, v = rng.sample([w for w in range(1, 256) if w not in kernel], 2)
+    code = Code(8, [w ^ r for r in (0, u, v) for w in kernel.words])
+    assert span(code.kernel, 8) == kernel
+    brute = brute_perm_automorphisms(code)
+    group, movers = affine_stabilizer(code)
+    assert group.order() == len(brute)
+    assert set(group.generators) <= set(brute)
+    for x in movers:
+        assert maps_onto(x, code, code) and x.act(0)
+
+
+def test_frame_bound_is_the_affine_group_order(rm):
+    assert _frame_bound(rm) == 16 * 15 * 14 * 12 * 8 == 322560
+    assert _frame_bound(span([from_string(s)[0] for s in RM13_ROWS], 8)) == 1344
+
+
+def test_affine_generators_and_nr_group_orders_match_sympy(nr, nr_perm_group):
+    def order(gens):
+        return PermutationGroup([Permutation(list(g)) for g in gens]).order()
+
+    affine = _affine_generators(_affine_points(nr.kernel, 16))
+    assert len(affine) == 13
+    assert order(affine) == 322560
+    assert order(nr_perm_group.generators) == 40320
+
+
+def test_affine_stabilizer_rejects_a_planted_transposition(nr, monkeypatch):
+    affine = symmetry._affine_generators
+    swap = (1, 0) + tuple(range(2, 16))
+    monkeypatch.setattr(symmetry, "_affine_generators", lambda p: affine(p) + [swap])
+    with pytest.raises(RuntimeError, match="does not keep the kernel"):
+        affine_stabilizer(nr)
+
+
+def test_affine_stabilizer_needs_the_whole_affine_group(nr, monkeypatch):
+    # Without the translation the walk's group is NR's stabilizer in
+    # GL(4,2), whose order times NR's orbit falls short of the frame bound.
+    affine = symmetry._affine_generators
+    monkeypatch.setattr(symmetry, "_affine_generators", lambda p: affine(p)[1:])
+    with pytest.raises(RuntimeError, match="differs from the frame bound 322560"):
+        affine_stabilizer(nr)
+
+
+def test_affine_stabilizer_rejects_other_kernels(pn, golay):
+    # PN's kernel has 32 words on 15 coordinates, Golay's is all of it,
+    # and {0, 1, 3} has odd size, so a trivial kernel.
+    for code in (pn, golay, Code(16, [0, 1, 3])):
+        with pytest.raises(ValueError, match="not RM"):
+            affine_stabilizer(code)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_affine_stabilizer_on_images_of_nr(nr, seed):
+    sigma = list(range(16))
+    random.Random(seed).shuffle(sigma)
+    image = Code(16, permute_bits(nr.words_u32(), sigma))
+    with pytest.raises(SearchBudgetExceeded):
+        affine_stabilizer(image, budget=7)
+    group, movers = affine_stabilizer(image, budget=8)  # 8 images
+    assert group.order() == 40320
+    gens = assemble_aut_generators(image, group, movers)
+    res = verify_complete_transitivity(image, gens)
+    assert res.ok
+    assert [c.cell_size for c in res.cells] == [256, 4096, 30720, 28672, 1792]
 
 
 def test_nr_permutation_stabilizer_order(nr_perm_group):
@@ -250,64 +341,41 @@ def test_pn_permutation_stabilizer_order(pn_perm_group):
     assert pn_perm_group.order() == 2520  # |A_7|
 
 
-def test_enumerate_rejects_large_inputs():
-    with pytest.raises(ValueError):
-        enumerate_perm_automorphisms(Code(17, [0, 1]))
-
-
 def test_budget_exceeded(nr):
+    with pytest.raises(SearchBudgetExceeded, match="node budget of 5"):
+        affine_stabilizer(nr, budget=5)
+
+
+def test_search_node_counts(nr, monkeypatch):
+    # The orbit walk is a breadth-first search of NR's images under
+    # AGL(4,2), one node per image: it takes exactly 8 nodes, finishing
+    # within a budget of 8 and running out of one of 7.  It sifts 6
+    # Schreier generators and keeps the 5 that grow the order to 40320.
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_perm_automorphisms(nr, budget=5)
+        affine_stabilizer(nr, budget=7)
+    extended = PermGroup.extended
+    tried = []
+
+    def counted(self, gens):
+        tried.append(gens)
+        return extended(self, gens)
+
+    monkeypatch.setattr(PermGroup, "extended", counted)
+    group, movers = affine_stabilizer(nr, budget=8)
+    assert (len(tried), len(group.generators), group.order()) == (6, 5, 40320)
+    # the 12 transvections move NR; the translation keeps it
+    assert len(movers) == 12 and all(x.sigma[0] == 0 for x in movers)
 
 
-def test_walk_generator_outside_its_level_cell_fails(nr, monkeypatch):
-    # NR's walk starts at its bottom level, k = 3, where 0 is a cell of its
-    # own: a first generator swapping 0 and 3, which refinement would never
-    # allow, must push the order past the level-cell bound 16*15*14*12.
-    extend = symmetry._extend
-    planted = [(3, 1, 2, 0) + tuple(range(4, 16))]
-
-    def faulty(*args):
-        return planted.pop() if planted else extend(*args)
-
-    monkeypatch.setattr(symmetry, "_extend", faulty)
-    with pytest.raises(RuntimeError, match="level-cell bound 40320"):
-        enumerate_perm_automorphisms(nr)
-    assert not planted
-
-
-def test_search_node_budget_guard(nr, pn):
-    for code, order in ((nr, 40320), (pn, 2520)):
-        group = enumerate_perm_automorphisms(code, budget=GUARD_BUDGET)
-        assert group.order() == order
-        assemble_aut_generators(code, group, budget=GUARD_BUDGET)
-
-
-def test_search_node_counts(nr, pn, nr_perm_group, pn_perm_group):
-    # A search takes exactly n nodes when it finishes within a budget of n
-    # and runs out of a budget of n - 1.
-    def assert_nodes(search, n):
-        search(n)
-        with pytest.raises(SearchBudgetExceeded):
-            search(n - 1)
-
-    assert_nodes(lambda b: enumerate_perm_automorphisms(nr, budget=b), 6)
-    assert_nodes(lambda b: enumerate_perm_automorphisms(pn, budget=b), 3)
-    # generator assembly: one translated search per code, for the first
-    # nonzero coset leader; its mover and the permutations reach the rest
-    assert_nodes(lambda b: assemble_aut_generators(nr, nr_perm_group, budget=b), 4)
-    assert_nodes(lambda b: assemble_aut_generators(pn, pn_perm_group, budget=b), 3)
-
-
-def test_punctured_perm_group_of_pn(nr, pn, nr_perm_group, pn_perm_group):
-    # PN's group read off NR's Sims table is the one the stabilizer walk
-    # finds on PN: each one's generators lie in the other.
+def test_punctured_perm_group_of_pn(nr, pn, nr_perm_group):
+    # PN's group read off NR's Sims table is the stabilizer of coordinate 0
+    # in NR's group, as sympy computes it from NR's generators.
     derived = punctured_perm_group(pn, nr, nr_perm_group)
-    assert derived.order() == 2520
-    for g in pn_perm_group.generators:
-        assert derived.extended([g]).order() == 2520
+    gens = [Permutation(list(g)) for g in nr_perm_group.generators]
+    stabilizer = PermutationGroup(gens).stabilizer(0)
+    assert derived.order() == stabilizer.order() == 2520
     for g in derived.generators:
-        assert pn_perm_group.extended([g]).order() == 2520
+        assert stabilizer.contains(Permutation([0] + [s + 1 for s in g]))
 
 
 def test_punctured_perm_group_rejects_a_code_that_is_no_even_extension(
@@ -317,7 +385,7 @@ def test_punctured_perm_group_rejects_a_code_that_is_no_even_extension(
     # word has odd weight
     odd = translate(nr, 1)
     with pytest.raises(ValueError, match="even-weight extension"):
-        punctured_perm_group(pn, odd, enumerate_perm_automorphisms(odd))
+        punctured_perm_group(pn, odd, PermGroup(16))
     with pytest.raises(ValueError, match="even-weight extension"):
         punctured_perm_group(puncture(nr, 2), nr, nr_perm_group)
     with pytest.raises(ValueError, match="even-weight extension"):
@@ -358,7 +426,8 @@ def test_punctured_perm_group_agrees_with_brute_force(code):
     # The brute-force automorphisms are a whole group, so their closure
     # (`mulclose_order`, quadratic in the order) is their count.
     punctured = Code(code.m - 1, [w >> 1 for w in code.words])
-    derived = punctured_perm_group(punctured, code, enumerate_perm_automorphisms(code))
+    group = PermGroup(code.m, plain_perm_generators(code))
+    derived = punctured_perm_group(punctured, code, group)
     brute = brute_perm_automorphisms(punctured)
     assert derived.order() == len(brute)
     assert set(derived.generators) <= set(brute)
@@ -366,192 +435,7 @@ def test_punctured_perm_group_agrees_with_brute_force(code):
 
 def test_negative_budget_rejected(nr):
     with pytest.raises(ValueError, match="non-negative"):
-        enumerate_perm_automorphisms(nr, budget=-1)
-
-
-@st.composite
-def small_codes(draw, max_m: int = 8):
-    m = draw(st.integers(2, max_m))
-    return Code(m, draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=10)))
-
-
-@st.composite
-def small_code_pairs(draw):
-    """A small code and an image of it under a random coordinate
-    permutation, sometimes with one word replaced."""
-    code = draw(small_codes())
-    m = code.m
-    sigma = draw(st.permutations(range(m)))
-    image = [permute_bits(w, sigma) for w in code.words]
-    if draw(st.booleans()):
-        image[draw(st.integers(0, len(image) - 1))] = draw(st.integers(0, (1 << m) - 1))
-    return code, Code(m, image)
-
-
-@st.composite
-def cycle_union_pairs(draw):
-    """The edge codes of two disjoint unions of cycles on m vertices, one
-    weight-2 word per edge; the second is sometimes a relabelled copy of
-    the first.  Every coordinate lies in two words, so refinement alone
-    cannot tell cycle lengths apart and the search has to branch."""
-    m = draw(st.integers(6, 10))
-
-    def cycle_code():
-        order = draw(st.permutations(range(m)))
-        words, start = [], 0
-        while start < m:
-            rest = m - start
-            length = rest if rest < 6 else draw(st.integers(3, rest - 3))
-            cycle = order[start : start + length]
-            words += [(1 << u) | (1 << v) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-            start += length
-        return Code(m, words)
-
-    a = cycle_code()
-    if draw(st.booleans()):
-        sigma = draw(st.permutations(range(m)))
-        return a, Code(m, [permute_bits(w, sigma) for w in a.words])
-    return a, cycle_code()
-
-
-@DETERMINISTIC
-@given(st.one_of(small_code_pairs(), cycle_union_pairs()))
-def test_search_agrees_with_plain_oracle(case):
-    # The stabilizer walk's searches from a level partition are checked
-    # against the oracle's prefix searches in test_enumerate_agrees_with_oracles.
-    a, b = case
-    ours = _search_permutation(a.words, b.words, a.m, _Budget(None))
-    plain = plain_search_permutation(a.words, b.words, a.m)
-    assert (ours is None) == (plain is None)
-    if ours is not None:
-        assert sorted(permute_bits(w, ours) for w in a.words) == list(b.words)
-
-
-@st.composite
-def key_matrices(draw):
-    """int64 key matrices of the shapes `_refine` ranks: 2x1, tall
-    (2n x (1+k)), wide (2m x (1+w), w up to 513), all rows equal, or rows
-    that tie everywhere but in the last column.  The second half is a row
-    permutation of the first, the same with one entry changed, or drawn
-    on its own, so the two halves' row multisets agree only sometimes."""
-    kind = draw(st.sampled_from(["pair", "tall", "wide", "equal", "last"]))
-    if kind == "pair":
-        half, cols = 1, 1
-    elif kind == "wide":
-        half, cols = draw(st.integers(1, 16)), 1 + draw(st.integers(0, 513))
-    else:
-        half, cols = draw(st.integers(1, 40)), 1 + draw(st.integers(0, 8))
-    high = draw(st.sampled_from([1, 2, 3, 2**62]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def draw_half():
-        keys = rng.integers(0, high, size=(half, cols), dtype=np.int64)
-        if kind == "equal":
-            keys[:] = keys[0]
-        elif kind == "last":
-            keys[:, :-1] = keys[0, :-1]
-        return keys
-
-    a = draw_half()
-    second = draw(st.sampled_from(["permuted", "changed", "own"]))
-    if second == "own":
-        b = draw_half()
-    else:
-        b = a[rng.permutation(half)]
-        if second == "changed":
-            b[rng.integers(half), rng.integers(cols)] += 1
-    return np.concatenate((a, b))
-
-
-@DETERMINISTIC
-@given(key_matrices())
-def test_ranks_agree_with_brute_force(keys):
-    ours = _ranks(keys[:, 0], keys[:, 1:])
-    expected = brute_ranks(keys)
-    assert (ours is None) == (expected is None)
-    if ours is not None:
-        assert ours.tolist() == expected
-
-
-@st.composite
-def refine_inputs(draw):
-    """Two word lists of one length on m <= 8 coordinates and initial
-    colourings of their 2m coordinates and 2n words.  The second list is
-    the image of the first under a coordinate permutation and a reordering
-    of the words, perhaps with one word changed, or is drawn on its own.
-    The second half of each colouring is the image of the first half, a
-    shuffle of it (balanced either way), or now and then drawn on its own;
-    colours need not be dense."""
-    m = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 10))
-    word = st.integers(0, (1 << m) - 1)
-    a = draw(st.lists(word, min_size=n, max_size=n))
-    sigma = draw(st.permutations(range(m)))
-    order = draw(st.permutations(range(n)))
-    kind = draw(st.sampled_from(["image", "changed", "own"]))
-    if kind == "own":
-        b = draw(st.lists(word, min_size=n, max_size=n))
-    else:
-        b = [permute_bits(a[i], sigma) for i in order]
-        if kind == "changed":
-            b[draw(st.integers(0, n - 1))] = draw(word)
-    second = draw(st.sampled_from(["image", "image", "shuffle", "own"]))
-
-    def colouring(size: int, high: int, image) -> np.ndarray:
-        labels = st.lists(st.integers(0, high), min_size=size, max_size=size)
-        first = draw(labels)
-        if second == "image":
-            rest = image(first)
-        elif second == "shuffle":
-            rest = draw(st.permutations(first))
-        else:
-            rest = draw(labels)
-        return np.array(first + list(rest), dtype=np.int64)
-
-    def coordinate_image(first):
-        rest = [0] * m
-        for j, c in zip(sigma, first):
-            rest[j] = c
-        return rest
-
-    colors = colouring(m, draw(st.sampled_from([0, 1, 3, 2 * m])), coordinate_image)
-    cells = colouring(n, 2, lambda first: [first[i] for i in order])
-    return a, b, m, colors, cells
-
-
-@DETERMINISTIC
-@given(refine_inputs())
-def test_refine_agrees_with_oracle(case):
-    a, b, m, colors, cells = case
-    ours = _refine(_Incidence(a, b, m), colors, cells)
-    expected = brute_refine(a, b, m, colors.tolist(), cells.tolist())
-    assert (ours is None) == (expected is None)
-    if ours is not None:
-        assert (ours[0].tolist(), ours[1].tolist()) == expected
-
-
-@settings(DETERMINISTIC, max_examples=60)
-@given(small_codes(max_m=7))
-def test_enumerate_agrees_with_oracles(code):
-    m = code.m
-    group = enumerate_perm_automorphisms(code)
-    assert group.order() == len(brute_perm_automorphisms(code))
-    # The generators form a strong generating set along the base 0, 1, ...:
-    # those fixing 0..k-1 pointwise move k exactly onto the images that
-    # some automorphism fixing 0..k-1 gives it.
-    for k in range(m):
-        fixing = [g for g in group.generators if g[:k] == tuple(range(k))]
-        orbit = {k}
-        queue = [k]
-        for pt in queue:
-            for g in fixing:
-                if g[pt] not in orbit:
-                    orbit.add(g[pt])
-                    queue.append(g[pt])
-        for p in range(k, m):
-            prefix = [(i, i) for i in range(k)] + [(k, p)]
-            exists = plain_search_permutation(code.words, code.words, m, prefix) is not None
-            assert exists == (p in orbit)
+        affine_stabilizer(nr, budget=-1)
 
 
 def test_translation_kernel(nr, pn, rm):
@@ -564,9 +448,8 @@ def test_translation_kernel(nr, pn, rm):
 
 
 def test_assembled_generators(nr, rm, nr_generators):
-    # permutation generators, a kernel basis, and one coset mover: the
-    # permutation stabilizer moves the first nonzero coset leader's coset
-    # onto the other six, so no other leader is searched
+    # permutation generators, a kernel basis, and one of the 12 movers: the
+    # permutation stabilizer carries its image coset onto the other six
     identity = tuple(range(16))
     n_perm = sum(1 for g in nr_generators if g.beta == 0 and g.sigma != identity)
     n_trans = sum(1 for g in nr_generators if g.sigma == identity)
@@ -602,31 +485,32 @@ def codes_with_zero(draw):
 @given(codes_with_zero())
 def test_assembly_reaches_every_word_an_automorphism_reaches(code):
     # An automorphism sends 0 to c exactly when some coordinate permutation
-    # maps C onto C + c, so the assembled generators must move 0 onto
-    # those words and no others: the leaders they skip are reached.
+    # maps C onto C + c.  From the oracle's movers, assembly must move 0
+    # onto every word when each one is movable, and raise otherwise.
     m = code.m
-    gens = assemble_aut_generators(code, enumerate_perm_automorphisms(code))
-    labels = brute_orbits(gens, m)
-    reached = [v for v in range(1 << m) if labels[v] == 0]
+    group, movers = oracle_symmetry(code)
     movable = [
         c for c in code.words
         if plain_search_permutation(code.words, translate(code, c).words, m) is not None
     ]
-    assert reached == movable
+    if movable != list(code.words):
+        with pytest.raises(RuntimeError, match="unreached"):
+            assemble_aut_generators(code, group, movers)
+        return
+    labels = brute_orbits(assemble_aut_generators(code, group, movers), m)
+    assert [v for v in range(1 << m) if labels[v] == 0] == movable
 
 
-def test_pn_assembly_from_nr_candidates_searches_nothing(
-    nr, pn, nr_perm_group, nr_generators
-):
-    # NR's mover, with coordinate 0 fixed and dropped, moves PN's zero word
-    # onto every other kernel coset: no search, no incidence, and the
-    # generators that PN's own searches give.
-    derived = punctured_perm_group(pn, nr, nr_perm_group)
-    candidates = punctured_candidates(nr_generators, nr_perm_group)
-    with mock.patch.object(symmetry, "_search_permutation") as search:
-        gens = assemble_aut_generators(pn, derived, budget=0, candidates=candidates)
-    assert search.call_count == 0
-    assert gens == assemble_aut_generators(pn, enumerate_perm_automorphisms(pn))
+def test_pn_assembly_from_nr_candidates_searches_nothing(pn, nr_affine, pn_generators):
+    # NR's movers, with coordinate 0 fixed and dropped, are PN's: the first
+    # moves PN's zero word onto a kernel coset that PN's permutations then
+    # carry onto every other one, so PN takes 4 permutations, 5
+    # translations and 1 mover.
+    identity = tuple(range(15))
+    for x in map(drop_coordinate_0, nr_affine[1]):
+        assert maps_onto(x, pn, pn)
+    kinds = [(g.beta == 0, g.sigma == identity) for g in pn_generators]
+    assert kinds == [(True, False)] * 4 + [(False, True)] * 5 + [(False, False)]
 
 
 def test_assembly_rejects_a_candidate_that_moves_the_code(nr, nr_perm_group):
@@ -647,15 +531,19 @@ def test_assembly_rejects_a_permutation_generator_that_moves_the_code(nr):
 @settings(DETERMINISTIC, max_examples=60)
 @given(codes_with_zero(), st.randoms(use_true_random=False))
 def test_assembly_with_candidates_reaches_the_same_orbit(code, rng):
-    # Candidates that stabilize the code (here the assembled generators
-    # themselves, shuffled) replace searches, never the orbit of 0.
+    # Candidates that stabilize the code (here all of the oracle's
+    # generators, shuffled) reach the orbit of 0 that they give, or assembly
+    # raises because that orbit is not the whole code.
     m = code.m
-    group = enumerate_perm_automorphisms(code)
-    gens = assemble_aut_generators(code, group)
-    candidates = rng.sample(gens, len(gens))
-    with_candidates = assemble_aut_generators(code, group, candidates=candidates)
+    group, _ = oracle_symmetry(code)
+    gens = oracle_generators(code)
     orbit = brute_orbits(gens, m)
-    assert brute_orbits(with_candidates, m) == orbit
+    candidates = rng.sample(gens, len(gens))
+    if any(orbit[c] for c in code.words):
+        with pytest.raises(RuntimeError, match="unreached"):
+            assemble_aut_generators(code, group, candidates=candidates)
+        return
+    assert brute_orbits(assemble_aut_generators(code, group, candidates), m) == orbit
 
 
 @settings(DETERMINISTIC, max_examples=80)
@@ -664,7 +552,7 @@ def test_coset_labels_ignore_translations_in_the_span(code, rng):
     # A translation by a vector of span(basis) fixes every coset: adding
     # such translations anywhere among the generators leaves the labels.
     m = code.m
-    gens = assemble_aut_generators(code, enumerate_perm_automorphisms(code))
+    gens = oracle_generators(code)
     basis = _translation_subspace(gens, m)
     free = free_coordinates(basis, m)
     reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
@@ -742,7 +630,8 @@ def test_orbits_on_spheres(nr_perm_group, pn_perm_group):
 def generator_subsets(draw):
     """A code containing 0 with m <= 10 (random words, a span, a union of
     cosets of a span, or every word whose weight is in a random set, which
-    all of S_m stabilizes) and some of its assembled generators: all, none,
+    all of S_m stabilizes) and some of its generators from the oracle
+    (`oracle_generators`): all, none,
     each kept with probability 1/2, or every one that is not a translation
     and each translation with probability 1/2.  Without all of them the
     orbits are often finer than the cells, or than the kernel cosets; with
@@ -761,7 +650,7 @@ def generator_subsets(draw):
         reps = [0] + (draw(st.lists(word, max_size=4)) if kind == "cosets" else [])
         words = [v ^ r for r in reps for v in subspace]
     code = Code(m, [0] + words)
-    gens = assemble_aut_generators(code, enumerate_perm_automorphisms(code))
+    gens = oracle_generators(code)
     keep = draw(st.sampled_from(["all", "none", "some", "some translations"]))
     if keep == "none":
         gens = []
