@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -139,6 +140,18 @@ def weight_vertices(m: int, k: int) -> np.ndarray:
         out |= (1 << c).astype(np.uint32)
         rank -= binom[c]
     return out
+
+
+def sphere(center: int, k: int, m: int) -> Iterator[int]:
+    """All words at distance exactly k from center, ascending by bit word.
+
+    Yields binomial(m, k) distinct words.  The list is materialized
+    internally so the output order is independent of the center.
+    """
+    check_vertex(center, m)
+    if not 0 <= k <= m:
+        raise ValueError(f"sphere radius {k} outside [0, {m}]")
+    yield from np.sort(weight_vertices(m, k) ^ np.uint32(center)).tolist()
 
 
 def krawtchouk(m: int, k: int, x: int) -> int:
