@@ -59,12 +59,9 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT_ERROR
     dd = distance_distribution(code)
     try:
-        res = completely_regular_check(code)
-        rho, cell_sizes = res.rho, res.cell_sizes
+        res = part = completely_regular_check(code)
     except RegularityWorkExceeded:
-        res = None
-        partition = distance_partition(code)
-        rho, cell_sizes = partition.rho, partition.cell_sizes
+        res, part = None, distance_partition(code)
     preds = code_predicates(code)
     doc = {
         "m": str(code.m),
@@ -73,8 +70,8 @@ def cmd_analyze(args) -> int:
         "weight_histogram": fmt(list(code.weight_histogram)),
         "distance_distribution": fmt(list(dd.a)),
         "macwilliams_transform": fmt(list(macwilliams_transform(dd))),
-        "covering_radius": str(rho),
-        "cell_sizes": fmt(list(cell_sizes)),
+        "covering_radius": str(part.rho),
+        "cell_sizes": fmt(list(part.cell_sizes)),
         "predicates": {
             "is_linear": preds.is_linear,
             "is_even": preds.is_even,

@@ -43,10 +43,10 @@ class Code:
 
     Canonical order is ascending integer value of the bit word.  Building
     one stores only the words, from any list, tuple, range, generator or
-    integer array, as one ascending read-only uint32 array (words_u32).
-    The tuple of ints (words), the set behind `in`, the translation kernel
-    K, the pair distance counts and the weight histogram are read off it
-    on first use and cached; no pair scan runs before.  The pair counts
+    integer array, as one ascending read-only uint32 array (words_u32);
+    `in` and `isin` search it.  The tuple of ints (words), the translation
+    kernel K, the pair distance counts and the weight histogram are read
+    off it on first use and cached; no pair scan runs before.  The pair counts
     are taken over C/K, (|C|/|K|)*|C| word pairs.
     """
 
@@ -70,7 +70,7 @@ class Code:
         return iter(self.words)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._member
+        return 0 <= v < 1 << self.m and bool(self.isin(v))
 
     def __eq__(self, other) -> bool:
         return (
@@ -89,14 +89,15 @@ class Code:
         """The words as one ascending, read-only uint32 array: the code itself."""
         return self._arr
 
+    def isin(self, x):
+        """Is x a word, elementwise for a uint32 array?  By binary search."""
+        arr = self._arr
+        return arr[np.minimum(np.searchsorted(arr, x), self.size - 1)] == x
+
     @cached_property
     def words(self) -> tuple[int, ...]:
         """The words as Python ints, ascending."""
         return tuple(self._arr.tolist())
-
-    @cached_property
-    def _member(self) -> frozenset[int]:
-        return frozenset(self._arr.tolist())
 
     @cached_property
     def kernel(self) -> tuple[int, ...]:
@@ -204,13 +205,6 @@ def kernel_basis(code: Code) -> tuple[int, ...]:
     a word.
     """
     arr = code.words_u32()
-    n = len(arr)
-
-    def members(x: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(arr, x)
-        pos[pos == n] = 0
-        return arr[pos] == x
-
     cand = arr ^ arr[0]
     cand = _sorted_unique(cand[cand != 0])
     basis: list[int] = []
@@ -218,7 +212,7 @@ def kernel_basis(code: Code) -> tuple[int, ...]:
         beta, cand = int(cand[0]), cand[1:]
         moved = arr ^ np.uint32(beta)
         if not np.array_equal(np.sort(moved), arr):
-            cand = cand[members(cand ^ arr[np.argmin(members(moved))])]
+            cand = cand[code.isin(cand ^ arr[np.argmin(code.isin(moved))])]
             continue
         # beta is the least nonzero kernel vector that is zero on every
         # pivot so far, so its pivot is above them all and no earlier

@@ -1,5 +1,7 @@
 """Distance spectra, regularity checks, design counting, and feasibility.
 
+d(v, C) has one routine, `distance_partition`, a sweep of the least vertices
+of the 2^f cosets of the translation kernel K, not of all 2^m vertices.
 Arithmetic in this module is exact throughout: pair counts and Krawtchouk
 values are Python ints, normalized quantities are `fractions.Fraction`.
 numpy counts pairs, and the complete-regularity check turns those counts
@@ -19,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, free_coordinates
+from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod
 from .hamming import (
     check_length,
     distance_profiles,
@@ -69,33 +71,50 @@ def macwilliams_transform(dist: DistanceDistribution) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class DistancePartition:
-    """Distance-to-code for every vertex, with covering radius and cells."""
+    """d(., C) on the cosets of the translation kernel K, with covering
+    radius and cells: labels[i] is d(v, C) for the least vertex
+    v = permute_bits(i, free) of each coset."""
 
     m: int
-    dist_to_code: np.ndarray  # uint8, length 2^m, read-only
+    kernel: tuple[int, ...]
+    free: tuple[int, ...]
+    labels: np.ndarray  # uint8, length 2^f, read-only
     rho: int
     cell_sizes: tuple[int, ...]
 
+    def distance(self, v):
+        """d(v, C) for an int vertex, or elementwise for a uint32 array."""
+        d = self.labels[unpermute_bits(reduce_mod(v, self.kernel), self.free)]
+        return d if isinstance(d, np.ndarray) else int(d)
+
 
 def distance_partition(code: Code) -> DistancePartition:
-    """Exact d(v, C) for all 2^m vertices.
+    """Exact d(v, C) for every vertex, by a sweep of the kernel quotient.
 
-    Separable distance transform over the hypercube: one min-plus sweep
-    per coordinate axis propagates distances exactly, so the cost is
-    m * 2^m regardless of |C|.
+    The quotient F_2^m / K is a Cayley graph of m involutive, commuting
+    generators: the neighbour of index x along coordinate j is x ^ h_j,
+    for h_j the free bits of reduce_mod(e_j).  A shortest path uses each
+    generator at most once, so one step d = min(d, d[x ^ h_j] + 1) per
+    distinct nonzero h_j, from 0 on C's coset leaders, is exact.  A step
+    is two half-size minima on the top bit of h_j, its lower bits flipped
+    in a (2,)*t view: no index array, and with K = 0 the hypercube sweep.
     """
-    m = code.m
-    dist = np.full(1 << m, INF_DIST, dtype=np.uint8)
-    dist[code.words_u32()] = 0
-    for j in range(m):
-        d = dist.reshape(-1, 2, 1 << j)
-        np.minimum(d[:, 0, :], d[:, 1, :] + 1, out=d[:, 0, :])
-        np.minimum(d[:, 1, :], d[:, 0, :] + 1, out=d[:, 1, :])
+    m, basis = code.m, code.kernel
+    free = tuple(free_coordinates(basis, m))
+    dist = np.full(1 << len(free), INF_DIST, dtype=np.uint8)
+    dist[unpermute_bits(coset_leaders(code), free)] = 0
+    for h in {unpermute_bits(reduce_mod(1 << j, basis), free) for j in range(m)} - {0}:
+        t = h.bit_length() - 1
+        cube = dist.reshape((-1, 2) + (2,) * t)
+        low, high = cube[:, 0], cube[:, 1]
+        axes = tuple(t - s for s in range(t) if h >> s & 1)
+        np.minimum(low, np.flip(high, axes) + 1, out=low)
+        np.minimum(high, np.flip(low, axes) + 1, out=high)
     rho = int(dist.max())
     # np.bincount would first copy the uint8 array to int64, 8x its size
-    sizes = tuple(int(np.count_nonzero(dist == i)) for i in range(rho + 1))
+    sizes = tuple(int(np.count_nonzero(dist == i)) << len(basis) for i in range(rho + 1))
     dist.setflags(write=False)
-    return DistancePartition(m=m, dist_to_code=dist, rho=rho, cell_sizes=sizes)
+    return DistancePartition(m, basis, free, dist, rho, sizes)
 
 
 @dataclass(frozen=True)

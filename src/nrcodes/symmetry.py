@@ -39,16 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod, span
+from .codes import Code, coset_leaders, free_coordinates, reduce_mod, span
 from .hamming import (
     check_vertex,
-    distance_profiles,
     parse_decimal,
     permute_bits,
     to_string,
     unpermute_bits,
     weight_vertices,
 )
+from .spectrum import distance_partition
 
 DEFAULT_BUDGET = 10**8
 _BUDGET_ENV = "NRCODES_BUDGET"
@@ -593,16 +593,6 @@ def _translation_subspace(gens, m: int) -> list[int]:
     return sorted(basis)
 
 
-def _distances_to_code(code: Code, verts: np.ndarray) -> np.ndarray:
-    """d(v, C) for each vertex, by pair scans of about PAIR_BLOCK pairs."""
-    arr = code.words_u32()
-    step = max(1, PAIR_BLOCK // code.size)
-    return np.concatenate([
-        (distance_profiles(verts[lo : lo + step], arr, code.m) != 0).argmax(axis=1)
-        for lo in range(0, len(verts), step)
-    ])
-
-
 @dataclass(frozen=True)
 class CellCertificate:
     cell: int
@@ -636,7 +626,8 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     cosets; orbit sizes are |T| times their representative counts.  Each
     element of G stabilizes the code and so keeps d(., C): every orbit lies
     in one distance cell, and a cell is one orbit exactly when it holds one
-    orbit minimum, so d(., C) is computed for the minima only.  The least
+    orbit minimum, so d(., C) is read for the minima only, off the sweep of
+    the code's kernel quotient (`distance_partition`).  The least
     vertex of a cell is its orbit's minimum, and the least vertex of the
     cell outside that orbit is its own orbit's minimum, the cell's next
     one; so the certificate and the witness are a full vertex scan's.
@@ -649,7 +640,7 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     free = free_coordinates(basis, m)
     reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
     minima, counts = np.unique(_coset_labels(gens, reps, basis), return_counts=True)
-    dist = _distances_to_code(code, reps[minima])
+    dist = distance_partition(code).distance(reps[minima])
     cells = []
     for i in range(int(dist.max()) + 1):
         here = np.flatnonzero(dist == i)
@@ -658,7 +649,5 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
             witness = (i, vertex, int(reps[minima[here[1]]]))
             return TransitivityResult(ok=False, cells=tuple(cells), witness=witness)
         size = int(counts[here[0]]) << len(basis)
-        cells.append(
-            CellCertificate(cell=i, cell_size=size, orbit_label=vertex, orbit_size=size)
-        )
+        cells.append(CellCertificate(i, size, vertex, size))
     return TransitivityResult(ok=True, cells=tuple(cells), witness=None)

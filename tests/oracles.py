@@ -48,16 +48,15 @@ def brute_distance_counts(code: Code) -> tuple[int, ...]:
 
 def brute_is_linear(code: Code) -> bool:
     """Contains zero and every sum of two codewords."""
-    return 0 in code and all((u ^ w) in code for u in code.words for w in code.words)
+    words = set(code.words)
+    return 0 in words and all((u ^ w) in words for u in words for w in words)
 
 
 def brute_kernel(code: Code) -> list[int]:
     """Every beta with C + beta = C, ascending.  Each is w + c0 for the
     first word c0 and some word w, so those are tried on every word."""
-    c0 = code.words[0]
-    return sorted(
-        w ^ c0 for w in code.words if all((x ^ w ^ c0) in code for x in code.words)
-    )
+    c0, words = code.words[0], set(code.words)
+    return sorted(w ^ c0 for w in words if all((x ^ w ^ c0) in words for x in words))
 
 
 def brute_weight_histogram(code: Code) -> tuple[int, ...]:
@@ -73,8 +72,8 @@ def brute_is_even(code: Code) -> bool:
 
 def brute_is_antipodal(code: Code) -> bool:
     """The complement of every codeword is a codeword."""
-    full = (1 << code.m) - 1
-    return all((w ^ full) in code for w in code.words)
+    full, words = (1 << code.m) - 1, set(code.words)
+    return all((w ^ full) in words for w in words)
 
 
 def plain_read_code(text: str) -> Code | str:
@@ -107,9 +106,8 @@ def plain_read_code(text: str) -> Code | str:
 def brute_coset_leaders(code: Code) -> list[int]:
     """Least word of each coset of the translation kernel in the code, with
     the kernel found by trying every vertex as a translation."""
-    kernel = [
-        b for b in range(1 << code.m) if all((w ^ b) in code for w in code.words)
-    ]
+    words = set(code.words)
+    kernel = [b for b in range(1 << code.m) if all((w ^ b) in words for w in words)]
     return sorted({min(w ^ b for b in kernel) for w in code.words})
 
 
@@ -181,10 +179,10 @@ def brute_orbits(gens, m: int) -> list[int]:
 def brute_perm_automorphisms(code: Code) -> list[tuple[int, ...]]:
     """Every permutation p of the coordinates, moving bit j to bit p[j],
     that maps each codeword to a codeword."""
-    out = []
+    out, words = [], set(code.words)
     for p in itertools.permutations(range(code.m)):
-        if all(sum(((w >> j) & 1) << t for j, t in enumerate(p)) in code
-               for w in code.words):
+        if all(sum(((w >> j) & 1) << t for j, t in enumerate(p)) in words
+               for w in words):
             out.append(p)
     return out
 

@@ -266,6 +266,20 @@ def test_code_is_one_array_however_its_words_are_handed_in(case):
             Code(m, bad)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(handed_words())
+def test_membership_searches_the_word_array(case):
+    # `in` and `isin` against a set of the words, on every vertex and on
+    # values that fit in no m coordinates
+    m, words, _ = case
+    code, members = Code(m, words), set(words)
+    for v in [-1, *range(1 << m), 1 << m, 1 << 40, np.uint32(1)]:
+        assert (v in code) == (v in members)
+    everything = np.arange(1 << m, dtype=np.uint32)
+    assert code.isin(everything).tolist() == [v in members for v in range(1 << m)]
+    assert not hasattr(code, "_member")
+
+
 def test_code_file_round_trip(tmp_path, nr):
     path = tmp_path / "nr.code"
     write_code(nr, path)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from nrcodes import cli
 from nrcodes import report as report_module
 from nrcodes import symmetry
 from nrcodes.cli import build_parser, main
-from nrcodes.codes import Code, named_code, puncture, write_code
+from nrcodes.codes import Code, named_code, puncture, span, write_code
 from nrcodes.report import (
     Workbench,
     build_manifest,
@@ -27,7 +28,7 @@ from nrcodes.report import (
 )
 from nrcodes.spectrum import distance_partition
 from nrcodes.symmetry import PermGroup
-from oracles import brute_orbits
+from oracles import brute_orbits, brute_profile
 
 
 def test_fmt_serialization():
@@ -95,14 +96,15 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 # generators on NR, PN's 4 Sims row elements as its group takes them, each
 # generator assembly's permutation generators on entry and the one mover it
 # takes (NR 5 + 1, PN 4 + 1), and each transitivity check its generators
-# (NR 11, PN 10).  No distance partition is built; the four codes with a
+# (NR 11, PN 10).  Each transitivity check reads its orbit minima's
+# distances off one distance partition; the four codes with a
 # regularity claim are checked once each; only NR's orbit is walked, PN's
 # group is read off its Sims table; the puncture claim checks NR's words
 # and builds no punctured code.
 STAGE_CALLS = {
     "_orbit_labels": 11,
     "maps_onto": 54,
-    "distance_partition": 0,
+    "distance_partition": 2,
     "completely_regular_check": 4,
     "affine_stabilizer": 1,
     "puncture": 0,
@@ -421,6 +423,35 @@ def test_cli_analyze_over_regularity_guard(tmp_path, capsys):
     partition = distance_partition(Code(20, words))
     assert doc["covering_radius"] == str(partition.rho)
     assert doc["cell_sizes"] == [str(s) for s in partition.cell_sizes]
+
+
+def test_cli_analyze_over_regularity_guard_with_a_kernel(tmp_path, capsys):
+    # 64 random cosets of a random 4-dimensional span at m=24: the profile
+    # scan needs 2^10 * 2^20 pairs > 2^25, and the distance partition
+    # sweeps 2^20 coset minima, not 2^24 vertices
+    rng = random.Random(24)
+    subspace = span([rng.randrange(1 << 24) for _ in range(4)], 24).words_u32()
+    shifts = np.array([rng.randrange(1 << 24) for _ in range(64)], dtype=np.uint32)
+    code = Code(24, (subspace[None, :] ^ shifts[:, None]).ravel())
+    assert code.size == 1024 and len(code.kernel) >= 4
+    path = tmp_path / "big.code"
+    write_code(code, path)
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["completely_regular"] is None
+    assert doc["regularity_note"].startswith("skipped")
+    partition = distance_partition(code)
+    assert doc["covering_radius"] == str(partition.rho)
+    assert doc["cell_sizes"] == [str(s) for s in partition.cell_sizes]
+    assert sum(partition.cell_sizes) == 1 << 24 and partition.cell_sizes[0] == 1024
+    for v in [rng.randrange(1 << 24) for _ in range(20)]:
+        assert partition.distance(v) == brute_profile(code, v)[0]
+    assert peak < 4 << 20
 
 
 def test_cli_verify_pn(tmp_path, capsys):

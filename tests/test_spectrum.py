@@ -30,7 +30,6 @@ from nrcodes.spectrum import (
     lambda_upper_bound,
     macwilliams_transform,
 )
-from nrcodes.symmetry import _distances_to_code
 from oracles import brute_design, brute_profile, brute_regularity
 
 NR_DIST = (1, 0, 0, 0, 0, 0, 112, 0, 30, 0, 112, 0, 0, 0, 0, 0, 1)
@@ -106,7 +105,9 @@ def test_distance_partition_nr(nr):
     assert p.rho == 4
     assert p.cell_sizes == (256, 4096, 30720, 28672, 1792)
     assert sum(p.cell_sizes) == 1 << 16
-    assert np.flatnonzero(p.dist_to_code == 0).tolist() == list(nr.words)
+    everything = np.arange(1 << 16, dtype=np.uint32)
+    assert np.flatnonzero(p.distance(everything) == 0).tolist() == list(nr.words)
+    assert len(p.labels) == 1 << 11 and not p.labels.flags.writeable
 
 
 def test_distance_partition_pn(pn):
@@ -126,7 +127,7 @@ def test_distance_partition_matches_brute(nr):
     p = distance_partition(nr)
     for _ in range(200):
         v = rng.randrange(1 << 16)
-        assert p.dist_to_code[v] == min((v ^ w).bit_count() for w in nr.words)
+        assert p.distance(v) == min((v ^ w).bit_count() for w in nr.words)
 
 
 def test_completely_regular_positive(nr, pn, golay):
@@ -243,16 +244,27 @@ def test_quotient_route_matches_brute_force(code):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(regularity_codes())
 def test_distance_partition_matches_definition(code):
+    _assert_partition_matches_brute(code)
+
+
+def _assert_partition_matches_brute(code):
+    # d(v, C) at every vertex, one int at a time and as one array
     partition = distance_partition(code)
     dist = [brute_profile(code, v)[0] for v in range(1 << code.m)]
-    assert partition.dist_to_code.tolist() == dist
+    assert [partition.distance(v) for v in range(1 << code.m)] == dist
+    everything = np.arange(1 << code.m, dtype=np.uint32)
+    assert partition.distance(everything).tolist() == dist
     assert partition.rho == max(dist)
     assert partition.cell_sizes == tuple(dist.count(i) for i in range(max(dist) + 1))
-    # the pair scan that gives the transitivity check its distances, on
-    # the vertices zero on every kernel pivot
-    pivots = sum(1 << (b.bit_length() - 1) for b in code.kernel)
-    reps = np.array([v for v in range(1 << code.m) if not v & pivots], dtype=np.uint32)
-    assert _distances_to_code(code, reps).tolist() == partition.dist_to_code[reps].tolist()
+    assert len(partition.labels) == 1 << (code.m - len(code.kernel))
+
+
+def test_distance_partition_every_code_up_to_length_3():
+    # every nonempty set of words of length 1, 2 and 3: 3 + 15 + 255 codes
+    for m in (1, 2, 3):
+        for mask in range(1, 1 << (1 << m)):
+            words = [v for v in range(1 << m) if mask >> v & 1]
+            _assert_partition_matches_brute(Code(m, words))
 
 
 def _free_coordinates(code):
@@ -375,7 +387,8 @@ def test_distance_partition_memory(golay):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 << 20
+    # 2^12 labels, one per coset of the Golay code, not 2^24
+    assert peak < 1 << 20
 
 
 def test_design_check_nr(nr):
@@ -540,3 +553,28 @@ def test_propagation_reports_unbounded_system():
     )
     with pytest.raises(FeasibilityError):
         _propagate_bounds(rows, 2)
+
+
+@pytest.mark.parametrize("name", ["nr", "pn", "rm"])
+def test_partition_and_regularity_do_not_depend_on_the_labelling(name, request):
+    # 10 seeded images v -> sigma(v + beta): the same rho, cells and
+    # verdict as the named code; RM(1,4)'s witness is chosen by least
+    # vertex, so only its two profiles are compared, as a set.
+    code = request.getfixturevalue(name)
+    part, res = distance_partition(code), completely_regular_check(code)
+    rng = random.Random(f"isometry-{name}")
+    for _ in range(10):
+        sigma = rng.sample(range(code.m), code.m)
+        beta = np.uint32(rng.randrange(1 << code.m))
+        image = Code(code.m, permute_bits(code.words_u32() ^ beta, sigma))
+        image_part, image_res = distance_partition(image), completely_regular_check(image)
+        assert (image_part.rho, image_part.cell_sizes) == (part.rho, part.cell_sizes)
+        assert (image_res.ok, image_res.rho, image_res.cell_sizes) == (
+            res.ok, res.rho, res.cell_sizes
+        )
+        if res.ok:
+            assert image_res.table.rows == res.table.rows
+        else:
+            w, image_w = res.witness, image_res.witness
+            assert image_w.cell == w.cell
+            assert {image_w.profile_a, image_w.profile_b} == {w.profile_a, w.profile_b}

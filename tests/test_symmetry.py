@@ -20,6 +20,7 @@ from nrcodes.codes import (
     translate,
 )
 from nrcodes.hamming import from_string, permute_bits, unpermute_bits
+from nrcodes.spectrum import DistancePartition
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
@@ -606,7 +607,7 @@ def test_vertex_orbits_respect_distance_partition(nr, nr_perm_group):
 
     gens = [AutElement.permutation(16, g) for g in nr_perm_group.generators]
     labels = np.array(brute_orbits(gens, 16))
-    dist = distance_partition(nr).dist_to_code
+    dist = distance_partition(nr).distance(np.arange(1 << 16, dtype=np.uint32))
     # every orbit of a stabilizing group sits inside one cell
     for label in np.unique(labels)[:50]:
         members = np.nonzero(labels == label)[0]
@@ -733,14 +734,15 @@ def test_complete_transitivity_pn(pn, pn_generators):
 
 @pytest.mark.parametrize("name, minima", [("nr", 5), ("pn", 4)])
 def test_complete_transitivity_scans_orbit_minima_only(name, minima, request):
-    # d(v, C) is computed for one vertex per orbit, the certificates'
-    # orbit labels in cell order, not for every kernel-coset representative
+    # d(v, C) is read for one vertex per orbit, the certificates' orbit
+    # labels in cell order, not for every kernel-coset representative
     code = request.getfixturevalue(name)
     gens = request.getfixturevalue(f"{name}_generators")
-    scan = mock.patch.object(
-        symmetry, "_distances_to_code", wraps=symmetry._distances_to_code
+    read = mock.patch.object(
+        DistancePartition, "distance", autospec=True,
+        side_effect=DistancePartition.distance,
     )
-    with scan as spy:
+    with read as spy:
         res = verify_complete_transitivity(code, gens)
     assert res.ok and spy.call_count == 1
     verts = spy.call_args.args[1].tolist()
