@@ -11,7 +11,7 @@ Every coordinate move on words goes through one pair of helpers:
 bit positions[j] back to bit j.  They serve relabelling, projection,
 deposit and the permutation part of an automorphism alike, on one word or
 elementwise on a numpy array of words.  On one word `permute_bits` moves
-one bit at a time.  On an array it moves a source byte at a time: for each
+one set bit at a time.  On an array it moves a source byte at a time: for each
 run of 8 positions it takes the 256-entry table of where the bits of
 each byte value land and ORs in one gather of that table, so a word of
 m <= 24 bits takes at most 3 gathers instead of m shift-mask-or rounds.
@@ -70,13 +70,19 @@ def permute_bits(v, positions):
     j >= len(positions) are dropped.
     """
     if not isinstance(v, np.ndarray):
-        out = v & 0
-        for j, p in enumerate(positions):
-            out |= ((v >> j) & 1) << p
-        return out
-    out = np.zeros_like(v)
-    for i, table in enumerate(_byte_tables(tuple(positions), v.dtype)):
-        out |= table[(v >> 8 * i) & 0xFF]
+        out = 0
+        bits = int(v) & ((1 << len(positions)) - 1)
+        while bits:
+            low = bits & -bits
+            out |= 1 << positions[low.bit_length() - 1]
+            bits ^= low
+        return v & 0 | out
+    tables = _byte_tables(tuple(positions), v.dtype)
+    if not tables:
+        return np.zeros_like(v)
+    out = tables[0][v & 0xFF]
+    for i in range(1, len(tables)):
+        out |= tables[i][(v >> 8 * i) & 0xFF]
     return out
 
 

@@ -312,10 +312,12 @@ def design_check(words: Code, t: int) -> DesignCheckResult:
     """Does every weight-t vertex sit under exactly lambda of the words?
 
     The weight-t vertices are taken in ascending order (`weight_vertices`),
-    in blocks of at most PAIR_BLOCK (vertex, word) pairs; one lies under a
-    weight-k word exactly when they are at distance k - t, so its count is
-    column k - t of its `distance_profiles` row.  lambda is the first vertex's
-    count; the witness is the first deviating vertex, with its count.
+    in blocks of at most PAIR_BLOCK (vertex, word) pairs; v lies under w
+    exactly when v & w == v, and each vertex's count of such words is
+    taken directly.  This is a containment count, not a distance scan:
+    `distance_profiles` stays the only distance kernel, and no profile
+    row or index array is built.  lambda is the first vertex's count; the
+    witness is the first deviating vertex, with its count.
     """
     weights = [w for w, n in enumerate(words.weight_histogram) if n]
     if len(weights) != 1:
@@ -328,7 +330,8 @@ def design_check(words: Code, t: int) -> DesignCheckResult:
     lam = None
     step = max(1, PAIR_BLOCK // words.size)
     for lo in range(0, len(verts), step):
-        counts = distance_profiles(verts[lo : lo + step], arr, words.m)[:, k - t]
+        block = verts[lo : lo + step, None]
+        counts = np.count_nonzero((block & arr) == block, axis=1)
         if lam is None:
             lam = int(counts[0])
         bad = np.flatnonzero(counts != lam)

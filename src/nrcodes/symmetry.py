@@ -16,6 +16,12 @@ counts orbits on weight spheres and certifies complete transitivity: each
 orbit on the cosets of the group's translations lies in one distance
 cell, which is one orbit when it holds one orbit minimum.
 
+A permutation is a tuple of Python ints, its images, wherever it is
+read: in an `AutElement`, the orbit walk and the views of a `PermGroup`.
+Inside the Sims table, where nearly all composing is done, it is
+`bytes`, composed by `bytes.translate` and inverted by `bytes.maketrans`
+in C.
+
 A code punctured at coordinate 0, as PN is NR punctured at coordinate 1,
 takes its symmetry from its even-weight (parity) extension.  Dropping bit
 0 restricts the extension's automorphisms that fix coordinate 0 to the
@@ -192,16 +198,25 @@ class PermGroup:
     of the row lengths.  The table is built when the group is made, by
     Knuth's `add` with one generator at a time, and `extended` continues a
     copy of it.
+
+    The table holds each permutation as `bytes` (degree at most 256), so
+    it is composed and inverted in C.  A row element is the `degree`
+    bytes of its images.  Row inverses and level generators, which only
+    ever act second, are 256-byte translation tables, fixing the points
+    from `degree` on: p.translate(q) applies p, then q, and
+    bytes.maketrans(p, identity) is p's inverse as such a table.  The
+    public views are Python ints: `generators` and the values of `row(k)`
+    are tuples.
     """
 
     def __init__(self, degree: int, generators=()):
-        identity = _perm_identity(degree)
+        identity = bytes(range(degree))
         self.degree = degree
         self.generators: tuple[tuple[int, ...], ...] = ()
         # the rows, the inverse of each row element, the generators of each level
         self._reps = [{k: identity} for k in range(degree)]
-        self._invs = [{k: identity} for k in range(degree)]
-        self._gens: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
+        self._invs = [{k: bytes(range(256))} for k in range(degree)]
+        self._gens: list[list[bytes]] = [[] for _ in range(degree)]
         self._add(generators)
 
     def extended(self, generators) -> "PermGroup":
@@ -224,7 +239,7 @@ class PermGroup:
         """Row k of the Sims table, read-only: for each point j of the orbit
         of k under the stabilizer of 0..k-1, a group element that fixes
         0..k-1 and sends k to j."""
-        return types.MappingProxyType(self._reps[k])
+        return types.MappingProxyType({j: tuple(p) for j, p in self._reps[k].items()})
 
     def _add(self, generators) -> None:
         """Knuth's add(g, 0) for each generator g in turn.
@@ -238,8 +253,10 @@ class PermGroup:
         self.generators += generators
         reps, invs, gens = self._reps, self._invs, self._gens
         n = self.degree
+        identity = bytes(range(n))
+        rest = bytes(range(n, 256))
 
-        def sifts(g, k: int) -> bool:
+        def sifts(g: bytes, k: int) -> bool:
             # is g, which fixes 0..k-1, a product of elements of rows k..?
             for i in range(k, n):
                 if g[i] == i:
@@ -247,25 +264,26 @@ class PermGroup:
                 inv = invs[i].get(g[i])
                 if inv is None:
                     return False
-                g = _perm_mult(g, inv)
+                g = g.translate(inv)
             return True
 
-        todo = [(g, 0) for g in reversed(generators)]
+        todo = [(bytes(g), 0) for g in reversed(generators)]
         while todo:
             g, k = todo.pop()
             if sifts(g, k):
                 continue
+            g += rest
             gens[k].append(g)
-            orbit = [_perm_mult(rep, g) for rep in reps[k].values()]
+            orbit = [rep.translate(g) for rep in reps[k].values()]
             while orbit:
                 h = orbit.pop()
                 inv = invs[k].get(h[k])
                 if inv is not None:
-                    todo.append((_perm_mult(h, inv), k + 1))
+                    todo.append((h.translate(inv), k + 1))
                 else:
                     reps[k][h[k]] = h
-                    invs[k][h[k]] = _perm_inv(h)
-                    orbit.extend(_perm_mult(h, s) for s in gens[k])
+                    invs[k][h[k]] = bytes.maketrans(h, identity)
+                    orbit.extend(h.translate(s) for s in gens[k])
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +387,16 @@ def affine_stabilizer(
         if not maps_onto(AutElement.permutation(m, s), kernel, kernel):
             raise RuntimeError("affine generator does not keep the kernel")
     bound = _frame_bound(kernel)
-    # tables[i][h][b]: byte value b at bits 8h.. (m = 2^r <= 16) moved by
-    # generator i and reduced mod K; a coset's image sums its two bytes' rows
-    units = np.zeros((len(gens), 16), dtype=np.uint32)
-    units[:, :m] = reduce_mod(np.uint32(1) << np.array(gens, dtype=np.uint32), basis)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    tables = np.bitwise_xor.reduce(
-        byte_bits[:, None, None, :] * units.reshape(-1, 2, 8), axis=3
-    ).transpose(1, 2, 0).tolist()
+    # units[i, j]: unit vector j moved by generator i and reduced mod K.
+    # Each generator's images of all the cosets in a key, each keyed by its
+    # least word c, are the sums of units[i, j] over the bits j of c.
+    units = reduce_mod(np.uint32(1) << np.array(gens, dtype=np.uint32), basis)
+    shifts = np.arange(m, dtype=np.uint32)
 
-    def image(key, table) -> tuple[int, ...]:
-        return tuple(sorted(table[0][c & 0xFF] ^ table[1][c >> 8] for c in key))
+    def images(key) -> list[tuple[int, ...]]:
+        bits = (np.array(key, dtype=np.uint32)[:, None] >> shifts) & 1
+        moved = np.bitwise_xor.reduce(bits * units[:, None, :], axis=2)
+        return list(map(tuple, np.sort(moved, axis=1).tolist()))
 
     tracker = _Budget(budget)
     start = tuple(coset_leaders(code).tolist())
@@ -387,11 +404,10 @@ def affine_stabilizer(
     transversal = {start: _perm_identity(m)}  # image -> a permutation onto it
     queue = [start]
     group = PermGroup(m)
-    for key, s, table in ((k, s, t) for k in queue for s, t in zip(gens, tables)):
+    for key, s, moved in ((k, s, im) for k in queue for s, im in zip(gens, images(k))):
         if group.order() * len(transversal) >= bound:
             break
         to_key = transversal[key]
-        moved = image(key, table)
         if moved not in transversal:
             tracker.charge()
             transversal[moved] = _perm_mult(to_key, s)
@@ -410,8 +426,7 @@ def affine_stabilizer(
         tuple(sorted(reduce_mod(c ^ g, basis) for c in start)): g for g in start
     }
     movers = []
-    for s, table in zip(gens, tables):
-        moved = image(start, table)
+    for s, moved in zip(gens, images(start)):
         if moved != start and moved in translates:
             movers.append(AutElement(m, unpermute_bits(translates[moved], s), s))
     return group, movers

@@ -160,3 +160,28 @@ def test_bit_permutation_helpers(case):
         text = to_string(v, m)
         projected, _ = from_string("".join(text[i] for i in subset))
         assert unpermute_bits(v, subset) == projected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(words_and_positions(), st.integers(1, (1 << 30) - 1))
+def test_permute_bits_int_path_agrees_with_array_path(case, high):
+    """The int path, which walks the set bits of v, gives the array path's
+    words on a permutation and on a subset deposit, for v = 0 and for
+    words with bits at and above len(positions), which are dropped; a
+    numpy integer scalar keeps its type, a Python int stays an int."""
+    m, words, sigma, subset = case
+    for positions in (tuple(sigma), tuple(subset)):
+        n = len(positions)
+        values = [0, *words, *(w | high << n for w in words)]
+        expected = permute_bits(np.asarray(values, dtype=np.uint64), positions).tolist()
+        assert expected == [
+            sum(1 << p for j, p in enumerate(positions) if v >> j & 1) for v in values
+        ]
+        out = [permute_bits(v, positions) for v in values]
+        assert out == expected and all(type(x) is int for x in out)
+        for dtype in (np.uint32, np.int64, np.uint64):
+            fits = [v & 0x7FFFFFFF for v in values]
+            arr = np.asarray(fits, dtype=dtype)
+            scalars = [permute_bits(x, positions) for x in arr]
+            assert all(type(x) is dtype for x in scalars)
+            assert [int(x) for x in scalars] == permute_bits(arr, positions).tolist()

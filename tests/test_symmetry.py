@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -181,6 +182,24 @@ def test_extended_perm_group_matches_one_built_at_once(case, split):
     assert grown.generators == at_once.generators
     assert grown.order() == at_once.order()
     assert all(dict(grown.row(k)) == dict(at_once.row(k)) for k in range(n))
+
+
+@settings(DETERMINISTIC, max_examples=50)
+@given(perm_generators(24))
+def test_perm_group_views_are_tuples_of_python_ints(case):
+    # The table holds bytes; `generators` and every row element read as
+    # tuples of Python ints, on a fresh build (one generator given as a
+    # numpy array) and on an `extended` copy.
+    n, gens = case
+
+    def int_tuple(p) -> bool:
+        return type(p) is tuple and len(p) == n and all(type(i) is int for i in p)
+
+    group = PermGroup(n, [np.array(gens[0])])
+    for g in (group, group.extended(gens[1:] + [tuple(reversed(range(n)))])):
+        assert all(int_tuple(p) for p in g.generators)
+        for k in range(n):
+            assert all(type(j) is int and int_tuple(p) for j, p in g.row(k).items())
 
 
 def test_extended_perm_group_leaves_the_original(nr_perm_group, nr_generators):
@@ -730,6 +749,23 @@ def test_complete_transitivity_pn(pn, pn_generators):
     res = verify_complete_transitivity(pn, pn_generators)
     assert res.ok
     assert len(res.cells) == 4
+
+
+def test_complete_transitivity_on_images_of_pn(pn, pn_generators):
+    # 10 seeded images phi(v) = sigma(v + beta), which need not hold the
+    # zero word, with PN's generators conjugated by phi: each is
+    # completely transitive with PN's cells.
+    rng = random.Random("pn-images")
+    start = time.perf_counter()
+    for _ in range(10):
+        phi = random_element(rng, 15)
+        image = Code(15, permute_bits(pn.words_u32() ^ np.uint32(phi.beta), phi.sigma))
+        gens = [phi.inverse() * g * phi for g in pn_generators]
+        res = verify_complete_transitivity(image, gens)
+        assert res.ok
+        assert [c.cell_size for c in res.cells] == [256, 3840, 26880, 1792]
+        assert all(c.orbit_size == c.cell_size for c in res.cells)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("name, minima", [("nr", 5), ("pn", 4)])
