@@ -32,7 +32,6 @@ from .symmetry import (
     AutElement,
     PermGroup,
     affine_stabilizer,
-    assemble_aut_generators,
     orbits_on_sphere,
     verify_complete_transitivity,
 )

@@ -40,7 +40,6 @@ from .symmetry import (
     PermGroup,
     TransitivityResult,
     affine_stabilizer,
-    assemble_aut_generators,
     drop_coordinate_0,
     format_aut_element,
     orbits_on_sphere,
@@ -104,6 +103,10 @@ class Workbench:
     (`affine_stabilizer`): its group order is at least the Sims order of
     generators checked on NR, at most the kernel's frame bound over NR's
     images under AGL(4,2).  PN's comes from NR's, its even-weight extension.
+    A code's generators are its permutation stabilizer's, a basis of its
+    translation kernel, and the first of NR's movers (for PN with bit 0
+    dropped): one mover suffices, as cell 0 of the transitivity check, the
+    code itself, shows by being one orbit.
     """
 
     def __init__(self, budget: int | None = None):
@@ -133,13 +136,15 @@ class Workbench:
 
     @_stage
     def generators(self, name: str) -> list[AutElement]:
+        code = self.code(name)
+        movers = self.affine(_EVEN_EXTENSION.get(name, name))[1][:1]
         if name in _EVEN_EXTENSION:
-            movers = self.affine(_EVEN_EXTENSION[name])[1]
-            candidates = [drop_coordinate_0(x) for x in movers]
-        else:
-            candidates = self.affine(name)[1]
-        return assemble_aut_generators(
-            self.code(name), self.perm_group(name), candidates
+            movers = [drop_coordinate_0(x) for x in movers]
+        perms = self.perm_group(name).generators
+        return (
+            [AutElement.permutation(code.m, g) for g in perms]
+            + [AutElement.translation(code.m, b) for b in code.kernel]
+            + movers
         )
 
     @_stage

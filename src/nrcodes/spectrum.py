@@ -24,6 +24,7 @@ import numpy as np
 from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod
 from .hamming import (
     check_length,
+    check_vertex,
     distance_profiles,
     krawtchouk_table,
     permute_bits,
@@ -83,7 +84,12 @@ class DistancePartition:
     cell_sizes: tuple[int, ...]
 
     def distance(self, v):
-        """d(v, C) for an int vertex, or elementwise for a uint32 array."""
+        """d(v, C) for an int vertex, or elementwise for a uint32 array;
+        ValueError for a vertex with a bit at or above coordinate m."""
+        if not isinstance(v, np.ndarray):
+            check_vertex(v, self.m)
+        elif (v >> self.m).any():
+            raise ValueError(f"a vertex does not fit in {self.m} coordinates")
         d = self.labels[unpermute_bits(reduce_mod(v, self.kernel), self.free)]
         return d if isinstance(d, np.ndarray) else int(d)
 

@@ -10,11 +10,12 @@ kernel.  The order of G is two-sided: at least the Sims order (Knuth,
 `PermGroup`) of generators each checked to stabilize the code, at most
 the frame bound on |PAut(K)|, counted off K's words, over the number of
 the code's images under AGL(r,2).  The affine generators that move the
-code lift to automorphisms that move its zero word; generator assembly
-takes them as candidates (`assemble_aut_generators`).  The module also
-counts orbits on weight spheres and certifies complete transitivity: each
-orbit on the cosets of the group's translations lies in one distance
-cell, which is one orbit when it holds one orbit minimum.
+code lift to automorphisms that move its zero word.  One of them, with
+G's generators and the translations of K, reaches every K-coset of NR:
+cell 0 of the transitivity check, the code itself, is then one orbit.
+The module also counts orbits on weight spheres and certifies complete
+transitivity: each orbit on the cosets of the group's translations lies
+in one distance cell, which is one orbit when it holds one orbit minimum.
 
 A permutation is a tuple of Python ints, its images, wherever it is
 read: in an `AutElement`, the orbit walk and the views of a `PermGroup`.
@@ -432,47 +433,6 @@ def affine_stabilizer(
     return group, movers
 
 
-def assemble_aut_generators(
-    code: Code, perm_group: PermGroup, candidates=()
-) -> list[AutElement]:
-    """Generators of the code's full stabilizer: the generators of
-    `perm_group`, the zero word's stabilizer, a basis of the translation
-    kernel K, and those of the `candidates` that reach more of the code.
-
-    The zero word's orbit is a union of K-cosets.  Each candidate joins
-    the generators if it maps the zero word's coset outside the orbit
-    that the generators so far give it (`_coset_labels`).  The permutation
-    generators and each candidate that joins are checked to stabilize the
-    code, and every candidate to map the zero word into it (ValueError
-    otherwise).  The orbit must end up all of the code (RuntimeError
-    otherwise); then the generators generate the full stabilizer if
-    `perm_group` is the whole permutation stabilizer.
-    """
-    if 0 not in code:
-        raise ValueError("generator assembly requires the zero word in the code")
-    m = code.m
-    out = [AutElement.permutation(m, g) for g in perm_group.generators]
-    moves = "permutation generator or candidate does not stabilize the code"
-    if not all(maps_onto(x, code, code) for x in out):
-        raise ValueError(moves)
-    out.extend(AutElement.translation(m, b) for b in code.kernel)
-    leaders = coset_leaders(code)
-    labels = _coset_labels(out, leaders, code.kernel)
-    for x in candidates:
-        # if x stabilizes C, it maps the zero word's coset onto x(0)'s, in C
-        target = reduce_mod(x.act(0), code.kernel)
-        i = int(np.searchsorted(leaders, target))
-        if i == len(leaders) or leaders[i] != target:
-            raise ValueError(moves)
-        if labels[i] != 0:
-            if not maps_onto(x, code, code):
-                raise ValueError(moves)
-            out.append(x)
-            labels = _coset_labels(out, leaders, code.kernel)
-    if labels.any():
-        raise RuntimeError("the candidates leave a kernel coset of the code unreached")
-    return out
-
 def drop_coordinate_0(x: AutElement) -> AutElement:
     """x, which fixes coordinate 0, acting on the words with bit 0
     dropped: coordinates 1..m-1 renumbered 0..m-2.  (If x moved
@@ -633,9 +593,11 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     The check runs on a quotient of F_2^m, not on all 2^m vertices.  Let T
     be the translations that the generators give (_translation_subspace):
     those among them, closed under their coordinate permutations.  For
-    generators from assemble_aut_generators T is the translation kernel K.
-    The group G contains T and every element of G maps cosets of T onto
-    cosets of T, so the orbits of G are unions of T-cosets.  With T in
+    the permutation stabilizer's generators, a basis of the translation
+    kernel K and one mover, T is K, and one mover suffices exactly when
+    cell 0, the code, comes out as one orbit.  The group G contains T and
+    every element of G maps cosets of T onto cosets of T, so the orbits of
+    G are unions of T-cosets.  With T in
     reduced echelon form, the vertices zero on every pivot are the least
     vertex of each coset, and `_coset_labels` gives the orbits of G on the
     cosets; orbit sizes are |T| times their representative counts.  Each

@@ -7,8 +7,8 @@ from nrcodes import (
     reed_muller_subcode,
 )
 from nrcodes.symmetry import (
+    AutElement,
     affine_stabilizer,
-    assemble_aut_generators,
     drop_coordinate_0,
     punctured_perm_group,
 )
@@ -49,12 +49,21 @@ def pn_perm_group(nr, pn, nr_perm_group):
     return punctured_perm_group(pn, nr, nr_perm_group)
 
 
+def stabilizer_generators(code, group, mover):
+    """The generators of `group`, a basis of the code's translation kernel
+    and `mover`, as permutations, translations and one automorphism."""
+    return (
+        [AutElement.permutation(code.m, g) for g in group.generators]
+        + [AutElement.translation(code.m, b) for b in code.kernel]
+        + [mover]
+    )
+
+
 @pytest.fixture(scope="session")
 def nr_generators(nr, nr_perm_group, nr_affine):
-    return assemble_aut_generators(nr, nr_perm_group, nr_affine[1])
+    return stabilizer_generators(nr, nr_perm_group, nr_affine[1][0])
 
 
 @pytest.fixture(scope="session")
 def pn_generators(pn, pn_perm_group, nr_affine):
-    movers = [drop_coordinate_0(x) for x in nr_affine[1]]
-    return assemble_aut_generators(pn, pn_perm_group, movers)
+    return stabilizer_generators(pn, pn_perm_group, drop_coordinate_0(nr_affine[1][0]))

@@ -87,23 +87,21 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 
 
 # Calls per `verify all`: orbit labels are computed once per sphere claim
-# (weights 1, 2, 3 and 4 for NR, 3 for PN), once per transitivity check,
-# and in each generator assembly once before and once after its one kept
-# mover; NR's orbit walk and PN's group read off NR's Sims table skip
-# elements that their own growing Sims table already holds, with no orbit
-# labels.  `maps_onto` checks each automorphism once per entry point: the
-# orbit walk's 13 affine generators on NR's kernel and its 5 kept Schreier
-# generators on NR, PN's 4 Sims row elements as its group takes them, each
-# generator assembly's permutation generators on entry and the one mover it
-# takes (NR 5 + 1, PN 4 + 1), and each transitivity check its generators
-# (NR 11, PN 10).  Each transitivity check reads its orbit minima's
-# distances off one distance partition; the four codes with a
-# regularity claim are checked once each; only NR's orbit is walked, PN's
-# group is read off its Sims table; the puncture claim checks NR's words
-# and builds no punctured code.
+# (weights 1, 2, 3 and 4 for NR, 3 for PN) and once per transitivity check;
+# NR's orbit walk and PN's group read off NR's Sims table skip elements
+# that their own growing Sims table already holds, with no orbit labels.
+# `maps_onto` checks each automorphism once per entry point: the orbit
+# walk's 13 affine generators on NR's kernel and its 5 kept Schreier
+# generators on NR, PN's 4 Sims row elements as its group takes them, and
+# each transitivity check its generators (NR 11, PN 10), the only check of
+# the generators and of the one mover each code takes.  Each transitivity
+# check reads its orbit minima's distances off one distance partition;
+# the four codes with a regularity claim are checked once each; only NR's
+# orbit is walked, PN's group is read off its Sims table; the puncture
+# claim checks NR's words and builds no punctured code.
 STAGE_CALLS = {
-    "_orbit_labels": 11,
-    "maps_onto": 54,
+    "_orbit_labels": 7,
+    "maps_onto": 43,
     "distance_partition": 2,
     "completely_regular_check": 4,
     "affine_stabilizer": 1,
@@ -138,15 +136,37 @@ def test_verify_all_builds_each_stage_once(monkeypatch):
 def test_verify_all_search_work_pinned(monkeypatch):
     # Per `verify all`, NR's and PN's symmetry takes one orbit walk of NR's
     # 8 images under AGL(4,2), one budget node each, and no backtrack
-    # search: none of its functions exists any more.
+    # search or generator assembly: none of their functions exists any more.
     for name in ("_Incidence", "_refine", "_search_permutation",
-                 "enumerate_perm_automorphisms"):
+                 "enumerate_perm_automorphisms", "assemble_aut_generators"):
         assert not hasattr(symmetry, name)
     charge = symmetry._Budget.charge
     nodes = []
     monkeypatch.setattr(symmetry._Budget, "charge", lambda b: nodes.append(charge(b)))
     run_verification("all")
     assert len(nodes) == 8
+
+
+def test_a_code_without_its_mover_fails_transitivity(monkeypatch, capsys):
+    # With no mover from NR's orbit walk, NR's and PN's generators keep the
+    # kernel coset of the zero word: cell 0, the code, splits into orbits,
+    # and both transitivity claims fail with a cell-0 witness; so does NR's
+    # mu-image order, read off the same generators.  `verify all` reports
+    # the failures and exits 1; it does not crash.
+    affine_stabilizer = symmetry.affine_stabilizer
+    monkeypatch.setattr(
+        report_module, "affine_stabilizer",
+        lambda code, budget=None: (affine_stabilizer(code, budget)[0], []),
+    )
+    wb = Workbench()
+    report = run_verification("all", workbench=wb)
+    statuses = {e.claim_id: e.status for e in report.entries}
+    assert statuses["nr.ct"] == statuses["pn.ct"] == "fail"
+    assert wb.transitivity("nr").witness[0] == wb.transitivity("pn").witness[0] == 0
+    assert main(["verify", "all"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL           nr.ct" in out and "FAIL           pn.ct" in out
+    assert err == "failing claims: nr.mu.order, nr.ct, rm.cr, pn.ct\n"
 
 
 def test_puncture_claim_rests_on_maps_onto(monkeypatch):

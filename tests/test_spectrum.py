@@ -130,6 +130,20 @@ def test_distance_partition_matches_brute(nr):
         assert p.distance(v) == min((v ^ w).bit_count() for w in nr.words)
 
 
+def test_distance_rejects_vertices_outside_the_coordinates(nr):
+    # NR has m = 16: bit 16 and a negative int are no vertex, and an array
+    # with any word at or above 2^16 is rejected whole.
+    p = distance_partition(nr)
+    for v in (1 << 16, -1, (1 << 16) | 5):
+        with pytest.raises(ValueError, match="does not fit in 16 coordinates"):
+            p.distance(v)
+    for words in ([1 << 16, 1 << 20], [0, 3, 1 << 31]):
+        with pytest.raises(ValueError, match="does not fit in 16 coordinates"):
+            p.distance(np.array(words, dtype=np.uint32))
+    assert p.distance((1 << 16) - 1) == 0  # the all-ones word is in NR
+    assert p.distance(np.array([0, 1, 3], dtype=np.uint32)).tolist() == [0, 1, 2]
+
+
 def test_completely_regular_positive(nr, pn, golay):
     for code in (nr, pn, golay):
         res = completely_regular_check(code)

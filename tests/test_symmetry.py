@@ -32,7 +32,6 @@ from nrcodes.symmetry import (
     _frame_bound,
     _translation_subspace,
     affine_stabilizer,
-    assemble_aut_generators,
     drop_coordinate_0,
     format_aut_element,
     maps_onto,
@@ -46,7 +45,6 @@ from oracles import (
     mulclose_order,
     plain_movers,
     plain_perm_generators,
-    plain_search_permutation,
 )
 
 DETERMINISTIC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -220,24 +218,16 @@ def test_perm_group_order_is_transversal_product(nr_perm_group):
     assert prod == nr_perm_group.order() == 40320
 
 
-def oracle_symmetry(code: Code) -> tuple[PermGroup, list[AutElement]]:
-    """The permutation stabilizer and movers of a code containing the zero
-    word, from the oracle's plain backtrack: with the kernel they generate
-    the code's full stabilizer."""
-    perms = plain_perm_generators(code)
-    movers = [AutElement(code.m, b, s) for b, s in plain_movers(code, perms)]
-    return PermGroup(code.m, perms), movers
-
-
 def oracle_generators(code: Code) -> list[AutElement]:
     """Generators of the full stabilizer of a code containing the zero
-    word: `oracle_symmetry`'s, and a kernel basis."""
-    group, movers = oracle_symmetry(code)
+    word: the permutation stabilizer's generators, a kernel basis and the
+    movers, from the oracle's plain backtrack."""
     m = code.m
+    perms = plain_perm_generators(code)
     return (
-        [AutElement.permutation(m, g) for g in group.generators]
+        [AutElement.permutation(m, g) for g in perms]
         + [AutElement.translation(m, b) for b in code.kernel]
-        + movers
+        + [AutElement(m, b, s) for b, s in plain_movers(code, perms)]
     )
 
 
@@ -347,7 +337,11 @@ def test_affine_stabilizer_on_images_of_nr(nr, seed):
         affine_stabilizer(image, budget=7)
     group, movers = affine_stabilizer(image, budget=8)  # 8 images
     assert group.order() == 40320
-    gens = assemble_aut_generators(image, group, movers)
+    gens = (
+        [AutElement.permutation(16, g) for g in group.generators]
+        + [AutElement.translation(16, b) for b in image.kernel]
+        + movers[:1]
+    )
     res = verify_complete_transitivity(image, gens)
     assert res.ok
     assert [c.cell_size for c in res.cells] == [256, 4096, 30720, 28672, 1792]
@@ -481,17 +475,21 @@ def test_assembled_generators(nr, rm, nr_generators):
 
 
 def test_assembled_generators_reach_every_kernel_coset(nr, nr_generators):
-    # cell 0 is the code; its single orbit is the orbit of the zero word
+    # cell 0 is the code; its single orbit is the orbit of the zero word.
+    # Without the mover the permutations and translations keep the kernel
+    # coset of the zero word, so cell 0 splits.
     zero_cell = verify_complete_transitivity(nr, nr_generators).cells[0]
     assert zero_cell.orbit_label == 0
     assert zero_cell.orbit_size == zero_cell.cell_size == nr.size
+    res = verify_complete_transitivity(nr, nr_generators[:-1])
+    assert not res.ok and res.cells == () and res.witness[:2] == (0, 0)
 
 
 @st.composite
 def codes_with_zero(draw):
     """A code containing 0 with m <= 7: random words, or a union of cosets
-    of a random span (so the kernel, and the cosets assembly walks, are
-    often nontrivial)."""
+    of a random span (so the kernel, and the cosets the orbit labels run
+    on, are often nontrivial)."""
     m = draw(st.integers(2, 7))
     word = st.integers(0, (1 << m) - 1)
     if draw(st.booleans()):
@@ -501,69 +499,16 @@ def codes_with_zero(draw):
     return Code(m, [v ^ r for r in reps for v in subspace])
 
 
-@settings(DETERMINISTIC, max_examples=80)
-@given(codes_with_zero())
-def test_assembly_reaches_every_word_an_automorphism_reaches(code):
-    # An automorphism sends 0 to c exactly when some coordinate permutation
-    # maps C onto C + c.  From the oracle's movers, assembly must move 0
-    # onto every word when each one is movable, and raise otherwise.
-    m = code.m
-    group, movers = oracle_symmetry(code)
-    movable = [
-        c for c in code.words
-        if plain_search_permutation(code.words, translate(code, c).words, m) is not None
-    ]
-    if movable != list(code.words):
-        with pytest.raises(RuntimeError, match="unreached"):
-            assemble_aut_generators(code, group, movers)
-        return
-    labels = brute_orbits(assemble_aut_generators(code, group, movers), m)
-    assert [v for v in range(1 << m) if labels[v] == 0] == movable
-
-
 def test_pn_assembly_from_nr_candidates_searches_nothing(pn, nr_affine, pn_generators):
     # NR's movers, with coordinate 0 fixed and dropped, are PN's: the first
     # moves PN's zero word onto a kernel coset that PN's permutations then
-    # carry onto every other one, so PN takes 4 permutations, 5
-    # translations and 1 mover.
+    # carry onto every other one, as cell 0 of PN's transitivity check
+    # shows, so PN takes 4 permutations, 5 translations and 1 mover.
     identity = tuple(range(15))
     for x in map(drop_coordinate_0, nr_affine[1]):
         assert maps_onto(x, pn, pn)
     kinds = [(g.beta == 0, g.sigma == identity) for g in pn_generators]
     assert kinds == [(True, False)] * 4 + [(False, True)] * 5 + [(False, False)]
-
-
-def test_assembly_rejects_a_candidate_that_moves_the_code(nr, nr_perm_group):
-    with pytest.raises(ValueError, match="candidate does not stabilize"):
-        assemble_aut_generators(
-            nr, nr_perm_group, candidates=[AutElement.translation(16, 1)]
-        )
-
-
-def test_assembly_rejects_a_permutation_generator_that_moves_the_code(nr):
-    # NR's group is 2-transitive, and of order 40320 < 16!, so it holds no
-    # transposition: with one it would hold them all
-    swap = (1, 0) + tuple(range(2, 16))
-    with pytest.raises(ValueError, match="permutation generator"):
-        assemble_aut_generators(nr, PermGroup(16, [swap]))
-
-
-@settings(DETERMINISTIC, max_examples=60)
-@given(codes_with_zero(), st.randoms(use_true_random=False))
-def test_assembly_with_candidates_reaches_the_same_orbit(code, rng):
-    # Candidates that stabilize the code (here all of the oracle's
-    # generators, shuffled) reach the orbit of 0 that they give, or assembly
-    # raises because that orbit is not the whole code.
-    m = code.m
-    group, _ = oracle_symmetry(code)
-    gens = oracle_generators(code)
-    orbit = brute_orbits(gens, m)
-    candidates = rng.sample(gens, len(gens))
-    if any(orbit[c] for c in code.words):
-        with pytest.raises(RuntimeError, match="unreached"):
-            assemble_aut_generators(code, group, candidates=candidates)
-        return
-    assert brute_orbits(assemble_aut_generators(code, group, candidates), m) == orbit
 
 
 @settings(DETERMINISTIC, max_examples=80)
