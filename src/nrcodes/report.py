@@ -1,10 +1,13 @@
 """Built-in claim manifest and machine-readable verification reports.
 
-Every computational claim the workbench certifies appears here exactly
-once, keyed by a stable claim id.  A claim either recomputes a quantity
-and compares it exactly against its expected value (status pass/fail), or
-records an external result this artifact does not recompute (status
-external-fact, with the citation).  All integers are serialized as decimal
+Every computational claim the workbench certifies is one row of the
+manifest table, `build_manifest`: its stable id, targets, statement,
+expected value, compute, and an optional citation or note.  A claim
+either recomputes a quantity and compares it exactly against its expected
+value (status pass/fail), or records an external result this artifact
+does not recompute (status external-fact, with the citation).  Row order
+is the report's order, which the tests pin by digest; a new claim is one
+row plus at most one new helper.  All integers are serialized as decimal
 strings and rationals as "p/q" so reports survive any JSON reader
 losslessly.
 """
@@ -16,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,52 +160,105 @@ class Workbench:
         return feasible_distributions(m, template, antipodal=True)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
+    """One row of the manifest; a row with no compute is an external fact."""
+
     claim_id: str
-    statement: str
     targets: frozenset[str]
+    statement: str
     expected: object = None
     compute: Callable[[Workbench], object] | None = None
     citation: str | None = None
     note: str | None = None
 
 
-def _cr_summary(wb: Workbench, name: str):
+# Claim computes, each a function of the workbench.  First the shapes that
+# several rows share, each taking the name of the code it reads; then those
+# of single rows.
+
+
+def _params(wb: Workbench, name: str) -> list:
+    """Length, size and minimum distance."""
+    code = wb.code(name)
+    return fmt([code.m, code.size, code.min_distance])
+
+
+def _weight_count(wb: Workbench, name: str, weight: int) -> str:
+    return str(wb.code(name).weight_histogram[weight])
+
+
+def _distribution(wb: Workbench, name: str) -> list:
+    return fmt(list(distance_distribution(wb.code(name)).a))
+
+
+def _antipodal(wb: Workbench, name: str) -> bool:
+    return code_predicates(wb.code(name)).is_antipodal
+
+
+def _rho(wb: Workbench, name: str) -> str:
+    return str(wb.regularity(name).rho)
+
+
+def _cell_sizes(wb: Workbench, name: str) -> list:
+    return fmt(list(wb.regularity(name).cell_sizes))
+
+
+def _cr_summary(wb: Workbench, name: str) -> list:
     res = wb.regularity(name)
     if not res.ok:
         w = res.witness
-        return [
-            "witness",
-            str(w.cell),
-            str(w.vertex_a),
-            str(w.vertex_b),
-        ]
+        return ["witness", str(w.cell), str(w.vertex_a), str(w.vertex_b)]
     row_sums_ok = all(s == res.table.size for s in res.table.row_sums())
     return ["completely regular", "row sums |C|" if row_sums_ok else "row sums bad"]
 
 
-def _design_summary(code: Code, weight: int, t: int):
-    cls = Code(code.m, code.weight_class(weight))
-    res = design_check(cls, t)
+def _design_summary(wb: Workbench, name: str, weight: int, t: int) -> list:
+    code = wb.code(name)
+    res = design_check(Code(code.m, code.weight_class(weight)), t)
     if not res.ok:
         return ["not a design", str(res.witness[0]), str(res.witness[1])]
     params = design_arithmetic(t, code.m, weight, res.lam)
     return [str(res.lam), fmt(params.b)]
 
 
-def _lambda_elimination(m: int, delta: int, t: int):
+def _perm_order(wb: Workbench, name: str) -> str:
+    return str(wb.perm_group(name).order())
+
+
+def _sphere_orbits(wb: Workbench, name: str, weight: int) -> str:
+    return str(orbits_on_sphere(wb.perm_group(name), weight).orbit_count)
+
+
+def _ct_summary(wb: Workbench, name: str) -> list:
+    """Whether the orbits are the distance-partition cells, and how many."""
+    res = wb.transitivity(name)
+    return [res.ok, str(len(res.cells))]
+
+
+def _solutions(wb: Workbench, name: str, *unknowns: int) -> list:
+    """The given entries of each feasible distance distribution."""
+    return [[str(s[i]) for i in unknowns] for s in wb.feasibility(name).solutions]
+
+
+def _constraint_row(wb: Workbench, name: str, k: int) -> str:
+    res = wb.feasibility(name)
+    return res.rows[k].render(res.names)
+
+
+def _lambda_elimination(m: int, delta: int, t: int) -> list:
     """Admissible design multiplicities after divisibility and the packing
     bound: odd values fail integrality of the derived parameters."""
     bound = lambda_upper_bound(m, t, delta)
-    admissible = []
-    lam = 1
-    while Fraction(lam) <= bound:
-        params = design_arithmetic(t, m, delta, lam)
-        if all(params.integral):
-            admissible.append(lam)
-        lam += 1
-    return [fmt(bound), [str(x) for x in admissible]]
+    admissible = [
+        lam for lam in range(1, int(bound) + 1)
+        if all(design_arithmetic(t, m, delta, lam).integral)
+    ]
+    return [fmt(bound), fmt(admissible)]
+
+
+def _golay_self_dual(wb: Workbench) -> bool:
+    dd = distance_distribution(wb.code("golay24"))
+    return macwilliams_transform(dd) == tuple(4096 * a for a in dd.a)
 
 
 def _puncture_equivalences(wb: Workbench) -> str:
@@ -251,313 +307,156 @@ def _mu_image_order(wb: Workbench) -> str:
     return str(wb.perm_group("nr").extended(sigmas).order())
 
 
+def _subcode_params(wb: Workbench) -> list:
+    """Size, minimum distance and linearity of the kernel subcode, and
+    whether all its words lie in NR."""
+    rm = wb.code("reed_muller")
+    inside = bool(wb.code("nr").isin(rm.words_u32()).all())
+    return [str(rm.size), str(rm.min_distance), code_predicates(rm).is_linear, inside]
+
+
 def build_manifest() -> tuple[Claim, ...]:
-    nr_t = frozenset({"nr"})
-    pn_t = frozenset({"pn"})
-    claims = [
-        Claim(
-            "golay.size", "extended Golay code has 4096 words", nr_t,
-            expected="4096", compute=lambda wb: str(wb.code("golay24").size),
-        ),
-        Claim(
-            "golay.delta", "extended Golay code has minimum distance 8", nr_t,
-            expected="8", compute=lambda wb: str(wb.code("golay24").min_distance),
-        ),
-        Claim(
-            "golay.contains_gamma",
-            "the weight-8 word on coordinates 1..8 is a Golay codeword", nr_t,
-            expected=True, compute=lambda wb: ((1 << 8) - 1) in wb.code("golay24"),
-        ),
-        Claim(
-            "golay.weights",
-            "Golay weight enumerator counts at weights 8, 12, 16", nr_t,
-            expected=["759", "2576", "759"],
-            compute=lambda wb: fmt([
-                wb.code("golay24").weight_histogram[8],
-                wb.code("golay24").weight_histogram[12],
-                wb.code("golay24").weight_histogram[16],
-            ]),
-        ),
-        Claim(
-            "golay.cr", "Golay code is completely regular", nr_t,
-            expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb, "golay24"),
-        ),
-        Claim(
-            "golay.selfdual.transform",
-            "Golay transform equals 4096 times its distance distribution", nr_t,
-            expected=True,
-            compute=lambda wb: (
-                lambda dd: macwilliams_transform(dd)
-                == tuple(4096 * a for a in dd.a)
-            )(distance_distribution(wb.code("golay24"))),
-        ),
-        Claim(
-            "nr.params", "construction yields a (16, 256, 6) code", nr_t,
-            expected=["16", "256", "6"],
-            compute=lambda wb: (
-                lambda c: fmt([c.m, c.size, c.min_distance])
-            )(wb.code("nr")),
-        ),
-        Claim(
-            "nr.even", "every codeword has even weight", nr_t,
-            expected=True,
-            compute=lambda wb: code_predicates(wb.code("nr")).is_even,
-        ),
-        Claim(
-            "nr.antipodal", "the code is closed under complement", nr_t,
-            expected=True,
-            compute=lambda wb: code_predicates(wb.code("nr")).is_antipodal,
-        ),
-        Claim(
-            "nr.dist", "distance distribution of the (16, 256, 6) code", nr_t,
-            expected=fmt(list(NR_DISTRIBUTION)),
-            compute=lambda wb: fmt(
-                [a for a in distance_distribution(wb.code("nr")).a]
-            ),
-        ),
-        Claim(
-            "nr.rho", "covering radius 4", nr_t,
-            expected="4", compute=lambda wb: str(wb.regularity("nr").rho),
-        ),
-        Claim(
-            "nr.cells", "distance-partition cell sizes", nr_t,
-            expected=["256", "4096", "30720", "28672", "1792"],
-            compute=lambda wb: fmt(list(wb.regularity("nr").cell_sizes)),
-        ),
-        Claim(
-            "nr.cr", "the code is completely regular", nr_t,
-            expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb, "nr"),
-        ),
-        Claim(
-            "nr.design.w6", "weight-6 words form a 3-design with 112 blocks", nr_t,
-            expected=["4", "112"],
-            compute=lambda wb: _design_summary(wb.code("nr"), 6, 3),
-        ),
-        Claim(
-            "nr.design.w8", "weight-8 words form a 3-design", nr_t,
-            expected=["3", "30"],
-            compute=lambda wb: _design_summary(wb.code("nr"), 8, 3),
-        ),
-        Claim(
-            "nr.design.w10", "weight-10 words form a 3-design", nr_t,
-            expected=["24", "112"],
-            compute=lambda wb: _design_summary(wb.code("nr"), 10, 3),
-        ),
-        Claim(
-            "nr.kernel", "translation kernel equals the [16,5,8] subcode", nr_t,
-            expected=["32", True],
-            compute=_kernel_summary,
-        ),
-        Claim(
-            "nr.kernel.strict",
-            "no word outside the kernel translates the code onto itself", nr_t,
-            expected=True, compute=_kernel_strict,
-        ),
-        Claim(
-            "nr.perm.order", "permutation stabilizer has order 40320", nr_t,
-            expected="40320", compute=lambda wb: str(wb.perm_group("nr").order()),
-        ),
-        Claim(
-            "nr.mu.order",
-            "coordinate action of the full stabilizer has order 322560", nr_t,
-            expected="322560", compute=_mu_image_order,
-        ),
-        Claim(
-            "nr.orbits.sphere4",
-            "permutation stabilizer has 2 orbits on weight-4 vertices", nr_t,
-            expected="2",
-            compute=lambda wb: str(
-                orbits_on_sphere(wb.perm_group("nr"), 4).orbit_count
-            ),
-        ),
-        Claim(
-            "nr.orbits.low",
-            "permutation stabilizer is transitive on weights 1, 2, 3", nr_t,
-            expected=["1", "1", "1"],
-            compute=lambda wb: [
-                str(orbits_on_sphere(wb.perm_group("nr"), k).orbit_count)
-                for k in (1, 2, 3)
-            ],
-        ),
-        Claim(
-            "nr.ct", "orbits of the stabilizer equal the distance partition", nr_t,
-            expected=[True, "5"],
-            compute=lambda wb: [
-                wb.transitivity("nr").ok, str(len(wb.transitivity("nr").cells))
-            ],
-        ),
-        Claim(
-            "rm.params", "kernel subcode is a linear [16,5,8] subset", nr_t,
-            expected=["32", "8", True, True],
-            compute=lambda wb: [
-                str(wb.code("reed_muller").size),
-                str(wb.code("reed_muller").min_distance),
-                code_predicates(wb.code("reed_muller")).is_linear,
-                bool(wb.code("nr").isin(wb.code("reed_muller").words_u32()).all()),
-            ],
-        ),
-        Claim(
-            "rm.cr", "the [16,5,8] subcode is completely regular", nr_t,
-            expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb, "reed_muller"),
-            note=(
-                "expected to fail: two vertices at distance 4 from the "
-                "subcode have different codeword-distance profiles, so the "
-                "subcode is not completely regular; the computed value "
-                "carries one witness pair"
-            ),
-        ),
-        Claim(
-            "feas.nr.unique",
-            "transform nonnegativity forces the unknown entries to (0, 30)", nr_t,
-            expected=[["0", "30"]],
-            compute=lambda wb: [
-                [str(s[7]), str(s[8])] for s in wb.feasibility("nr").solutions
-            ],
-        ),
-        Claim(
-            "feas.nr.row_k2", "derived constraint row at k = 2", nr_t,
-            expected="240 - 12*a7 - 8*a8 >= 0",
-            compute=lambda wb: wb.feasibility("nr").rows[2].render(
-                wb.feasibility("nr").names
-            ),
-        ),
-        Claim(
-            "feas.nr.row_k4", "derived constraint row at k = 4", nr_t,
-            expected="-840 + 28*a7 + 28*a8 >= 0",
-            compute=lambda wb: wb.feasibility("nr").rows[4].render(
-                wb.feasibility("nr").names
-            ),
-            note=(
-                "the a7 coefficient of this derived row is +28; a commonly "
-                "printed form of the same system carries -28 there; both "
-                "systems have the identical unique solution (0, 30)"
-            ),
-        ),
-        Claim(
-            "feas.nr.lambda",
-            "design multiplicity: odd values inadmissible, bound 13/3", nr_t,
-            expected=["13/3", ["2", "4"]],
-            compute=lambda wb: _lambda_elimination(16, 6, 3),
-        ),
-        Claim(
-            "pn.params", "puncturing yields a (15, 256, 5) code", pn_t,
-            expected=["15", "256", "5"],
-            compute=lambda wb: (
-                lambda c: fmt([c.m, c.size, c.min_distance])
-            )(wb.code("pn")),
-        ),
-        Claim(
-            "pn.weight5.count", "42 words of weight 5", pn_t,
-            expected="42",
-            compute=lambda wb: str(wb.code("pn").weight_histogram[5]),
-        ),
-        Claim(
-            "pn.dist", "distance distribution of the (15, 256, 5) code", pn_t,
-            expected=fmt(list(PN_DISTRIBUTION)),
-            compute=lambda wb: fmt(
-                [a for a in distance_distribution(wb.code("pn")).a]
-            ),
-        ),
-        Claim(
-            "pn.antipodal", "the punctured code is closed under complement", pn_t,
-            expected=True,
-            compute=lambda wb: code_predicates(wb.code("pn")).is_antipodal,
-        ),
-        Claim(
-            "pn.rho", "covering radius 3", pn_t,
-            expected="3", compute=lambda wb: str(wb.regularity("pn").rho),
-        ),
-        Claim(
-            "pn.cells", "distance-partition cell sizes", pn_t,
-            expected=["256", "3840", "26880", "1792"],
-            compute=lambda wb: fmt(list(wb.regularity("pn").cell_sizes)),
-        ),
-        Claim(
-            "pn.cr", "the punctured code is completely regular", pn_t,
-            expected=["completely regular", "row sums |C|"],
-            compute=lambda wb: _cr_summary(wb, "pn"),
-        ),
-        Claim(
-            "pn.design.w5", "weight-5 words form a 2-design with 42 blocks", pn_t,
-            expected=["4", "42"],
-            compute=lambda wb: _design_summary(wb.code("pn"), 5, 2),
-        ),
-        Claim(
-            "pn.kernel.size", "translation kernel has 32 words", pn_t,
-            expected="32",
-            compute=lambda wb: str(1 << len(wb.code("pn").kernel)),
-        ),
-        Claim(
-            "pn.perm.order", "permutation stabilizer has order 2520", pn_t,
-            expected="2520", compute=lambda wb: str(wb.perm_group("pn").order()),
-        ),
-        Claim(
-            "pn.orbits.sphere3",
-            "permutation stabilizer has 2 orbits on weight-3 vertices", pn_t,
-            expected="2",
-            compute=lambda wb: str(
-                orbits_on_sphere(wb.perm_group("pn"), 3).orbit_count
-            ),
-        ),
-        Claim(
-            "pn.ct", "orbits of the stabilizer equal the distance partition", pn_t,
-            expected=[True, "4"],
-            compute=lambda wb: [
-                wb.transitivity("pn").ok, str(len(wb.transitivity("pn").cells))
-            ],
-        ),
-        Claim(
-            "pn.puncture.equiv",
-            "all 16 puncture positions give equivalent codes", pn_t,
-            expected="equivalent for 15/15 puncture positions",
-            compute=_puncture_equivalences,
-        ),
-        Claim(
-            "feas.pn.unique",
-            "transform nonnegativity forces the unknown entries to (70, 15)", pn_t,
-            expected=[["70", "15"]],
-            compute=lambda wb: [
-                [str(s[6]), str(s[7])] for s in wb.feasibility("pn").solutions
-            ],
-        ),
-        Claim(
-            "feas.pn.lambda",
-            "design multiplicity: odd values inadmissible, bound 13/3", pn_t,
-            expected=["13/3", ["2", "4"]],
-            compute=lambda wb: _lambda_elimination(15, 5, 2),
-        ),
-        Claim(
-            "external.snover.nr",
-            "every binary (16, 256, 6) code is equivalent to this one", nr_t,
-            citation="Snover (1973), uniqueness of the (16, 256, 6) code; "
-            "not recomputed",
-        ),
-        Claim(
-            "external.snover.pn",
-            "every binary (15, 256, 5) code is equivalent to this one", pn_t,
-            citation="Snover (1973), uniqueness of the (15, 256, 5) code; "
-            "not recomputed",
-        ),
-        Claim(
-            "external.design.lambda2.nr",
-            "no 3-(16, 6, 2) design exists, so the multiplicity is 4", nr_t,
-            citation="Handbook of Combinatorial Designs, 3-design tables; "
-            "not recomputed",
-        ),
-        Claim(
-            "external.design.lambda2.pn",
-            "no 2-(15, 5, 2) design exists, so the multiplicity is 4", pn_t,
-            citation="Handbook of Combinatorial Designs, 2-design tables; "
-            "not recomputed",
-        ),
-    ]
+    """Every claim, one `Claim` row each, in the report's order.
+
+    A row holds the claim id, the targets it belongs to, the statement,
+    the expected value, the compute (a function of the `Workbench`), and
+    an optional citation or note; a row with no compute is an external
+    fact and carries its citation.  Row order is the report's order, which
+    the tests pin.  A compute shape that more than one row uses is one
+    helper above, so a new claim is one row plus at most one new helper.
+    """
+    nr, pn = frozenset({"nr"}), frozenset({"pn"})
+    regular = ["completely regular", "row sums |C|"]
+    claims = (
+        Claim("golay.size", nr, "extended Golay code has 4096 words",
+              "4096", lambda wb: str(wb.code("golay24").size)),
+        Claim("golay.delta", nr, "extended Golay code has minimum distance 8",
+              "8", lambda wb: str(wb.code("golay24").min_distance)),
+        Claim("golay.contains_gamma", nr,
+              "the weight-8 word on coordinates 1..8 is a Golay codeword",
+              True, lambda wb: ((1 << 8) - 1) in wb.code("golay24")),
+        Claim("golay.weights", nr, "Golay weight enumerator counts at weights 8, 12, 16",
+              ["759", "2576", "759"],
+              lambda wb: [_weight_count(wb, "golay24", w) for w in (8, 12, 16)]),
+        Claim("golay.cr", nr, "Golay code is completely regular",
+              regular, lambda wb: _cr_summary(wb, "golay24")),
+        Claim("golay.selfdual.transform", nr,
+              "Golay transform equals 4096 times its distance distribution",
+              True, _golay_self_dual),
+        Claim("nr.params", nr, "construction yields a (16, 256, 6) code",
+              ["16", "256", "6"], lambda wb: _params(wb, "nr")),
+        Claim("nr.even", nr, "every codeword has even weight",
+              True, lambda wb: code_predicates(wb.code("nr")).is_even),
+        Claim("nr.antipodal", nr, "the code is closed under complement",
+              True, lambda wb: _antipodal(wb, "nr")),
+        Claim("nr.dist", nr, "distance distribution of the (16, 256, 6) code",
+              fmt(list(NR_DISTRIBUTION)), lambda wb: _distribution(wb, "nr")),
+        Claim("nr.rho", nr, "covering radius 4", "4", lambda wb: _rho(wb, "nr")),
+        Claim("nr.cells", nr, "distance-partition cell sizes",
+              ["256", "4096", "30720", "28672", "1792"],
+              lambda wb: _cell_sizes(wb, "nr")),
+        Claim("nr.cr", nr, "the code is completely regular",
+              regular, lambda wb: _cr_summary(wb, "nr")),
+        Claim("nr.design.w6", nr, "weight-6 words form a 3-design with 112 blocks",
+              ["4", "112"], lambda wb: _design_summary(wb, "nr", 6, 3)),
+        Claim("nr.design.w8", nr, "weight-8 words form a 3-design",
+              ["3", "30"], lambda wb: _design_summary(wb, "nr", 8, 3)),
+        Claim("nr.design.w10", nr, "weight-10 words form a 3-design",
+              ["24", "112"], lambda wb: _design_summary(wb, "nr", 10, 3)),
+        Claim("nr.kernel", nr, "translation kernel equals the [16,5,8] subcode",
+              ["32", True], _kernel_summary),
+        Claim("nr.kernel.strict", nr,
+              "no word outside the kernel translates the code onto itself",
+              True, _kernel_strict),
+        Claim("nr.perm.order", nr, "permutation stabilizer has order 40320",
+              "40320", lambda wb: _perm_order(wb, "nr")),
+        Claim("nr.mu.order", nr,
+              "coordinate action of the full stabilizer has order 322560",
+              "322560", _mu_image_order),
+        Claim("nr.orbits.sphere4", nr,
+              "permutation stabilizer has 2 orbits on weight-4 vertices",
+              "2", lambda wb: _sphere_orbits(wb, "nr", 4)),
+        Claim("nr.orbits.low", nr,
+              "permutation stabilizer is transitive on weights 1, 2, 3",
+              ["1", "1", "1"],
+              lambda wb: [_sphere_orbits(wb, "nr", k) for k in (1, 2, 3)]),
+        Claim("nr.ct", nr, "orbits of the stabilizer equal the distance partition",
+              [True, "5"], lambda wb: _ct_summary(wb, "nr")),
+        Claim("rm.params", nr, "kernel subcode is a linear [16,5,8] subset",
+              ["32", "8", True, True], _subcode_params),
+        Claim("rm.cr", nr, "the [16,5,8] subcode is completely regular",
+              regular, lambda wb: _cr_summary(wb, "reed_muller"),
+              note="expected to fail: two vertices at distance 4 from the "
+              "subcode have different codeword-distance profiles, so the "
+              "subcode is not completely regular; the computed value "
+              "carries one witness pair"),
+        Claim("feas.nr.unique", nr,
+              "transform nonnegativity forces the unknown entries to (0, 30)",
+              [["0", "30"]], lambda wb: _solutions(wb, "nr", 7, 8)),
+        Claim("feas.nr.row_k2", nr, "derived constraint row at k = 2",
+              "240 - 12*a7 - 8*a8 >= 0", lambda wb: _constraint_row(wb, "nr", 2)),
+        Claim("feas.nr.row_k4", nr, "derived constraint row at k = 4",
+              "-840 + 28*a7 + 28*a8 >= 0", lambda wb: _constraint_row(wb, "nr", 4),
+              note="the a7 coefficient of this derived row is +28; a commonly "
+              "printed form of the same system carries -28 there; both "
+              "systems have the identical unique solution (0, 30)"),
+        Claim("feas.nr.lambda", nr,
+              "design multiplicity: odd values inadmissible, bound 13/3",
+              ["13/3", ["2", "4"]], lambda wb: _lambda_elimination(16, 6, 3)),
+        Claim("pn.params", pn, "puncturing yields a (15, 256, 5) code",
+              ["15", "256", "5"], lambda wb: _params(wb, "pn")),
+        Claim("pn.weight5.count", pn, "42 words of weight 5",
+              "42", lambda wb: _weight_count(wb, "pn", 5)),
+        Claim("pn.dist", pn, "distance distribution of the (15, 256, 5) code",
+              fmt(list(PN_DISTRIBUTION)), lambda wb: _distribution(wb, "pn")),
+        Claim("pn.antipodal", pn, "the punctured code is closed under complement",
+              True, lambda wb: _antipodal(wb, "pn")),
+        Claim("pn.rho", pn, "covering radius 3", "3", lambda wb: _rho(wb, "pn")),
+        Claim("pn.cells", pn, "distance-partition cell sizes",
+              ["256", "3840", "26880", "1792"], lambda wb: _cell_sizes(wb, "pn")),
+        Claim("pn.cr", pn, "the punctured code is completely regular",
+              regular, lambda wb: _cr_summary(wb, "pn")),
+        Claim("pn.design.w5", pn, "weight-5 words form a 2-design with 42 blocks",
+              ["4", "42"], lambda wb: _design_summary(wb, "pn", 5, 2)),
+        Claim("pn.kernel.size", pn, "translation kernel has 32 words",
+              "32", lambda wb: str(1 << len(wb.code("pn").kernel))),
+        Claim("pn.perm.order", pn, "permutation stabilizer has order 2520",
+              "2520", lambda wb: _perm_order(wb, "pn")),
+        Claim("pn.orbits.sphere3", pn,
+              "permutation stabilizer has 2 orbits on weight-3 vertices",
+              "2", lambda wb: _sphere_orbits(wb, "pn", 3)),
+        Claim("pn.ct", pn, "orbits of the stabilizer equal the distance partition",
+              [True, "4"], lambda wb: _ct_summary(wb, "pn")),
+        Claim("pn.puncture.equiv", pn,
+              "all 16 puncture positions give equivalent codes",
+              "equivalent for 15/15 puncture positions", _puncture_equivalences),
+        Claim("feas.pn.unique", pn,
+              "transform nonnegativity forces the unknown entries to (70, 15)",
+              [["70", "15"]], lambda wb: _solutions(wb, "pn", 6, 7)),
+        Claim("feas.pn.lambda", pn,
+              "design multiplicity: odd values inadmissible, bound 13/3",
+              ["13/3", ["2", "4"]], lambda wb: _lambda_elimination(15, 5, 2)),
+        Claim("external.snover.nr", nr,
+              "every binary (16, 256, 6) code is equivalent to this one",
+              citation="Snover (1973), uniqueness of the (16, 256, 6) code; "
+              "not recomputed"),
+        Claim("external.snover.pn", pn,
+              "every binary (15, 256, 5) code is equivalent to this one",
+              citation="Snover (1973), uniqueness of the (15, 256, 5) code; "
+              "not recomputed"),
+        Claim("external.design.lambda2.nr", nr,
+              "no 3-(16, 6, 2) design exists, so the multiplicity is 4",
+              citation="Handbook of Combinatorial Designs, 3-design tables; "
+              "not recomputed"),
+        Claim("external.design.lambda2.pn", pn,
+              "no 2-(15, 5, 2) design exists, so the multiplicity is 4",
+              citation="Handbook of Combinatorial Designs, 2-design tables; "
+              "not recomputed"),
+    )
     ids = [c.claim_id for c in claims]
     if len(ids) != len(set(ids)):
         raise RuntimeError("duplicate claim id in the manifest")
-    return tuple(claims)
+    return claims
 
 
 TARGETS = ("nr", "pn", "all")

@@ -188,15 +188,20 @@ def brute_perm_automorphisms(code: Code) -> list[tuple[int, ...]]:
 
 
 def mulclose_order(gens, n: int) -> int:
-    """Order of the generated permutation group by plain closure."""
+    """Order of the generated permutation group by plain closure.
+
+    The identity is closed under right multiplication by the generators
+    alone: in a finite group every inverse is a power, so this reaches
+    the whole group in |G| * len(gens) products.
+    """
+    gens = [tuple(g) for g in gens]
     seen = {tuple(range(n))}
-    seen.update(tuple(g) for g in gens)
     frontier = list(seen)
     while frontier:
         fresh = []
         for p in frontier:
-            for q in list(seen):
-                r = tuple(q[p[i]] for i in range(n))
+            for g in gens:
+                r = tuple(p[i] for i in g)
                 if r not in seen:
                     seen.add(r)
                     fresh.append(r)
