@@ -17,7 +17,7 @@ from .codes import (
     translate,
     write_code,
 )
-from .hamming import krawtchouk, sphere
+from .hamming import krawtchouk
 from .spectrum import (
     completely_regular_check,
     design_arithmetic,

@@ -6,7 +6,10 @@ manifest, and `feasible` solves a partially specified distance
 distribution.  Exit codes are stable: 0 success, 1 claim or feasibility
 failure, 2 input error, and 141 when standard output is closed before the
 output is written (`nrcodes verify all | head -1`): the run ends quietly,
-with the status of a process killed by SIGPIPE.
+with the status of a process killed by SIGPIPE.  `main` maps input and
+limit errors to exit 2 in one place: any `ValueError` or `OSError` that a
+handler lets through, `WorkLimitExceeded` included, prints one line
+`error: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -17,19 +20,18 @@ import json
 import os
 import sys
 
-from .codes import CodeFileError, code_predicates, named_code, read_code, write_code
-from .hamming import check_length, parse_decimal
+from .codes import code_predicates, named_code, read_code, write_code
+from .hamming import WorkLimitExceeded, check_length, parse_decimal
 from .report import Workbench, fmt, run_verification, transitivity_certificate
 from .spectrum import (
     FeasibilityError,
-    RegularityWorkExceeded,
     completely_regular_check,
     distance_distribution,
     distance_partition,
     feasible_distributions,
     macwilliams_transform,
 )
-from .symmetry import SearchBudgetExceeded, parse_budget
+from .symmetry import parse_budget
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -52,15 +54,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        code = read_code(args.path)
-    except (CodeFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    code = read_code(args.path)
     dd = distance_distribution(code)
     try:
         res = part = completely_regular_check(code)
-    except RegularityWorkExceeded:
+    except WorkLimitExceeded:
         res, part = None, distance_partition(code)
     preds = code_predicates(code)
     doc = {
@@ -102,11 +100,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     wb = Workbench(budget=args.budget)
-    try:
-        report = run_verification(args.target, workbench=wb)
-    except (ValueError, SearchBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    report = run_verification(args.target, workbench=wb)
     for entry in report.entries:
         label = entry.status.upper().replace("-", " ")
         print(f"{label:14s} {entry.claim_id:28s} {entry.statement}")
@@ -167,21 +161,14 @@ def _parse_template(spec: str, m: int, antipodal: bool):
 
 
 def cmd_feasible(args) -> int:
-    try:
-        m = parse_decimal(args.m, "length")
-        check_length(m)
-        template = _parse_template(args.template, m, args.antipodal)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    m = parse_decimal(args.m, "length")
+    check_length(m)
+    template = _parse_template(args.template, m, args.antipodal)
     try:
         res = feasible_distributions(m, template, antipodal=args.antipodal)
     except FeasibilityError as exc:
         print(json.dumps({"error": str(exc)}, indent=2))
         return EXIT_CLAIM_FAILURE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     doc = {
         "m": str(m),
         "unknowns": [
@@ -266,6 +253,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_OUTPUT
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return status
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +38,16 @@ _BYTE_BITS = (np.arange(256, dtype=np.int64)[:, None] >> np.arange(8)) & 1
 def check_length(m: int) -> None:
     if not 1 <= m <= MAX_LENGTH:
         raise ValueError(f"length must be in [1, {MAX_LENGTH}], got {m}")
+
+
+class WorkLimitExceeded(ValueError):
+    """A bounded computation would do more work than its limit allows:
+    `estimate` units against `limit` (orbit images, vertex-word pairs or
+    grid points)."""
+
+    def __init__(self, message: str, estimate: int, limit: int):
+        super().__init__(message)
+        self.estimate, self.limit = estimate, limit
 
 
 def check_vertex(v: int, m: int) -> None:
@@ -146,18 +155,6 @@ def weight_vertices(m: int, k: int) -> np.ndarray:
         out |= (1 << c).astype(np.uint32)
         rank -= binom[c]
     return out
-
-
-def sphere(center: int, k: int, m: int) -> Iterator[int]:
-    """All words at distance exactly k from center, ascending by bit word.
-
-    Yields binomial(m, k) distinct words.  The list is materialized
-    internally so the output order is independent of the center.
-    """
-    check_vertex(center, m)
-    if not 0 <= k <= m:
-        raise ValueError(f"sphere radius {k} outside [0, {m}]")
-    yield from np.sort(weight_vertices(m, k) ^ np.uint32(center)).tolist()
 
 
 def krawtchouk(m: int, k: int, x: int) -> int:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod
 from .hamming import (
+    WorkLimitExceeded,
     check_length,
     check_vertex,
     distance_profiles,
@@ -154,17 +155,6 @@ class RegularityWitness:
 CR_WORK_LIMIT = 1 << 25
 
 
-class RegularityWorkExceeded(ValueError):
-    """The profile scan of a complete-regularity check is too large."""
-
-    def __init__(self, estimate: int):
-        super().__init__(
-            f"complete-regularity scan needs {estimate} vertex-word pairs, "
-            f"above the limit of {CR_WORK_LIMIT}"
-        )
-        self.estimate = estimate
-
-
 @dataclass(frozen=True)
 class CompleteRegularityResult:
     ok: bool
@@ -259,14 +249,18 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     All arithmetic is exact in int64.  Within CR_WORK_LIMIT,
     2^f1 |C| <= 2^25, and no value in a transform exceeds
     |C| 4^f1 <= 2^50 in magnitude.  The check costs 2^(f-f1) |C| pairs;
-    when 2^f |C| exceeds CR_WORK_LIMIT, RegularityWorkExceeded is raised
+    when 2^f |C| exceeds CR_WORK_LIMIT, WorkLimitExceeded is raised
     before any profile is computed.
     """
     m = code.m
     basis = code.kernel
     estimate = code.size << (m - len(basis))
     if estimate > CR_WORK_LIMIT:
-        raise RegularityWorkExceeded(estimate)
+        raise WorkLimitExceeded(
+            f"complete-regularity scan needs {estimate} vertex-word pairs, "
+            f"above the limit of {CR_WORK_LIMIT}",
+            estimate, CR_WORK_LIMIT,
+        )
     free = free_coordinates(basis, m)
     width = _transform_width(code.size, m, len(free))
     first: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -413,17 +407,6 @@ class ConstraintRow:
 FEASIBILITY_GRID_LIMIT = 1 << 18
 
 
-class FeasibilityWorkExceeded(ValueError):
-    """The grid of a feasibility search is too large."""
-
-    def __init__(self, estimate: int):
-        super().__init__(
-            f"feasibility grid has {estimate} points, "
-            f"above the limit of {FEASIBILITY_GRID_LIMIT}"
-        )
-        self.estimate = estimate
-
-
 @dataclass(frozen=True)
 class FeasibilityResult:
     m: int
@@ -445,7 +428,7 @@ def feasible_distributions(
     Bounds on each unknown are derived from the constraint rows themselves
     by interval propagation; a system leaving any unknown unbounded is an
     error, and so is a grid of more than FEASIBILITY_GRID_LIMIT points
-    (FeasibilityWorkExceeded, before the first point is tried).
+    (WorkLimitExceeded, before the first point is tried).
     """
     check_length(m)
     template = list(template)
@@ -455,25 +438,15 @@ def feasible_distributions(
         raise ValueError("template must fix the zero-distance entry to 1")
     fixed: dict[int, int] = {}
     groups: list[tuple[int, ...]] = []
-    if antipodal:
-        for i in range(0, m // 2 + 1):
-            j = m - i
-            lo_v, hi_v = template[i], template[j]
-            if lo_v is not None and hi_v is not None and lo_v != hi_v:
-                raise ValueError(f"entries {i} and {j} contradict the symmetry tie")
-            value = lo_v if lo_v is not None else hi_v
-            slots = (i,) if i == j else (i, j)
-            if value is None:
-                groups.append(slots)
-            else:
-                for s in slots:
-                    fixed[s] = value
-    else:
-        for i, value in enumerate(template):
-            if value is None:
-                groups.append((i,))
-            else:
-                fixed[i] = value
+    for i in range(m // 2 + 1 if antipodal else m + 1):
+        slots = (i, m - i) if antipodal and 2 * i != m else (i,)
+        values = {template[s] for s in slots} - {None}
+        if len(values) > 1:
+            raise ValueError(f"entries {i} and {m - i} contradict the symmetry tie")
+        if values:
+            fixed.update(dict.fromkeys(slots, values.pop()))
+        else:
+            groups.append(slots)
     variables = tuple(groups)
     names = tuple(f"a{g[0]}" for g in variables)
 
@@ -494,23 +467,21 @@ def feasible_distributions(
         ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
         estimate = math.prod(map(len, ranges))
         if estimate > FEASIBILITY_GRID_LIMIT:
-            raise FeasibilityWorkExceeded(estimate)
+            raise WorkLimitExceeded(
+                f"feasibility grid has {estimate} points, "
+                f"above the limit of {FEASIBILITY_GRID_LIMIT}",
+                estimate, FEASIBILITY_GRID_LIMIT,
+            )
         for point in itertools.product(*ranges):
             if all(
                 row.const + sum(c * x for c, x in zip(row.coeffs, point)) >= 0
                 for row in rows
             ):
-                assignment = {
-                    s: x for g, x in zip(variables, point) for s in g
-                }
+                assignment = {s: x for g, x in zip(variables, point) for s in g}
                 solutions.append(assignment)
-                full = list(template)
-                if antipodal:
-                    for i, v in fixed.items():
-                        full[i] = v
-                for s, x in assignment.items():
-                    full[s] = x
-                distributions.append(tuple(full))
+                distributions.append(
+                    tuple(fixed.get(i, assignment.get(i)) for i in range(m + 1))
+                )
     return FeasibilityResult(
         m=m, variables=variables, names=names, rows=rows,
         bounds=tuple(zip(lo, hi)),

@@ -32,7 +32,8 @@ keeping every parity bit.  So its permutation stabilizer is read off rows
 are the extension's that fix coordinate 0 (`drop_coordinate_0`).
 
 Each orbit walk has a budget (NRCODES_BUDGET or 10^8) of one node per
-image of the code; exceeding it raises, never returns a partial answer.
+image of the code; exceeding it raises `WorkLimitExceeded`, never returns
+a partial answer.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 
 from .codes import Code, coset_leaders, free_coordinates, reduce_mod, span
 from .hamming import (
+    WorkLimitExceeded,
     check_vertex,
     parse_decimal,
     permute_bits,
@@ -63,10 +65,6 @@ _BUDGET_ENV = "NRCODES_BUDGET"
 
 class KernelNotAffine(ValueError):
     """The code's translation kernel is not RM(1,r) on all 2^r coordinates."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """An orbit walk found more images than its budget allows."""
 
 
 def parse_budget(text: str, name: str = _BUDGET_ENV) -> int:
@@ -92,8 +90,8 @@ class _Budget:
     def charge(self) -> None:
         self.used += 1
         if self.used > self.limit:
-            limit = self.limit
-            raise SearchBudgetExceeded(f"orbit walk exceeded its node budget of {limit}")
+            msg = f"orbit walk exceeded its node budget of {self.limit}"
+            raise WorkLimitExceeded(msg, self.used, self.limit)
 
 
 # ---------------------------------------------------------------------------

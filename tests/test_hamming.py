@@ -1,5 +1,4 @@
 import math
-import random
 import tracemalloc
 
 import numpy as np
@@ -13,46 +12,11 @@ from nrcodes.hamming import (
     krawtchouk,
     krawtchouk_table,
     permute_bits,
-    sphere,
     to_string,
     unpermute_bits,
     weight_vertices,
 )
 from oracles import brute_sphere
-
-
-def test_sphere_counts():
-    assert len(list(sphere(0, 4, 16))) == 1820
-    assert list(sphere(0b1010, 0, 8)) == [0b1010]
-    pts = list(sphere(0, 3, 15))
-    assert len(pts) == 455
-    assert all(p.bit_count() == 3 for p in pts)
-
-
-def test_sphere_is_sorted_and_distinct():
-    pts = list(sphere(0b110101, 3, 9))
-    assert pts == sorted(set(pts))
-
-
-@pytest.mark.parametrize("m", [4, 6, 9, 12])
-def test_sphere_matches_brute_filter(m):
-    rng = random.Random(m)
-    center = rng.randrange(1 << m)
-    for k in range(m + 1):
-        assert list(sphere(center, k, m)) == brute_sphere(center, k, m)
-
-
-@pytest.mark.parametrize("m", [5, 10, 12])
-def test_spheres_partition_vertex_space(m):
-    total = sum(len(list(sphere(0b1 if m > 1 else 0, k, m))) for k in range(m + 1))
-    assert total == 1 << m
-
-
-def test_sphere_range_errors():
-    with pytest.raises(ValueError):
-        list(sphere(0, 5, 4))
-    with pytest.raises(ValueError):
-        list(sphere(0, -1, 4))
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 8, 11])

@@ -422,6 +422,17 @@ def test_cli_analyze_non_utf8_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_cli_maps_any_value_error_to_exit_2(tmp_path, capsys, monkeypatch):
+    # A ValueError that no handler catches is mapped once, in main.
+    def planted(code):
+        raise ValueError("planted")
+
+    path = tmp_path / "c.code"
+    path.write_text("m=3\n000\n110\n")
+    monkeypatch.setattr(cli, "distance_distribution", planted)
+    assert _run_cli(["analyze", str(path)], capsys) == (2, "", "error: planted\n")
+
+
 def test_cli_analyze_small_witness(tmp_path, capsys):
     path = tmp_path / "c.code"
     path.write_text("m=3\n000\n110\n")

@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 
 from nrcodes import golay24, spectrum
 from nrcodes.codes import Code, kernel_basis, span
-from nrcodes.hamming import from_string, krawtchouk, permute_bits, weight_vertices
+from nrcodes.hamming import (
+    WorkLimitExceeded,
+    from_string,
+    krawtchouk,
+    permute_bits,
+    weight_vertices,
+)
 from nrcodes.spectrum import (
     CR_WORK_LIMIT,
     ConstraintRow,
     FeasibilityError,
-    FeasibilityWorkExceeded,
-    RegularityWorkExceeded,
     _profile_blocks,
     _propagate_bounds,
     _transform_width,
@@ -382,9 +386,10 @@ def test_regularity_guard_raises_before_any_profile(monkeypatch):
     monkeypatch.setattr(spectrum, "distance_profiles", no_profiles)
     code = Code(24, [0, 1, 6, 1 << 23])
     assert kernel_basis(code) == ()
-    with pytest.raises(RegularityWorkExceeded) as info:
+    with pytest.raises(WorkLimitExceeded) as info:
         completely_regular_check(code)
     assert info.value.estimate == 4 << 24 > CR_WORK_LIMIT
+    assert info.value.estimate > info.value.limit == CR_WORK_LIMIT
     assert isinstance(info.value, ValueError)
 
 
@@ -554,9 +559,10 @@ def test_feasibility_grid_is_bounded(monkeypatch):
     # estimate is refused, as a ValueError that is no FeasibilityError
     # (the CLI exits 2 on it, not 1).
     monkeypatch.setattr(spectrum, "FEASIBILITY_GRID_LIMIT", 0)
-    with pytest.raises(FeasibilityWorkExceeded, match="grid has 1 points") as info:
+    with pytest.raises(WorkLimitExceeded, match="grid has 1 points") as info:
         feasible_distributions(16, NR_TEMPLATE, antipodal=True)
     assert info.value.estimate == 1
+    assert info.value.estimate > info.value.limit == 0
     assert not isinstance(info.value, FeasibilityError)
 
 
