@@ -84,7 +84,7 @@ def cmd_analyze(args) -> int:
     else:
         doc["completely_regular"] = res.ok
         if res.ok:
-            doc["intersection_table"] = [fmt(list(r)) for r in res.table.rows]
+            doc["intersection_table"] = [fmt(list(r)) for r in res.rows]
         else:
             w = res.witness
             doc["witness"] = {
@@ -133,10 +133,11 @@ def cmd_verify(args) -> int:
 
 
 def _parse_template(spec: str, m: int, antipodal: bool):
-    """Comma list of 'i=value' or 'i=?', i and value ASCII digits (spaces
-    around either side are ignored); unspecified entries default to 0
-    (entry 0 defaults to 1).  Under the antipodal tie, an unspecified
-    entry m-i inherits the specification of entry i."""
+    """Comma list of 'i=value' or 'i=?', each index at most once, i and
+    value ASCII digits (spaces around either side are ignored);
+    unspecified entries default to 0 (entry 0 defaults to 1).  Under the
+    antipodal tie, an unspecified entry m-i inherits the specification of
+    entry i."""
     template: list[int | None] = [0] * (m + 1)
     template[0] = 1
     explicit: set[int] = set()
@@ -150,6 +151,8 @@ def _parse_template(spec: str, m: int, antipodal: bool):
         idx = parse_decimal(idx_s, "template index")
         if not 0 <= idx <= m:
             raise ValueError(f"template index {idx} outside 0..{m}")
+        if idx in explicit:
+            raise ValueError(f"template index {idx} given twice")
         template[idx] = None if val_s == "?" else parse_decimal(val_s, "template value")
         explicit.add(idx)
     if antipodal:

@@ -13,9 +13,9 @@ computations) consumes the immutable Code objects built here.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +157,7 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 PAIR_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class CodePredicates:
+class CodePredicates(NamedTuple):
     is_linear: bool
     is_even: bool
     is_antipodal: bool

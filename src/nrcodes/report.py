@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -208,7 +207,7 @@ def _cr_summary(wb: Workbench, name: str) -> list:
     if not res.ok:
         w = res.witness
         return ["witness", str(w.cell), str(w.vertex_a), str(w.vertex_b)]
-    row_sums_ok = all(s == res.table.size for s in res.table.row_sums())
+    row_sums_ok = all(sum(row) == wb.code(name).size for row in res.rows)
     return ["completely regular", "row sums |C|" if row_sums_ok else "row sums bad"]
 
 
@@ -218,7 +217,7 @@ def _design_summary(wb: Workbench, name: str, weight: int, t: int) -> list:
     if not res.ok:
         return ["not a design", str(res.witness[0]), str(res.witness[1])]
     params = design_arithmetic(t, code.m, weight, res.lam)
-    return [str(res.lam), fmt(params.b)]
+    return [str(res.lam), fmt(params.lambdas[0])]
 
 
 def _perm_order(wb: Workbench, name: str) -> str:
@@ -226,7 +225,7 @@ def _perm_order(wb: Workbench, name: str) -> str:
 
 
 def _sphere_orbits(wb: Workbench, name: str, weight: int) -> str:
-    return str(orbits_on_sphere(wb.perm_group(name), weight).orbit_count)
+    return str(len(orbits_on_sphere(wb.perm_group(name), weight)))
 
 
 def _ct_summary(wb: Workbench, name: str) -> list:
@@ -462,8 +461,7 @@ def build_manifest() -> tuple[Claim, ...]:
 TARGETS = ("nr", "pn", "all")
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     claim_id: str
     statement: str
     expected: object
@@ -474,26 +472,18 @@ class ReportEntry:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "claim_id": self.claim_id,
-            "statement": self.statement,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-            "wall_time": self.wall_time,
-        }
-        if self.citation is not None:
-            out["citation"] = self.citation
-        if self.note is not None:
-            out["note"] = self.note
+        """The fields in order, without a citation or note that is None."""
+        out = self._asdict()
+        for key in ("citation", "note"):
+            if out[key] is None:
+                del out[key]
         return out
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     version: str
     target: str
-    entries: list[ReportEntry] = field(default_factory=list)
+    entries: list[ReportEntry]
 
     def failing_ids(self) -> list[str]:
         return [e.claim_id for e in self.entries if e.status == "fail"]
@@ -521,7 +511,7 @@ def run_verification(
     if target not in TARGETS:
         raise ValueError(f"unknown verification target {target!r}")
     wb = workbench if workbench is not None else Workbench()
-    report = VerificationReport(version=__version__, target=target)
+    report = VerificationReport(version=__version__, target=target, entries=[])
     for claim in build_manifest():
         if target != "all" and target not in claim.targets:
             continue

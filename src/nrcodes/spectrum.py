@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ class FeasibilityError(ValueError):
     """The constraint system does not bound every unknown."""
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
+class DistanceDistribution(NamedTuple):
     """Exact ordered-pair distance counts and their normalized form."""
 
     m: int
@@ -71,8 +69,7 @@ def macwilliams_transform(dist: DistanceDistribution) -> tuple[Fraction, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DistancePartition:
+class DistancePartition(NamedTuple):
     """d(., C) on the cosets of the translation kernel K, with covering
     radius and cells: labels[i] is d(v, C) for the least vertex
     v = permute_bits(i, free) of each coset."""
@@ -124,25 +121,7 @@ def distance_partition(code: Code) -> DistancePartition:
     return DistancePartition(m, basis, free, dist, rho, sizes)
 
 
-@dataclass(frozen=True)
-class IntersectionTable:
-    """Codewords-at-distance-k counts per distance-partition cell.
-
-    Entry (i, k) is the number of codewords at distance k from any vertex
-    of cell i; it exists exactly when the code is completely regular.
-    """
-
-    m: int
-    rho: int
-    size: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
-
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(NamedTuple):
     cell: int
     vertex_a: int
     vertex_b: int
@@ -155,10 +134,14 @@ class RegularityWitness:
 CR_WORK_LIMIT = 1 << 25
 
 
-@dataclass(frozen=True)
-class CompleteRegularityResult:
+class CompleteRegularityResult(NamedTuple):
+    """`rows` is the intersection table when the code is completely
+    regular: entry (i, k) is the number of codewords at distance k from
+    any vertex of cell i.  Otherwise `witness` holds two vertices of one
+    cell with different profiles."""
+
     ok: bool
-    table: IntersectionTable | None
+    rows: tuple[tuple[int, ...], ...] | None
     witness: RegularityWitness | None
     rho: int
     cell_sizes: tuple[int, ...]
@@ -224,7 +207,7 @@ def _profile_blocks(arr: np.ndarray, m: int, free: list[int], width: int,
 
 
 def completely_regular_check(code: Code) -> CompleteRegularityResult:
-    """Decide complete regularity, returning the table or a witness pair.
+    """Decide complete regularity, returning the table rows or a witness pair.
 
     The profile of a vertex v (codewords at each distance 0..m) and its
     cell d(v, C) are constant on v + K, for the translation kernel
@@ -281,7 +264,7 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
                     deviant[c] = (int(reps[j]), tuple(profiles[j].tolist()))
     rho = max(first)
     cell_sizes = tuple(counts[i] << len(basis) for i in range(rho + 1))
-    table = witness = None
+    rows = witness = None
     if deviant:
         cell = min(deviant)
         (va, pa), (vb, pb) = first[cell], deviant[cell]
@@ -289,20 +272,16 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
             cell=cell, vertex_a=va, vertex_b=vb, profile_a=pa, profile_b=pb
         )
     else:
-        table = IntersectionTable(
-            m=m, rho=rho, size=code.size,
-            rows=tuple(first[i][1] for i in range(rho + 1)),
-        )
+        rows = tuple(first[i][1] for i in range(rho + 1))
     return CompleteRegularityResult(
-        ok=not deviant, table=table, witness=witness, rho=rho, cell_sizes=cell_sizes
+        ok=not deviant, rows=rows, witness=witness, rho=rho, cell_sizes=cell_sizes
     )
 
 
 # ---------------------------------------------------------------------------
 # Combinatorial designs over weight classes.
 
-@dataclass(frozen=True)
-class DesignCheckResult:
+class DesignCheckResult(NamedTuple):
     ok: bool
     lam: int | None
     witness: tuple[int, int] | None  # (weight-t vertex, deviating count)
@@ -342,18 +321,12 @@ def design_check(words: Code, t: int) -> DesignCheckResult:
     return DesignCheckResult(ok=True, lam=lam, witness=None)
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    """Derived parameters of a t-(m, k, lam) design, exact."""
+class DesignParams(NamedTuple):
+    """Derived parameters of a t-(m, k, lam) design, exact: lambdas[0] is
+    the number of blocks b."""
 
-    t: int
-    m: int
-    k: int
-    lam: int
     lambdas: tuple[Fraction, ...]  # lambda_i for i = 0..t
-    b: Fraction
     integral: tuple[bool, ...]
-    b_integral: bool
 
 
 def design_arithmetic(t: int, m: int, k: int, lam: int) -> DesignParams:
@@ -365,13 +338,8 @@ def design_arithmetic(t: int, m: int, k: int, lam: int) -> DesignParams:
         Fraction(lam * math.comb(m - i, t - i), math.comb(k - i, t - i))
         for i in range(t + 1)
     )
-    b = lambdas[0]
     integral = tuple(x.denominator == 1 for x in lambdas)
-    return DesignParams(
-        t=t, m=m, k=k, lam=lam,
-        lambdas=lambdas, b=b, integral=integral,
-        b_integral=b.denominator == 1,
-    )
+    return DesignParams(lambdas=lambdas, integral=integral)
 
 
 def lambda_upper_bound(m: int, t: int, delta: int) -> Fraction:
@@ -384,8 +352,7 @@ def lambda_upper_bound(m: int, t: int, delta: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Feasibility of partially specified distance distributions.
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(NamedTuple):
     """One transform-nonnegativity row: const + sum(coeff * var) >= 0."""
 
     k: int
@@ -407,9 +374,7 @@ class ConstraintRow:
 FEASIBILITY_GRID_LIMIT = 1 << 18
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    m: int
+class FeasibilityResult(NamedTuple):
     variables: tuple[tuple[int, ...], ...]  # slot groups tied to one unknown
     names: tuple[str, ...]
     rows: tuple[ConstraintRow, ...]
@@ -483,7 +448,7 @@ def feasible_distributions(
                     tuple(fixed.get(i, assignment.get(i)) for i in range(m + 1))
                 )
     return FeasibilityResult(
-        m=m, variables=variables, names=names, rows=rows,
+        variables=variables, names=names, rows=rows,
         bounds=tuple(zip(lo, hi)),
         solutions=tuple(solutions), distributions=tuple(distributions),
     )

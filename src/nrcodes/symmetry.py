@@ -43,7 +43,7 @@ import math
 import operator
 import os
 import types
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,21 +122,33 @@ def _check_perm(p, n: int) -> tuple[int, ...]:
     return p
 
 
-@dataclass(frozen=True)
 class AutElement:
     """Translation-then-permutation automorphism of the Hamming graph.
 
     Acts on a vertex as permute(v + beta); composition is left-to-right,
-    so act(x * y, v) == act(y, act(x, v)).
+    so act(x * y, v) == act(y, act(x, v)).  Two elements are equal when
+    their (m, beta, sigma) are.
     """
 
-    m: int
-    beta: int
-    sigma: tuple[int, ...]
+    __slots__ = ("m", "beta", "sigma")
 
-    def __post_init__(self):
-        check_vertex(self.beta, self.m)
-        object.__setattr__(self, "sigma", _check_perm(self.sigma, self.m))
+    def __init__(self, m: int, beta: int, sigma):
+        check_vertex(beta, m)
+        self.m, self.beta, self.sigma = m, beta, _check_perm(sigma, m)
+
+    def _key(self) -> tuple:
+        return (self.m, self.beta, self.sigma)
+
+    def __eq__(self, other):
+        if not isinstance(other, AutElement):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"AutElement(m={self.m}, beta={self.beta}, sigma={self.sigma})"
 
     @classmethod
     def translation(cls, m: int, beta: int) -> "AutElement":
@@ -502,13 +514,6 @@ def _orbit_labels(tables, n: int) -> np.ndarray:
             return labels
 
 
-@dataclass(frozen=True)
-class SphereOrbits:
-    k: int
-    orbit_count: int
-    sizes: tuple[int, ...]  # by ascending least member
-
-
 def _image_indices(images: np.ndarray) -> np.ndarray:
     """Each image's index among the ascending points it permutes, by argsort."""
     table = np.empty(len(images), dtype=np.intp)
@@ -516,8 +521,9 @@ def _image_indices(images: np.ndarray) -> np.ndarray:
     return table
 
 
-def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
-    """The orbits of a permutation group on the weight-k vertices.
+def orbits_on_sphere(group: PermGroup, k: int) -> tuple[int, ...]:
+    """The sizes of the orbits of a permutation group on the weight-k
+    vertices, by ascending least member.
 
     A coordinate permutation keeps the weight, so it permutes the
     C(degree, k) weight-k vertices, in ascending order (`_image_indices`).
@@ -525,9 +531,7 @@ def orbits_on_sphere(group: PermGroup, k: int) -> SphereOrbits:
     verts = weight_vertices(group.degree, k)
     tables = [_image_indices(permute_bits(verts, g)) for g in group.generators]
     _, counts = np.unique(_orbit_labels(tables, len(verts)), return_counts=True)
-    return SphereOrbits(
-        k=k, orbit_count=len(counts), sizes=tuple(int(c) for c in counts)
-    )
+    return tuple(counts.tolist())
 
 
 def _coset_labels(gens, reps: np.ndarray, basis) -> np.ndarray:
@@ -566,16 +570,14 @@ def _translation_subspace(gens, m: int) -> list[int]:
     return sorted(basis)
 
 
-@dataclass(frozen=True)
-class CellCertificate:
+class CellCertificate(NamedTuple):
     cell: int
     cell_size: int
     orbit_label: int
     orbit_size: int
 
 
-@dataclass(frozen=True)
-class TransitivityResult:
+class TransitivityResult(NamedTuple):
     ok: bool
     cells: tuple[CellCertificate, ...]
     witness: tuple[int, int, int] | None  # (cell, vertex_a, vertex_b)
@@ -585,7 +587,8 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     """Do the orbits of the generators equal the distance partition?
 
     Every generator must stabilize the code (checked, error otherwise).
-    On success the certificate lists, per cell, the matched orbit size;
+    On success the certificate lists, per cell, its size in the distance
+    partition and, counted apart, the size of the orbit that matches it;
     on failure it returns two same-cell vertices in different orbits.
 
     The check runs on a quotient of F_2^m, not on all 2^m vertices.  Let T
@@ -615,7 +618,8 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     free = free_coordinates(basis, m)
     reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
     minima, counts = np.unique(_coset_labels(gens, reps, basis), return_counts=True)
-    dist = distance_partition(code).distance(reps[minima])
+    part = distance_partition(code)
+    dist = part.distance(reps[minima])
     cells = []
     for i in range(int(dist.max()) + 1):
         here = np.flatnonzero(dist == i)
@@ -623,6 +627,6 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
         if len(here) > 1:
             witness = (i, vertex, int(reps[minima[here[1]]]))
             return TransitivityResult(ok=False, cells=tuple(cells), witness=witness)
-        size = int(counts[here[0]]) << len(basis)
-        cells.append(CellCertificate(i, size, vertex, size))
+        orbit_size = int(counts[here[0]]) << len(basis)
+        cells.append(CellCertificate(i, part.cell_sizes[i], vertex, orbit_size))
     return TransitivityResult(ok=True, cells=tuple(cells), witness=None)

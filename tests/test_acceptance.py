@@ -109,7 +109,7 @@ def test_criterion_05_complete_regularity(nr, pn, golay, rm):
         res = completely_regular_check(code)
         results[name] = res
         if res.ok:
-            assert res.table.row_sums() == (code.size,) * (res.table.rho + 1)
+            assert tuple(map(sum, res.rows)) == (code.size,) * (res.rho + 1)
     w = results["rm"].witness
     refuted = False
     if not results["rm"].ok and w is not None:
@@ -138,7 +138,7 @@ def test_criterion_06_designs(nr, pn):
     res6 = design_check(Code(16, nr.weight_class(6)), 3)
     res5 = design_check(Code(15, pn.weight_class(5)), 2)
     res8 = design_check(Code(16, nr.weight_class(8)), 3)
-    b = design_arithmetic(3, 16, 6, 4).b
+    b = design_arithmetic(3, 16, 6, 4).lambdas[0]
     ok = (
         res6.ok and res6.lam == 4
         and b == 112 == nr.weight_histogram[6]
@@ -221,10 +221,10 @@ def test_criterion_10_group_orders(nr_perm_group, pn_perm_group, nr_generators):
 def test_criterion_11_sphere_orbits(nr_perm_group, pn_perm_group):
     t0 = time.perf_counter()
     ok = (
-        orbits_on_sphere(nr_perm_group, 4).orbit_count == 2
-        and orbits_on_sphere(pn_perm_group, 3).orbit_count == 2
+        len(orbits_on_sphere(nr_perm_group, 4)) == 2
+        and len(orbits_on_sphere(pn_perm_group, 3)) == 2
         and all(
-            orbits_on_sphere(nr_perm_group, k).orbit_count == 1
+            len(orbits_on_sphere(nr_perm_group, k)) == 1
             for k in (1, 2, 3)
         )
     )
@@ -306,7 +306,7 @@ def test_criterion_14_oracle_suites():
         ok, extra = brute_regularity(code)
         assert ours.ok == ok
         if ok:
-            assert ours.table.rows == extra
+            assert ours.rows == extra
 
     # randomized group laws
     m = 16

@@ -199,8 +199,7 @@ def test_reports_identical_apart_from_wall_time():
     b = run_verification("nr")
     c = run_verification("all")
     for report in (a, b, c):
-        for entry in report.entries:
-            entry.wall_time = "0"
+        report.entries[:] = [e._replace(wall_time="0") for e in report.entries]
     assert a.to_json() == b.to_json()
     assert hashlib.sha256(c.to_json().encode()).hexdigest() == REPORT_ALL_SHA256
 
@@ -583,6 +582,17 @@ def test_cli_closed_stdout_exits_quietly(argv, unbuffered):
     assert proc.returncode == cli.EXIT_CLOSED_OUTPUT
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # The result records are NamedTuples: `@dataclass` took 15-18 ms of the
+    # import, which every command pays.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, nrcodes.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_cli_feasible(capsys):
     args = [
         "feasible", "-m", "16",
@@ -638,6 +648,13 @@ def test_cli_feasible_grid_too_large_exits_at_once(capsys):
 def test_cli_feasible_bad_template(capsys):
     assert main(["feasible", "-m", "4", "-t", "9=1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_feasible_repeated_template_index(capsys):
+    # a second value for one index is an input error, not a silent overwrite
+    argv = ["feasible", "-m", "16", "-t", "6=112,6=5,7=?,8=?,16=1", "--antipodal"]
+    code, out, err = _run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", "error: template index 6 given twice\n")
 
 
 # int() reads "-5" as a (negative) count, "+3" and "٣" (Arabic-Indic

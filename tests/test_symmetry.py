@@ -66,8 +66,11 @@ def test_group_laws_randomized():
         v = rng.randrange(1 << m)
         assert (x * y).act(v) == y.act(x.act(v))
         assert (x * y) * z == x * (y * z)
+        assert hash((x * y) * z) == hash(x * (y * z))
         assert x * identity == x == identity * x
         assert x * x.inverse() == identity
+        assert hash(x * x.inverse()) == hash(identity)
+        assert x != (x.m, x.beta, x.sigma)
         assert x.inverse().act(x.act(v)) == v
 
 
@@ -555,8 +558,8 @@ def test_mu_image_order(nr_generators):
 def test_vertex_orbits_no_generators():
     m = 6
     spheres = [orbits_on_sphere(PermGroup(m, []), k) for k in range(m + 1)]
-    assert sum(res.orbit_count for res in spheres) == 64
-    assert sum((res.sizes for res in spheres), ()) == (1,) * 64
+    assert sum(map(len, spheres)) == 64
+    assert sum(spheres, ()) == (1,) * 64
     res = verify_complete_transitivity(Code(m, [0]), [])
     assert [c.cell_size for c in res.cells] == [1]
     assert not res.ok and res.witness == (1, 1, 2)
@@ -569,8 +572,8 @@ def test_vertex_orbits_of_symmetric_group_are_weight_classes():
         for i in range(m - 1)
     ]
     spheres = [orbits_on_sphere(PermGroup(m, adjacent), k) for k in range(m + 1)]
-    assert sum(res.orbit_count for res in spheres) == m + 1
-    assert sorted(sum((res.sizes for res in spheres), ())) == sorted(
+    assert sum(map(len, spheres)) == m + 1
+    assert sorted(sum(spheres, ())) == sorted(
         [1, 6, 15, 20, 15, 6, 1]
     )
 
@@ -588,14 +591,10 @@ def test_vertex_orbits_respect_distance_partition(nr, nr_perm_group):
 
 
 def test_orbits_on_spheres(nr_perm_group, pn_perm_group):
-    res = orbits_on_sphere(nr_perm_group, 4)
-    assert res.orbit_count == 2
-    assert sorted(res.sizes) == [140, 1680]
+    assert sorted(orbits_on_sphere(nr_perm_group, 4)) == [140, 1680]
     for k in (1, 2, 3):
-        assert orbits_on_sphere(nr_perm_group, k).orbit_count == 1
-    res3 = orbits_on_sphere(pn_perm_group, 3)
-    assert res3.orbit_count == 2
-    assert sorted(res3.sizes) == [35, 420]
+        assert len(orbits_on_sphere(nr_perm_group, k)) == 1
+    assert sorted(orbits_on_sphere(pn_perm_group, 3)) == [35, 420]
     with pytest.raises(ValueError):
         orbits_on_sphere(pn_perm_group, 16)
 
@@ -676,8 +675,7 @@ def test_orbits_agree_with_brute_closure(case):
     for k in range(m + 1):
         on_sphere = [perm_labels[v] for v in range(1 << m) if v.bit_count() == k]
         sizes = [on_sphere.count(label) for label in sorted(set(on_sphere))]
-        res_k = orbits_on_sphere(PermGroup(m, sigmas), k)
-        assert (res_k.orbit_count, list(res_k.sizes)) == (len(sizes), sizes)
+        assert list(orbits_on_sphere(PermGroup(m, sigmas), k)) == sizes
 
 
 def test_complete_transitivity_memory(nr, nr_generators):
