@@ -57,7 +57,8 @@ def cmd_analyze(args) -> int:
     code = read_code(args.path)
     dd = distance_distribution(code)
     try:
-        res = part = completely_regular_check(code)
+        res = completely_regular_check(code)
+        part = res.partition
     except WorkLimitExceeded:
         res, part = None, distance_partition(code)
     preds = code_predicates(code)

@@ -151,7 +151,9 @@ class Workbench:
 
     @_stage
     def transitivity(self, name: str) -> TransitivityResult:
-        return verify_complete_transitivity(self.code(name), self.generators(name))
+        return verify_complete_transitivity(
+            self.code(name), self.generators(name), self.regularity(name).partition
+        )
 
     @_stage
     def feasibility(self, name: str) -> FeasibilityResult:
@@ -195,11 +197,11 @@ def _antipodal(wb: Workbench, name: str) -> bool:
 
 
 def _rho(wb: Workbench, name: str) -> str:
-    return str(wb.regularity(name).rho)
+    return str(wb.regularity(name).partition.rho)
 
 
 def _cell_sizes(wb: Workbench, name: str) -> list:
-    return fmt(list(wb.regularity(name).cell_sizes))
+    return fmt(list(wb.regularity(name).partition.cell_sizes))
 
 
 def _cr_summary(wb: Workbench, name: str) -> list:
@@ -301,9 +303,9 @@ def _kernel_strict(wb: Workbench) -> bool:
 
 def _mu_image_order(wb: Workbench) -> str:
     """The order of the group of the generators' coordinate permutations:
-    NR's permutation group, its Sims table extended by them."""
+    NR's permutation group's generators, then the rest, in one Sims table."""
     sigmas = [g.sigma for g in wb.generators("nr")]
-    return str(wb.perm_group("nr").extended(sigmas).order())
+    return str(PermGroup(16, [*wb.perm_group("nr").generators, *sigmas]).order())
 
 
 def _subcode_params(wb: Workbench) -> list:

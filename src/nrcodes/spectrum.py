@@ -1,7 +1,8 @@
 """Distance spectra, regularity checks, design counting, and feasibility.
 
-d(v, C) has one routine, `distance_partition`, a sweep of the least vertices
-of the 2^f cosets of the translation kernel K, not of all 2^m vertices.
+d(v, C) is a `DistancePartition` of the 2^f cosets of the translation
+kernel K, not of all 2^m vertices, read off the profiles of the regularity
+check or, past its work limit, swept by `distance_partition`.
 Arithmetic in this module is exact throughout: pair counts and Krawtchouk
 values are Python ints, normalized quantities are `fractions.Fraction`.
 numpy counts pairs, and the complete-regularity check turns those counts
@@ -72,7 +73,7 @@ def macwilliams_transform(dist: DistanceDistribution) -> tuple[Fraction, ...]:
 class DistancePartition(NamedTuple):
     """d(., C) on the cosets of the translation kernel K, with covering
     radius and cells: labels[i] is d(v, C) for the least vertex
-    v = permute_bits(i, free) of each coset."""
+    v = permute_bits(i, free) of each coset, cell_sizes |K| times counts."""
 
     m: int
     kernel: tuple[int, ...]
@@ -92,8 +93,18 @@ class DistancePartition(NamedTuple):
         return d if isinstance(d, np.ndarray) else int(d)
 
 
+def _from_labels(m: int, basis, free, dist: np.ndarray) -> DistancePartition:
+    """The partition whose uint8 labels are `dist`, which it makes read-only."""
+    rho = int(dist.max())
+    # np.bincount would first copy the uint8 array to int64, 8x its size
+    sizes = tuple(int(np.count_nonzero(dist == i)) << len(basis) for i in range(rho + 1))
+    dist.setflags(write=False)
+    return DistancePartition(m, basis, tuple(free), dist, rho, sizes)
+
+
 def distance_partition(code: Code) -> DistancePartition:
-    """Exact d(v, C) for every vertex, by a sweep of the kernel quotient.
+    """Exact d(v, C) by a sweep of the kernel quotient, with no profile:
+    for a code past CR_WORK_LIMIT, and the reference for the check's.
 
     The quotient F_2^m / K is a Cayley graph of m involutive, commuting
     generators: the neighbour of index x along coordinate j is x ^ h_j,
@@ -104,7 +115,7 @@ def distance_partition(code: Code) -> DistancePartition:
     in a (2,)*t view: no index array, and with K = 0 the hypercube sweep.
     """
     m, basis = code.m, code.kernel
-    free = tuple(free_coordinates(basis, m))
+    free = free_coordinates(basis, m)
     dist = np.full(1 << len(free), INF_DIST, dtype=np.uint8)
     dist[unpermute_bits(coset_leaders(code), free)] = 0
     for h in {unpermute_bits(reduce_mod(1 << j, basis), free) for j in range(m)} - {0}:
@@ -114,11 +125,7 @@ def distance_partition(code: Code) -> DistancePartition:
         axes = tuple(t - s for s in range(t) if h >> s & 1)
         np.minimum(low, np.flip(high, axes) + 1, out=low)
         np.minimum(high, np.flip(low, axes) + 1, out=high)
-    rho = int(dist.max())
-    # np.bincount would first copy the uint8 array to int64, 8x its size
-    sizes = tuple(int(np.count_nonzero(dist == i)) << len(basis) for i in range(rho + 1))
-    dist.setflags(write=False)
-    return DistancePartition(m, basis, free, dist, rho, sizes)
+    return _from_labels(m, basis, free, dist)
 
 
 class RegularityWitness(NamedTuple):
@@ -138,13 +145,12 @@ class CompleteRegularityResult(NamedTuple):
     """`rows` is the intersection table when the code is completely
     regular: entry (i, k) is the number of codewords at distance k from
     any vertex of cell i.  Otherwise `witness` holds two vertices of one
-    cell with different profiles."""
+    cell with different profiles.  `partition` is d(., C) either way."""
 
     ok: bool
     rows: tuple[tuple[int, ...], ...] | None
     witness: RegularityWitness | None
-    rho: int
-    cell_sizes: tuple[int, ...]
+    partition: DistancePartition
 
 
 def _transform_width(size: int, m: int, free: int) -> int:
@@ -226,8 +232,8 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     representative of each cell are kept.  The witness is therefore the
     one a scan of every vertex finds: in the least cell with two
     profiles, the least vertex of the cell and the least vertex whose
-    profile differs from it.  The covering radius and the cell sizes (|K|
-    times the representative counts) are returned whatever the verdict.
+    profile differs from it.  The first nonzero entry of a profile is its
+    distance, a label of the distance partition, returned either way.
 
     All arithmetic is exact in int64.  Within CR_WORK_LIMIT,
     2^f1 |C| <= 2^25, and no value in a transform exceeds
@@ -248,13 +254,13 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
     width = _transform_width(code.size, m, len(free))
     first: dict[int, tuple[int, tuple[int, ...]]] = {}
     deviant: dict[int, tuple[int, tuple[int, ...]]] = {}
-    counts = [0] * (m + 1)
+    labels = []
     step = max(1, PAIR_BLOCK // code.size)
     for reps, profiles in _profile_blocks(code.words_u32(), m, free, width, step):
         cells = (profiles != 0).argmax(axis=1)
+        labels.append(cells.astype(np.uint8))
         for c in np.flatnonzero(np.bincount(cells, minlength=m + 1)).tolist():
             idx = np.nonzero(cells == c)[0]
-            counts[c] += len(idx)
             if c not in first:
                 first[c] = (int(reps[idx[0]]), tuple(profiles[idx[0]].tolist()))
             if c not in deviant:
@@ -262,8 +268,7 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
                 if off.any():
                     j = idx[np.argmax(off)]
                     deviant[c] = (int(reps[j]), tuple(profiles[j].tolist()))
-    rho = max(first)
-    cell_sizes = tuple(counts[i] << len(basis) for i in range(rho + 1))
+    partition = _from_labels(m, basis, free, np.concatenate(labels))
     rows = witness = None
     if deviant:
         cell = min(deviant)
@@ -272,9 +277,9 @@ def completely_regular_check(code: Code) -> CompleteRegularityResult:
             cell=cell, vertex_a=va, vertex_b=vb, profile_a=pa, profile_b=pb
         )
     else:
-        rows = tuple(first[i][1] for i in range(rho + 1))
+        rows = tuple(first[i][1] for i in range(partition.rho + 1))
     return CompleteRegularityResult(
-        ok=not deviant, rows=rows, witness=witness, rho=rho, cell_sizes=cell_sizes
+        ok=not deviant, rows=rows, witness=witness, partition=partition
     )
 
 

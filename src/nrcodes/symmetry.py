@@ -38,7 +38,6 @@ a partial answer.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 import os
@@ -57,7 +56,6 @@ from .hamming import (
     unpermute_bits,
     weight_vertices,
 )
-from .spectrum import distance_partition
 
 DEFAULT_BUDGET = 10**8
 _BUDGET_ENV = "NRCODES_BUDGET"
@@ -207,8 +205,8 @@ class PermGroup:
     0..k-1 and sends k to j.  Every element of the group is, in exactly one
     way, a product of one element of each row, so the order is the product
     of the row lengths.  The table is built when the group is made, by
-    Knuth's `add` with one generator at a time, and `extended` continues a
-    copy of it.
+    Knuth's `add` with one generator at a time; `_add` grows it in place
+    to the table a build from all the generators gives.
 
     The table holds each permutation as `bytes` (degree at most 256), so
     it is composed and inverted in C.  A row element is the `degree`
@@ -230,18 +228,19 @@ class PermGroup:
         self._gens: list[list[bytes]] = [[] for _ in range(degree)]
         self._add(generators)
 
-    def extended(self, generators) -> "PermGroup":
-        """The group generated by this group's generators and `generators`.
-
-        Its table continues a copy of this one with the new generators; it
-        is the table that a fresh build from all the generators gives.
-        """
-        group = copy.copy(self)
-        group._reps = [dict(row) for row in self._reps]
-        group._invs = [dict(row) for row in self._invs]
-        group._gens = [list(level) for level in self._gens]
-        group._add(generators)
-        return group
+    def __contains__(self, g) -> bool:
+        """Is g, a permutation's images or their bytes, in the group?  g
+        is sifted: the row-i element that sends i to g[i] is divided off at
+        each point i it moves, until g is the identity or a row lacks it."""
+        if not isinstance(g, bytes):
+            g = bytes(_check_perm(g, self.degree))
+        for i in range(self.degree):
+            if g[i] != i:
+                inv = self._invs[i].get(g[i])
+                if inv is None:
+                    return False
+                g = g.translate(inv)
+        return True
 
     def order(self) -> int:
         return math.prod(map(len, self._reps))
@@ -255,10 +254,10 @@ class PermGroup:
     def _add(self, generators) -> None:
         """Knuth's add(g, 0) for each generator g in turn.
 
-        add(g, k): g joins the generators of level k unless rows k..
-        already hold it; extend(h, k) then enters each product h of a row-k
-        element and a level-k generator in row k, or passes its residue
-        modulo row k on to add(., k + 1).
+        add(g, k): g, which fixes 0..k-1, joins the generators of level k
+        unless the group holds it; extend(h, k) then enters each product h
+        of a row-k element and a level-k generator in row k, or passes its
+        residue modulo row k on to add(., k + 1).
         """
         generators = tuple(_check_perm(g, self.degree) for g in generators)
         self.generators += generators
@@ -266,22 +265,10 @@ class PermGroup:
         n = self.degree
         identity = bytes(range(n))
         rest = bytes(range(n, 256))
-
-        def sifts(g: bytes, k: int) -> bool:
-            # is g, which fixes 0..k-1, a product of elements of rows k..?
-            for i in range(k, n):
-                if g[i] == i:
-                    continue  # row i maps i to the identity
-                inv = invs[i].get(g[i])
-                if inv is None:
-                    return False
-                g = g.translate(inv)
-            return True
-
         todo = [(bytes(g), 0) for g in reversed(generators)]
         while todo:
             g, k = todo.pop()
-            if sifts(g, k):
+            if g in self:
                 continue
             g += rest
             gens[k].append(g)
@@ -382,8 +369,8 @@ def affine_stabilizer(
     permutation automorphism of the code keeps K, so G is the code's
     stabilizer in PAut(K), of order at most the frame bound B.  The code's
     images, unions of K-cosets keyed by their least words, are walked
-    breadth-first; a Schreier generator that grows the order of the one
-    Sims table is kept once `maps_onto` confirms it.  The walk stops when
+    breadth-first; a Schreier generator that the one Sims table does not
+    hold is added to it once `maps_onto` confirms it.  The walk stops when
     order times images reaches B, as then |G| = |PAut(K)| / |orbit| <=
     B / images <= order <= |G|, and raises RuntimeError if the orbit
     closes first.  Each image charges one budget node.  A generator s
@@ -425,12 +412,11 @@ def affine_stabilizer(
             queue.append(moved)
             continue
         g = _perm_mult(_perm_mult(to_key, s), _perm_inv(transversal[moved]))
-        bigger = group.extended([g])
-        if bigger.order() == group.order():
+        if g in group:
             continue
         if not maps_onto(AutElement.permutation(m, g), code, code):
             raise RuntimeError("Schreier generator does not stabilize the code")
-        group = bigger
+        group._add([g])
     if group.order() * len(transversal) != bound:
         raise RuntimeError(f"order times orbit differs from the frame bound {bound}")
     translates = {
@@ -460,12 +446,12 @@ def punctured_perm_group(
     every word even, and dropping bit 0 gives the words of `punctured`, one
     each (ValueError otherwise).  The answer is then the stabilizer of
     coordinate 0 in `group` (module docstring), which rows 1.. of its Sims
-    table hold.  They are read bottom-up: an element of row k is taken
-    only if row k - 1 of the Sims table of those taken so far, which all
+    table hold.  They are read bottom-up into one Sims table: an element
+    of row k is taken only if row k - 1 of that table, whose elements all
     fix 0..k-2 once bit 0 is dropped, does not already send k - 1 to its
     image.  Row k lists the whole orbit of k under the stabilizer of
     0..k-1, so by induction from the bottom the elements taken generate it.
-    Each is checked with `maps_onto`; their order must be the row product.
+    Each is checked with `maps_onto`; their order must be rows 1..'s.
     """
     if (
         extended.m != punctured.m + 1
@@ -477,13 +463,13 @@ def punctured_perm_group(
     for k in reversed(range(1, group.degree)):
         row = group.row(k)
         for j in sorted(row):
-            if j - 1 in out.row(k - 1):
+            if j - 1 in out._reps[k - 1]:
                 continue
             x = drop_coordinate_0(AutElement.permutation(group.degree, row[j]))
             if not maps_onto(x, punctured, punctured):
                 raise RuntimeError("Sims-table element does not stabilize the code")
-            out = out.extended([x.sigma])
-    expected = math.prod(len(group.row(k)) for k in range(1, group.degree))
+            out._add([x.sigma])
+    expected = group.order() // len(group.row(0))
     if out.order() != expected:
         raise RuntimeError(f"punctured order {out.order()} != row product {expected}")
     return out
@@ -583,13 +569,14 @@ class TransitivityResult(NamedTuple):
     witness: tuple[int, int, int] | None  # (cell, vertex_a, vertex_b)
 
 
-def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
+def verify_complete_transitivity(code: Code, gens, partition) -> TransitivityResult:
     """Do the orbits of the generators equal the distance partition?
 
-    Every generator must stabilize the code (checked, error otherwise).
-    On success the certificate lists, per cell, its size in the distance
-    partition and, counted apart, the size of the orbit that matches it;
-    on failure it returns two same-cell vertices in different orbits.
+    `partition` is the code's `DistancePartition`: its cell 0, read off its
+    labels, must be the code, and every generator must stabilize the code
+    (ValueError otherwise).  On success the certificate lists, per cell,
+    its size in the partition and, counted apart, the size of the orbit
+    that matches it; on failure, two same-cell vertices in different orbits.
 
     The check runs on a quotient of F_2^m, not on all 2^m vertices.  Let T
     be the translations that the generators give (_translation_subspace):
@@ -604,29 +591,32 @@ def verify_complete_transitivity(code: Code, gens) -> TransitivityResult:
     cosets; orbit sizes are |T| times their representative counts.  Each
     element of G stabilizes the code and so keeps d(., C): every orbit lies
     in one distance cell, and a cell is one orbit exactly when it holds one
-    orbit minimum, so d(., C) is read for the minima only, off the sweep of
-    the code's kernel quotient (`distance_partition`).  The least
-    vertex of a cell is its orbit's minimum, and the least vertex of the
-    cell outside that orbit is its own orbit's minimum, the cell's next
-    one; so the certificate and the witness are a full vertex scan's.
+    orbit minimum, so d(., C) is read off the partition for the minima only.
+    The least vertex of a cell is its orbit's minimum, and the least vertex
+    of the cell outside that orbit is its own orbit's minimum, the cell's
+    next one; so the certificate and the witness are a full vertex scan's.
     """
+    m = code.m
+    if (partition.m, partition.kernel) != (m, code.kernel) or not np.array_equal(
+        np.flatnonzero(partition.labels == 0),
+        unpermute_bits(coset_leaders(code), partition.free),
+    ):
+        raise ValueError("the distance partition is not the code's")
     for x in gens:
         if not maps_onto(x, code, code):
             raise ValueError("generator does not stabilize the code")
-    m = code.m
     basis = _translation_subspace(gens, m)
     free = free_coordinates(basis, m)
     reps = permute_bits(np.arange(1 << len(free), dtype=np.uint32), free)
     minima, counts = np.unique(_coset_labels(gens, reps, basis), return_counts=True)
-    part = distance_partition(code)
-    dist = part.distance(reps[minima])
+    dist = partition.distance(reps[minima])
     cells = []
-    for i in range(int(dist.max()) + 1):
+    for i in range(partition.rho + 1):
         here = np.flatnonzero(dist == i)
         vertex = int(reps[minima[here[0]]])
         if len(here) > 1:
             witness = (i, vertex, int(reps[minima[here[1]]]))
             return TransitivityResult(ok=False, cells=tuple(cells), witness=witness)
         orbit_size = int(counts[here[0]]) << len(basis)
-        cells.append(CellCertificate(i, part.cell_sizes[i], vertex, orbit_size))
+        cells.append(CellCertificate(i, partition.cell_sizes[i], vertex, orbit_size))
     return TransitivityResult(ok=True, cells=tuple(cells), witness=None)

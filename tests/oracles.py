@@ -187,8 +187,8 @@ def brute_perm_automorphisms(code: Code) -> list[tuple[int, ...]]:
     return out
 
 
-def mulclose_order(gens, n: int) -> int:
-    """Order of the generated permutation group by plain closure.
+def mulclose(gens, n: int) -> set[tuple[int, ...]]:
+    """Every element of the generated permutation group, by plain closure.
 
     The identity is closed under right multiplication by the generators
     alone: in a finite group every inverse is a power, so this reaches
@@ -206,7 +206,12 @@ def mulclose_order(gens, n: int) -> int:
                     seen.add(r)
                     fresh.append(r)
         frontier = fresh
-    return len(seen)
+    return seen
+
+
+def mulclose_order(gens, n: int) -> int:
+    """Order of the generated permutation group by plain closure."""
+    return len(mulclose(gens, n))
 
 
 def _column_masks(words, m: int) -> list[int]:

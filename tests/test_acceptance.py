@@ -109,7 +109,7 @@ def test_criterion_05_complete_regularity(nr, pn, golay, rm):
         res = completely_regular_check(code)
         results[name] = res
         if res.ok:
-            assert tuple(map(sum, res.rows)) == (code.size,) * (res.rho + 1)
+            assert tuple(map(sum, res.rows)) == (code.size,) * (res.partition.rho + 1)
     w = results["rm"].witness
     refuted = False
     if not results["rm"].ok and w is not None:
@@ -234,8 +234,10 @@ def test_criterion_11_sphere_orbits(nr_perm_group, pn_perm_group):
 
 def test_criterion_12_complete_transitivity(nr, pn, nr_generators, pn_generators):
     t0 = time.perf_counter()
-    res_nr = verify_complete_transitivity(nr, nr_generators)
-    res_pn = verify_complete_transitivity(pn, pn_generators)
+    res_nr, res_pn = (
+        verify_complete_transitivity(code, gens, completely_regular_check(code).partition)
+        for code, gens in ((nr, nr_generators), (pn, pn_generators))
+    )
     sizes = [c.cell_size for c in res_nr.cells]
     ok = (
         res_nr.ok
@@ -344,5 +346,7 @@ def test_mutation_detects_corruption(nr, nr_generators):
     with pytest.raises(ValueError, match="not RM"):
         affine_stabilizer(corrupted)
     with pytest.raises(ValueError, match="does not stabilize"):
-        verify_complete_transitivity(corrupted, nr_generators)
+        verify_complete_transitivity(
+            corrupted, nr_generators, distance_partition(corrupted)
+        )
     report(0, "mutation detection (criteria 2, 5, 12)", True, t0)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 
 from nrcodes import cli
 from nrcodes import report as report_module
-from nrcodes import symmetry
+from nrcodes import spectrum, symmetry
 from nrcodes.cli import build_parser, main
 from nrcodes.codes import Code, named_code, puncture, span, write_code
 from nrcodes.report import (
@@ -95,14 +96,16 @@ def test_corrupted_code_fails_claims(nr, monkeypatch):
 # generators on NR, PN's 4 Sims row elements as its group takes them, and
 # each transitivity check its generators (NR 11, PN 10), the only check of
 # the generators and of the one mover each code takes.  Each transitivity
-# check reads its orbit minima's distances off one distance partition;
-# the four codes with a regularity claim are checked once each; only NR's
-# orbit is walked, PN's group is read off its Sims table; the puncture
-# claim checks NR's words and builds no punctured code.
+# check reads its orbit minima's distances off the distance partition that
+# its code's regularity check returned, so the quotient sweep
+# `distance_partition` never runs; the four codes with a regularity claim
+# are checked once each; only NR's orbit is walked, PN's group is read off
+# its Sims table; the puncture claim checks NR's words and builds no
+# punctured code.
 STAGE_CALLS = {
     "_orbit_labels": 7,
     "maps_onto": 43,
-    "distance_partition": 2,
+    "distance_partition": 0,
     "completely_regular_check": 4,
     "affine_stabilizer": 1,
     "puncture": 0,
@@ -110,7 +113,8 @@ STAGE_CALLS = {
 
 
 def count_calls(monkeypatch, names) -> dict[str, int]:
-    """Count the calls of each named function of `report` and `symmetry`."""
+    """Count the calls of each named function of `report`, `spectrum` and
+    `symmetry`."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -120,7 +124,7 @@ def count_calls(monkeypatch, names) -> dict[str, int]:
 
         return wrapper
 
-    for module in (report_module, symmetry):
+    for module in (report_module, spectrum, symmetry):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -591,6 +595,31 @@ def test_cli_import_leaves_dataclasses_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The first component, within the package, of each module that the
+    file imports: `.spectrum`, `nrcodes.spectrum` and `from . import
+    spectrum` all give "spectrum"."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return {n.removeprefix("nrcodes.").split(".")[0] for n in names}
+
+
+def test_symmetry_and_spectrum_import_nothing_from_each_other():
+    # The transitivity check is given the distance partition that the
+    # regularity check computed, and no spectrum routine reads a group.
+    src = Path(symmetry.__file__).parent
+    assert "hamming" in _imported_modules(src / "symmetry.py")
+    assert "spectrum" not in _imported_modules(src / "symmetry.py")
+    assert "symmetry" not in _imported_modules(src / "spectrum.py")
+    assert {"spectrum", "symmetry"} <= _imported_modules(src / "report.py")
 
 
 def test_cli_feasible(capsys):

@@ -152,8 +152,23 @@ def test_completely_regular_positive(nr, pn, golay):
     for code in (nr, pn, golay):
         res = completely_regular_check(code)
         assert res.ok
-        assert tuple(map(sum, res.rows)) == (code.size,) * (res.rho + 1)
-        assert res.rho == distance_partition(code).rho
+        assert tuple(map(sum, res.rows)) == (code.size,) * (res.partition.rho + 1)
+
+
+def _assert_partition_is_the_sweeps(partition, code):
+    """`partition` equals distance_partition(code) in every field."""
+    sweep = distance_partition(code)
+    assert np.array_equal(partition.labels, sweep.labels)
+    assert partition.labels.dtype == np.uint8 and not partition.labels.flags.writeable
+    assert partition._replace(labels=None) == sweep._replace(labels=None)
+
+
+@pytest.mark.parametrize("name", ["golay", "nr", "pn", "rm"])
+def test_regularity_check_gives_the_distance_partition(name, request):
+    # labels, rho, cell sizes, kernel and free coordinates, whatever the
+    # verdict: RM(1,4) is not completely regular
+    code = request.getfixturevalue(name)
+    _assert_partition_is_the_sweeps(completely_regular_check(code).partition, code)
 
 
 def test_nr_intersection_table_first_rows(nr):
@@ -244,8 +259,7 @@ def test_quotient_route_matches_brute_force(code):
         assert (w.cell, w.vertex_a, w.vertex_b) == (bad_cell, *extra)
         assert brute_profile(code, w.vertex_a) == (w.cell, w.profile_a)
         assert brute_profile(code, w.vertex_b) == (w.cell, w.profile_b)
-    partition = distance_partition(code)
-    assert (res.rho, res.cell_sizes) == (partition.rho, partition.cell_sizes)
+    _assert_partition_is_the_sweeps(res.partition, code)
 
     kernel = {
         beta for beta in range(1 << code.m)
@@ -278,11 +292,14 @@ def _assert_partition_matches_brute(code):
 
 
 def test_distance_partition_every_code_up_to_length_3():
-    # every nonempty set of words of length 1, 2 and 3: 3 + 15 + 255 codes
+    # every nonempty set of words of length 1, 2 and 3: 3 + 15 + 255 codes,
+    # each also through the regularity check's partition
     for m in (1, 2, 3):
         for mask in range(1, 1 << (1 << m)):
-            words = [v for v in range(1 << m) if mask >> v & 1]
-            _assert_partition_matches_brute(Code(m, words))
+            code = Code(m, [v for v in range(1 << m) if mask >> v & 1])
+            _assert_partition_matches_brute(code)
+            res = completely_regular_check(code)
+            _assert_partition_is_the_sweeps(res.partition, code)
 
 
 def _free_coordinates(code):
@@ -323,7 +340,7 @@ def test_regularity_of_the_whole_space(m):
     assert _transform_width(code.size, m, 0) == 0
     assert _block_profiles(code, [], 0, 1) == ([0], [brute_profile(code, 0)[1]])
     res = completely_regular_check(code)
-    assert res.ok and res.rho == 0 and res.cell_sizes == (1 << m,)
+    assert res.ok and res.partition.rho == 0 and res.partition.cell_sizes == (1 << m,)
     assert res.rows == (tuple(math.comb(m, k) for k in range(m + 1)),)
 
 
@@ -395,8 +412,8 @@ def test_regularity_guard_raises_before_any_profile(monkeypatch):
 
 def test_golay_regularity_within_guard(golay):
     res = completely_regular_check(golay)
-    assert res.ok and res.rho == 4
-    assert res.cell_sizes == (4096, 98304, 1130496, 8290304, 7254016)
+    assert res.ok and res.partition.rho == 4
+    assert res.partition.cell_sizes == (4096, 98304, 1130496, 8290304, 7254016)
 
 
 def test_distance_partition_memory(golay):
@@ -589,8 +606,9 @@ def test_partition_and_regularity_do_not_depend_on_the_labelling(name, request):
         image = Code(code.m, permute_bits(code.words_u32() ^ beta, sigma))
         image_part, image_res = distance_partition(image), completely_regular_check(image)
         assert (image_part.rho, image_part.cell_sizes) == (part.rho, part.cell_sizes)
-        assert (image_res.ok, image_res.rho, image_res.cell_sizes) == (
-            res.ok, res.rho, res.cell_sizes
+        image_cells, cells = image_res.partition, res.partition
+        assert (image_res.ok, image_cells.rho, image_cells.cell_sizes) == (
+            res.ok, cells.rho, cells.cell_sizes
         )
         if res.ok:
             assert image_res.rows == res.rows

@@ -21,7 +21,11 @@ from nrcodes.codes import (
     translate,
 )
 from nrcodes.hamming import WorkLimitExceeded, from_string, permute_bits, unpermute_bits
-from nrcodes.spectrum import DistancePartition
+from nrcodes.spectrum import (
+    DistancePartition,
+    completely_regular_check,
+    distance_partition,
+)
 from nrcodes.symmetry import (
     AutElement,
     PermGroup,
@@ -41,6 +45,7 @@ from nrcodes.symmetry import (
 from oracles import (
     brute_orbits,
     brute_perm_automorphisms,
+    mulclose,
     mulclose_order,
     plain_movers,
     plain_perm_generators,
@@ -179,14 +184,28 @@ def test_perm_group_rows_hold_their_coset_representatives(case):
 
 
 @settings(DETERMINISTIC, max_examples=50)
+@given(perm_generators(6))
+def test_perm_group_membership_matches_closure(case):
+    # `g in group` for every permutation of 0..n-1, as images and as bytes
+    n, gens = case
+    group, closure = PermGroup(n, gens), mulclose(gens, n)
+    for g in itertools.permutations(range(n)):
+        assert (g in group) == (bytes(g) in group) == (g in closure)
+    assert np.array(gens[0]) in group
+    with pytest.raises(ValueError, match="not a permutation"):
+        _ = tuple(range(n + 1)) in group
+
+
+@settings(DETERMINISTIC, max_examples=50)
 @given(perm_generators(12), st.integers(1, 3))
 def test_extended_perm_group_matches_one_built_at_once(case, split):
-    # The table grown by `extended` is the one a build from all the
+    # A table grown in place by `_add` is the one a build from all the
     # generators gives, row for row.
     n, gens = case
     gens = gens + [tuple(reversed(range(n)))]
     split = min(split, len(gens))
-    grown = PermGroup(n, gens[:split]).extended(gens[split:])
+    grown = PermGroup(n, gens[:split])
+    grown._add(gens[split:])
     at_once = PermGroup(n, gens)
     assert grown.generators == at_once.generators
     assert grown.order() == at_once.order()
@@ -198,25 +217,18 @@ def test_extended_perm_group_matches_one_built_at_once(case, split):
 def test_perm_group_views_are_tuples_of_python_ints(case):
     # The table holds bytes; `generators` and every row element read as
     # tuples of Python ints, on a fresh build (one generator given as a
-    # numpy array) and on an `extended` copy.
+    # numpy array) and once grown in place by `_add`.
     n, gens = case
 
     def int_tuple(p) -> bool:
         return type(p) is tuple and len(p) == n and all(type(i) is int for i in p)
 
     group = PermGroup(n, [np.array(gens[0])])
-    for g in (group, group.extended(gens[1:] + [tuple(reversed(range(n)))])):
-        assert all(int_tuple(p) for p in g.generators)
+    for extra in ([], gens[1:] + [tuple(reversed(range(n)))]):
+        group._add(extra)
+        assert all(int_tuple(p) for p in group.generators)
         for k in range(n):
-            assert all(type(j) is int and int_tuple(p) for j, p in g.row(k).items())
-
-
-def test_extended_perm_group_leaves_the_original(nr_perm_group, nr_generators):
-    before = [dict(nr_perm_group.row(k)) for k in range(16)]
-    mu_image = nr_perm_group.extended(g.sigma for g in nr_generators)
-    assert mu_image.order() == 322560
-    assert nr_perm_group.order() == 40320
-    assert [dict(nr_perm_group.row(k)) for k in range(16)] == before
+            assert all(type(j) is int and int_tuple(p) for j, p in group.row(k).items())
 
 
 def test_perm_group_order_is_transversal_product(nr_perm_group):
@@ -353,7 +365,7 @@ def test_affine_stabilizer_on_images_of_nr(nr, seed):
         + [AutElement.translation(16, b) for b in image.kernel]
         + movers[:1]
     )
-    res = verify_complete_transitivity(image, gens)
+    res = verify_complete_transitivity(image, gens, distance_partition(image))
     assert res.ok
     assert [c.cell_size for c in res.cells] == [256, 4096, 30720, 28672, 1792]
 
@@ -379,14 +391,15 @@ def test_search_node_counts(nr, monkeypatch):
     # Schreier generators and keeps the 5 that grow the order to 40320.
     with pytest.raises(WorkLimitExceeded):
         affine_stabilizer(nr, budget=7)
-    extended = PermGroup.extended
+    contains = PermGroup.__contains__
     tried = []
 
-    def counted(self, gens):
-        tried.append(gens)
-        return extended(self, gens)
+    def counted(self, g):
+        if not isinstance(g, bytes):  # the walk's tests; `_add` sifts bytes
+            tried.append(g)
+        return contains(self, g)
 
-    monkeypatch.setattr(PermGroup, "extended", counted)
+    monkeypatch.setattr(PermGroup, "__contains__", counted)
     group, movers = affine_stabilizer(nr, budget=8)
     assert (len(tried), len(group.generators), group.order()) == (6, 5, 40320)
     # the 12 transvections move NR; the translation keeps it
@@ -433,7 +446,7 @@ def test_punctured_perm_group_checks_what_it_reads(nr, pn, nr_perm_group, monkey
             punctured_perm_group(pn, nr, nr_perm_group)
     with monkeypatch.context() as patch:
         # every Sims table stays trivial, so every row element is taken
-        patch.setattr(PermGroup, "extended", lambda self, gens: self)
+        patch.setattr(PermGroup, "_add", lambda self, gens: None)
         with pytest.raises(RuntimeError, match="row product"):
             punctured_perm_group(pn, nr, nr_perm_group)
 
@@ -490,10 +503,11 @@ def test_assembled_generators_reach_every_kernel_coset(nr, nr_generators):
     # cell 0 is the code; its single orbit is the orbit of the zero word.
     # Without the mover the permutations and translations keep the kernel
     # coset of the zero word, so cell 0 splits.
-    zero_cell = verify_complete_transitivity(nr, nr_generators).cells[0]
+    partition = distance_partition(nr)
+    zero_cell = verify_complete_transitivity(nr, nr_generators, partition).cells[0]
     assert zero_cell.orbit_label == 0
     assert zero_cell.orbit_size == zero_cell.cell_size == nr.size
-    res = verify_complete_transitivity(nr, nr_generators[:-1])
+    res = verify_complete_transitivity(nr, nr_generators[:-1], partition)
     assert not res.ok and res.cells == () and res.witness[:2] == (0, 0)
 
 
@@ -560,7 +574,8 @@ def test_vertex_orbits_no_generators():
     spheres = [orbits_on_sphere(PermGroup(m, []), k) for k in range(m + 1)]
     assert sum(map(len, spheres)) == 64
     assert sum(spheres, ()) == (1,) * 64
-    res = verify_complete_transitivity(Code(m, [0]), [])
+    code = Code(m, [0])
+    res = verify_complete_transitivity(code, [], distance_partition(code))
     assert [c.cell_size for c in res.cells] == [1]
     assert not res.ok and res.witness == (1, 1, 2)
 
@@ -579,8 +594,6 @@ def test_vertex_orbits_of_symmetric_group_are_weight_classes():
 
 
 def test_vertex_orbits_respect_distance_partition(nr, nr_perm_group):
-    from nrcodes.spectrum import distance_partition
-
     gens = [AutElement.permutation(16, g) for g in nr_perm_group.generators]
     labels = np.array(brute_orbits(gens, 16))
     dist = distance_partition(nr).distance(np.arange(1 << 16, dtype=np.uint32))
@@ -665,7 +678,7 @@ def test_orbits_agree_with_brute_closure(case):
             break
         label = labels[cell[0]]
         cells.append((i, len(cell), label, labels.count(label)))
-    res = verify_complete_transitivity(code, gens)
+    res = verify_complete_transitivity(code, gens, distance_partition(code))
     assert res.witness == witness
     assert [(c.cell, c.cell_size, c.orbit_label, c.orbit_size) for c in res.cells] == cells
     assert res.ok == (witness is None and all(c[1] == c[3] for c in cells))
@@ -681,9 +694,10 @@ def test_orbits_agree_with_brute_closure(case):
 def test_complete_transitivity_memory(nr, nr_generators):
     # One 2^16-entry action table per generator peaked at 7.6 MB; tables
     # on the 2048 kernel-coset representatives peak at 1.5 MB.
+    partition = distance_partition(nr)
     tracemalloc.start()
     try:
-        verify_complete_transitivity(nr, nr_generators)
+        verify_complete_transitivity(nr, nr_generators, partition)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -691,14 +705,14 @@ def test_complete_transitivity_memory(nr, nr_generators):
 
 
 def test_complete_transitivity_nr(nr, nr_generators):
-    res = verify_complete_transitivity(nr, nr_generators)
+    res = verify_complete_transitivity(nr, nr_generators, distance_partition(nr))
     assert res.ok
     assert [c.cell_size for c in res.cells] == [256, 4096, 30720, 28672, 1792]
     assert all(c.orbit_size == c.cell_size for c in res.cells)
 
 
 def test_complete_transitivity_pn(pn, pn_generators):
-    res = verify_complete_transitivity(pn, pn_generators)
+    res = verify_complete_transitivity(pn, pn_generators, distance_partition(pn))
     assert res.ok
     assert len(res.cells) == 4
 
@@ -713,7 +727,7 @@ def test_complete_transitivity_on_images_of_pn(pn, pn_generators):
         phi = random_element(rng, 15)
         image = Code(15, permute_bits(pn.words_u32() ^ np.uint32(phi.beta), phi.sigma))
         gens = [phi.inverse() * g * phi for g in pn_generators]
-        res = verify_complete_transitivity(image, gens)
+        res = verify_complete_transitivity(image, gens, distance_partition(image))
         assert res.ok
         assert [c.cell_size for c in res.cells] == [256, 3840, 26880, 1792]
         assert all(c.orbit_size == c.cell_size for c in res.cells)
@@ -726,12 +740,13 @@ def test_complete_transitivity_scans_orbit_minima_only(name, minima, request):
     # labels in cell order, not for every kernel-coset representative
     code = request.getfixturevalue(name)
     gens = request.getfixturevalue(f"{name}_generators")
+    partition = distance_partition(code)
     read = mock.patch.object(
         DistancePartition, "distance", autospec=True,
         side_effect=DistancePartition.distance,
     )
     with read as spy:
-        res = verify_complete_transitivity(code, gens)
+        res = verify_complete_transitivity(code, gens, partition)
     assert res.ok and spy.call_count == 1
     verts = spy.call_args.args[1].tolist()
     assert len(verts) == minima
@@ -748,7 +763,8 @@ def test_complete_transitivity_of_a_code_without_zero():
         AutElement(m, w ^ unpermute_bits(w, s), s)
         for s in itertools.permutations(range(m))
     ]
-    res = verify_complete_transitivity(Code(m, [w]), gens)
+    code = Code(m, [w])
+    res = verify_complete_transitivity(code, gens, distance_partition(code))
     assert res.ok
     assert [(c.cell_size, c.orbit_label, c.orbit_size) for c in res.cells] == [
         (1, 0b011, 1), (3, 0b001, 3), (3, 0b000, 3), (1, 0b100, 1),
@@ -757,13 +773,27 @@ def test_complete_transitivity_of_a_code_without_zero():
 
 def test_complete_transitivity_negative():
     code = Code(2, [0b00, 0b11])
-    res = verify_complete_transitivity(code, [AutElement.translation(2, 0)])
+    res = verify_complete_transitivity(
+        code, [AutElement.translation(2, 0)], distance_partition(code)
+    )
     assert not res.ok
     cell, a, b = res.witness
     assert cell == 0 and {a, b} == {0b00, 0b11}
 
 
+def test_complete_transitivity_rejects_another_codes_partition(nr, pn, nr_generators):
+    # NR + e_1 has NR's kernel, so only cell 0 of its partition, read off
+    # the labels, tells it from NR's; PN's has another length and kernel.
+    shifted = translate(nr, 1)
+    assert shifted.kernel == nr.kernel
+    for other in (shifted, pn):
+        swept, checked = distance_partition(other), completely_regular_check(other)
+        for partition in (swept, checked.partition):
+            with pytest.raises(ValueError, match="partition is not the code's"):
+                verify_complete_transitivity(nr, nr_generators, partition)
+
+
 def test_complete_transitivity_rejects_bad_generator(nr):
     swap = AutElement.translation(16, 1)  # moves the code
     with pytest.raises(ValueError):
-        verify_complete_transitivity(nr, [swap])
+        verify_complete_transitivity(nr, [swap], distance_partition(nr))
