@@ -55,7 +55,6 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     code = read_code(args.path)
-    dd = distance_distribution(code)
     try:
         res = completely_regular_check(code)
         part = res.partition
@@ -67,8 +66,8 @@ def cmd_analyze(args) -> int:
         "size": str(code.size),
         "min_distance": fmt(code.min_distance) if code.min_distance else None,
         "weight_histogram": fmt(list(code.weight_histogram)),
-        "distance_distribution": fmt(list(dd.a)),
-        "macwilliams_transform": fmt(list(macwilliams_transform(dd))),
+        "distance_distribution": fmt(list(distance_distribution(code))),
+        "macwilliams_transform": fmt(list(macwilliams_transform(code))),
         "covering_radius": str(part.rho),
         "cell_sizes": fmt(list(part.cell_sizes)),
         "predicates": {
@@ -138,7 +137,7 @@ def _parse_template(spec: str, m: int, antipodal: bool):
     value ASCII digits (spaces around either side are ignored);
     unspecified entries default to 0 (entry 0 defaults to 1).  Under the
     antipodal tie, an unspecified entry m-i inherits the specification of
-    entry i."""
+    entry i, or entry 0's default."""
     template: list[int | None] = [0] * (m + 1)
     template[0] = 1
     explicit: set[int] = set()
@@ -157,7 +156,7 @@ def _parse_template(spec: str, m: int, antipodal: bool):
         template[idx] = None if val_s == "?" else parse_decimal(val_s, "template value")
         explicit.add(idx)
     if antipodal:
-        for idx in sorted(explicit):
+        for idx in sorted(explicit | {0}):
             mirror = m - idx
             if mirror not in explicit:
                 template[mirror] = template[idx]
@@ -180,11 +179,12 @@ def cmd_feasible(args) -> int:
             for name, group, b in zip(res.names, res.variables, res.bounds)
         ],
         "constraint_rows": [
-            {"k": str(row.k), "row": row.render(res.names)} for row in res.rows
+            {"k": str(k), "row": row.render(res.names)}
+            for k, row in enumerate(res.rows)
         ],
         "solutions": [
-            {name: str(sol[group[0]]) for name, group in zip(res.names, res.variables)}
-            for sol in res.solutions
+            {name: str(d[group[0]]) for name, group in zip(res.names, res.variables)}
+            for d in res.distributions
         ],
         "distributions": [fmt(list(d)) for d in res.distributions],
     }

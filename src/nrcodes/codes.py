@@ -45,9 +45,10 @@ class Code:
     one stores only the words, from any list, tuple, range, generator or
     integer array, as one ascending read-only uint32 array (words_u32);
     `in` and `isin` search it.  The tuple of ints (words), the translation
-    kernel K, the pair distance counts and the weight histogram are read
-    off it on first use and cached; no pair scan runs before.  The pair counts
-    are taken over C/K, (|C|/|K|)*|C| word pairs.
+    kernel K, the coset leaders of K in C, the pair distance counts and the
+    weight histogram are read off it on first use and cached; no pair scan
+    runs before.  The pair counts are taken over C/K, (|C|/|K|)*|C| word
+    pairs.
     """
 
     def __init__(self, m: int, words):
@@ -105,6 +106,14 @@ class Code:
         return kernel_basis(self)
 
     @cached_property
+    def coset_leaders(self) -> np.ndarray:
+        """The least word of each coset of K in C, ascending, as read-only
+        uint32: the words that reduce_mod leaves unchanged."""
+        leaders = self._arr[reduce_mod(self._arr, self.kernel) == self._arr]
+        leaders.flags.writeable = False
+        return leaders
+
+    @cached_property
     def distance_counts(self) -> tuple[int, ...]:
         """Ordered pairs of words at each distance 0..m.
 
@@ -112,7 +121,7 @@ class Code:
         profiles of the coset leaders times |K| count every pair.
         """
         m, arr = self.m, self._arr
-        reps = coset_leaders(self)
+        reps = self.coset_leaders
         counts = np.zeros(m + 1, dtype=np.int64)
         step = max(1, PAIR_BLOCK // self.size)
         for lo in range(0, len(reps), step):
@@ -248,16 +257,6 @@ def free_coordinates(basis, m: int) -> list[int]:
     """
     pivots = {b.bit_length() - 1 for b in basis}
     return [q for q in range(m) if q not in pivots]
-
-
-def coset_leaders(code: Code) -> np.ndarray:
-    """The least word of each coset of the translation kernel K in C.
-
-    These are the words that reduce_mod leaves unchanged.  Returned
-    ascending, as uint32.
-    """
-    arr = code.words_u32()
-    return arr[reduce_mod(arr, code.kernel) == arr]
 
 
 def span(generators, m: int) -> Code:

@@ -189,7 +189,7 @@ def _weight_count(wb: Workbench, name: str, weight: int) -> str:
 
 
 def _distribution(wb: Workbench, name: str) -> list:
-    return fmt(list(distance_distribution(wb.code(name)).a))
+    return fmt(list(distance_distribution(wb.code(name))))
 
 
 def _antipodal(wb: Workbench, name: str) -> bool:
@@ -218,8 +218,7 @@ def _design_summary(wb: Workbench, name: str, weight: int, t: int) -> list:
     res = design_check(Code(code.m, code.weight_class(weight)), t)
     if not res.ok:
         return ["not a design", str(res.witness[0]), str(res.witness[1])]
-    params = design_arithmetic(t, code.m, weight, res.lam)
-    return [str(res.lam), fmt(params.lambdas[0])]
+    return [str(res.lam), fmt(design_arithmetic(t, code.m, weight, res.lam)[0])]
 
 
 def _perm_order(wb: Workbench, name: str) -> str:
@@ -238,7 +237,7 @@ def _ct_summary(wb: Workbench, name: str) -> list:
 
 def _solutions(wb: Workbench, name: str, *unknowns: int) -> list:
     """The given entries of each feasible distance distribution."""
-    return [[str(s[i]) for i in unknowns] for s in wb.feasibility(name).solutions]
+    return [[str(d[i]) for i in unknowns] for d in wb.feasibility(name).distributions]
 
 
 def _constraint_row(wb: Workbench, name: str, k: int) -> str:
@@ -252,14 +251,14 @@ def _lambda_elimination(m: int, delta: int, t: int) -> list:
     bound = lambda_upper_bound(m, t, delta)
     admissible = [
         lam for lam in range(1, int(bound) + 1)
-        if all(design_arithmetic(t, m, delta, lam).integral)
+        if all(x.denominator == 1 for x in design_arithmetic(t, m, delta, lam))
     ]
     return [fmt(bound), fmt(admissible)]
 
 
 def _golay_self_dual(wb: Workbench) -> bool:
-    dd = distance_distribution(wb.code("golay24"))
-    return macwilliams_transform(dd) == tuple(4096 * a for a in dd.a)
+    golay = wb.code("golay24")
+    return macwilliams_transform(golay) == golay.distance_counts  # |C| a_k
 
 
 def _puncture_equivalences(wb: Workbench) -> str:
@@ -547,11 +546,11 @@ def transitivity_certificate(wb: Workbench, which: str) -> dict:
     return {
         "matched_cells": [
             {
-                "cell": str(c.cell),
+                "cell": str(i),
                 "cell_size": str(c.cell_size),
                 "orbit_size": str(c.orbit_size),
             }
-            for c in res.cells
+            for i, c in enumerate(res.cells)
         ],
         "generators": [format_aut_element(g) for g in gens],
     }

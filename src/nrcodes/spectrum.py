@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .codes import PAIR_BLOCK, Code, coset_leaders, free_coordinates, reduce_mod
+from .codes import PAIR_BLOCK, Code, free_coordinates, reduce_mod
 from .hamming import (
     WorkLimitExceeded,
     check_length,
@@ -40,33 +40,21 @@ class FeasibilityError(ValueError):
     """The constraint system does not bound every unknown."""
 
 
-class DistanceDistribution(NamedTuple):
-    """Exact ordered-pair distance counts and their normalized form."""
-
-    m: int
-    size: int
-    pair_counts: tuple[int, ...]
-    a: tuple[Fraction, ...]
+def distance_distribution(code: Code) -> tuple[Fraction, ...]:
+    """The a_i: the code's cached pair counts (Code.distance_counts) over |C|."""
+    return tuple(Fraction(c, code.size) for c in code.distance_counts)
 
 
-def distance_distribution(code: Code) -> DistanceDistribution:
-    """The code's cached pair counts (Code.distance_counts), normalized."""
-    n = code.size
-    pair_counts = code.distance_counts
-    a = tuple(Fraction(c, n) for c in pair_counts)
-    return DistanceDistribution(m=code.m, size=n, pair_counts=pair_counts, a=a)
-
-
-def macwilliams_transform(dist: DistanceDistribution) -> tuple[Fraction, ...]:
-    """Krawtchouk transform of the normalized distance distribution.
+def macwilliams_transform(code: Code) -> tuple[Fraction, ...]:
+    """Krawtchouk transform of the code's normalized distance distribution.
 
     Summed over the integer pair counts and divided by |C| once, which is
     the same rational as the sum over the normalized a_i.
     """
-    kt = krawtchouk_table(dist.m)
+    kt = krawtchouk_table(code.m)
     return tuple(
-        Fraction(sum(c * kt[k][i] for i, c in enumerate(dist.pair_counts)), dist.size)
-        for k in range(dist.m + 1)
+        Fraction(sum(c * kt[k][i] for i, c in enumerate(code.distance_counts)), code.size)
+        for k in range(code.m + 1)
     )
 
 
@@ -117,7 +105,7 @@ def distance_partition(code: Code) -> DistancePartition:
     m, basis = code.m, code.kernel
     free = free_coordinates(basis, m)
     dist = np.full(1 << len(free), INF_DIST, dtype=np.uint8)
-    dist[unpermute_bits(coset_leaders(code), free)] = 0
+    dist[unpermute_bits(code.coset_leaders, free)] = 0
     for h in {unpermute_bits(reduce_mod(1 << j, basis), free) for j in range(m)} - {0}:
         t = h.bit_length() - 1
         cube = dist.reshape((-1, 2) + (2,) * t)
@@ -326,25 +314,18 @@ def design_check(words: Code, t: int) -> DesignCheckResult:
     return DesignCheckResult(ok=True, lam=lam, witness=None)
 
 
-class DesignParams(NamedTuple):
-    """Derived parameters of a t-(m, k, lam) design, exact: lambdas[0] is
-    the number of blocks b."""
-
-    lambdas: tuple[Fraction, ...]  # lambda_i for i = 0..t
-    integral: tuple[bool, ...]
-
-
-def design_arithmetic(t: int, m: int, k: int, lam: int) -> DesignParams:
+def design_arithmetic(t: int, m: int, k: int, lam: int) -> tuple[Fraction, ...]:
+    """Derived parameters of a t-(m, k, lam) design, exact: lambda_i for
+    i = 0..t, lambda_0 the number of blocks b.  The design can exist only
+    if every one is an integer."""
     if not 0 <= t <= k <= m:
         raise ValueError(f"need 0 <= t <= k <= m, got t={t}, k={k}, m={m}")
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
-    lambdas = tuple(
+    return tuple(
         Fraction(lam * math.comb(m - i, t - i), math.comb(k - i, t - i))
         for i in range(t + 1)
     )
-    integral = tuple(x.denominator == 1 for x in lambdas)
-    return DesignParams(lambdas=lambdas, integral=integral)
 
 
 def lambda_upper_bound(m: int, t: int, delta: int) -> Fraction:
@@ -360,7 +341,6 @@ def lambda_upper_bound(m: int, t: int, delta: int) -> Fraction:
 class ConstraintRow(NamedTuple):
     """One transform-nonnegativity row: const + sum(coeff * var) >= 0."""
 
-    k: int
     const: int
     coeffs: tuple[int, ...]
 
@@ -380,11 +360,13 @@ FEASIBILITY_GRID_LIMIT = 1 << 18
 
 
 class FeasibilityResult(NamedTuple):
+    """rows[k] is the row of transform entry k; an unknown's value in a
+    feasible distribution is the entry at any slot of its group."""
+
     variables: tuple[tuple[int, ...], ...]  # slot groups tied to one unknown
     names: tuple[str, ...]
     rows: tuple[ConstraintRow, ...]
     bounds: tuple[tuple[int, int], ...]
-    solutions: tuple[dict[int, int], ...]  # slot -> value, all unknown slots
     distributions: tuple[tuple[int, ...], ...]  # full (m+1)-tuples
 
 
@@ -421,17 +403,15 @@ def feasible_distributions(
     names = tuple(f"a{g[0]}" for g in variables)
 
     kt = krawtchouk_table(m)
-    rows = []
-    for k in range(m + 1):
-        const = sum(v * kt[k][i] for i, v in fixed.items())
-        coeffs = tuple(sum(kt[k][i] for i in g) for g in variables)
-        rows.append(ConstraintRow(k=k, const=const, coeffs=coeffs))
-    rows = tuple(rows)
+    rows = tuple(
+        ConstraintRow(sum(v * kt[k][i] for i, v in fixed.items()),
+                      tuple(sum(kt[k][i] for i in g) for g in variables))
+        for k in range(m + 1)
+    )
 
     bounds = _propagate_bounds(rows, len(variables))
     lo = [b[0] for b in bounds]
     hi = [b[1] for b in bounds]
-    solutions = []
     distributions = []
     if all(l <= h for l, h in zip(lo, hi)):
         ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
@@ -447,15 +427,11 @@ def feasible_distributions(
                 row.const + sum(c * x for c, x in zip(row.coeffs, point)) >= 0
                 for row in rows
             ):
-                assignment = {s: x for g, x in zip(variables, point) for s in g}
-                solutions.append(assignment)
-                distributions.append(
-                    tuple(fixed.get(i, assignment.get(i)) for i in range(m + 1))
-                )
+                entries = fixed | {s: x for g, x in zip(variables, point) for s in g}
+                distributions.append(tuple(entries[i] for i in range(m + 1)))
     return FeasibilityResult(
         variables=variables, names=names, rows=rows,
-        bounds=tuple(zip(lo, hi)),
-        solutions=tuple(solutions), distributions=tuple(distributions),
+        bounds=tuple(zip(lo, hi)), distributions=tuple(distributions),
     )
 
 

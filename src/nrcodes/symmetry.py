@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import Code, coset_leaders, free_coordinates, reduce_mod, span
+from .codes import Code, free_coordinates, reduce_mod, span
 from .hamming import (
     WorkLimitExceeded,
     check_vertex,
@@ -397,7 +397,7 @@ def affine_stabilizer(
         return list(map(tuple, np.sort(moved, axis=1).tolist()))
 
     tracker = _Budget(budget)
-    start = tuple(coset_leaders(code).tolist())
+    start = tuple(code.coset_leaders.tolist())
     tracker.charge()
     transversal = {start: _perm_identity(m)}  # image -> a permutation onto it
     queue = [start]
@@ -557,7 +557,6 @@ def _translation_subspace(gens, m: int) -> list[int]:
 
 
 class CellCertificate(NamedTuple):
-    cell: int
     cell_size: int
     orbit_label: int
     orbit_size: int
@@ -574,9 +573,9 @@ def verify_complete_transitivity(code: Code, gens, partition) -> TransitivityRes
 
     `partition` is the code's `DistancePartition`: its cell 0, read off its
     labels, must be the code, and every generator must stabilize the code
-    (ValueError otherwise).  On success the certificate lists, per cell,
-    its size in the partition and, counted apart, the size of the orbit
-    that matches it; on failure, two same-cell vertices in different orbits.
+    (ValueError otherwise).  On success `cells[i]` certifies cell i: its
+    size in the partition and, counted apart, its orbit's least vertex and
+    size; on failure, two same-cell vertices in different orbits.
 
     The check runs on a quotient of F_2^m, not on all 2^m vertices.  Let T
     be the translations that the generators give (_translation_subspace):
@@ -599,7 +598,7 @@ def verify_complete_transitivity(code: Code, gens, partition) -> TransitivityRes
     m = code.m
     if (partition.m, partition.kernel) != (m, code.kernel) or not np.array_equal(
         np.flatnonzero(partition.labels == 0),
-        unpermute_bits(coset_leaders(code), partition.free),
+        unpermute_bits(code.coset_leaders, partition.free),
     ):
         raise ValueError("the distance partition is not the code's")
     for x in gens:
@@ -618,5 +617,5 @@ def verify_complete_transitivity(code: Code, gens, partition) -> TransitivityRes
             witness = (i, vertex, int(reps[minima[here[1]]]))
             return TransitivityResult(ok=False, cells=tuple(cells), witness=witness)
         orbit_size = int(counts[here[0]]) << len(basis)
-        cells.append(CellCertificate(i, partition.cell_sizes[i], vertex, orbit_size))
+        cells.append(CellCertificate(partition.cell_sizes[i], vertex, orbit_size))
     return TransitivityResult(ok=True, cells=tuple(cells), witness=None)

@@ -680,7 +680,9 @@ def test_orbits_agree_with_brute_closure(case):
         cells.append((i, len(cell), label, labels.count(label)))
     res = verify_complete_transitivity(code, gens, distance_partition(code))
     assert res.witness == witness
-    assert [(c.cell, c.cell_size, c.orbit_label, c.orbit_size) for c in res.cells] == cells
+    assert [
+        (i, c.cell_size, c.orbit_label, c.orbit_size) for i, c in enumerate(res.cells)
+    ] == cells
     assert res.ok == (witness is None and all(c[1] == c[3] for c in cells))
 
     sigmas = [g.sigma for g in gens]
