@@ -14,7 +14,6 @@ from .codes import (
     project,
     read_code,
     reed_muller_subcode,
-    translate,
     write_code,
 )
 from .hamming import krawtchouk

@@ -31,7 +31,6 @@ from .spectrum import (
     feasible_distributions,
     macwilliams_transform,
 )
-from .symmetry import parse_budget
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -99,7 +98,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    wb = Workbench(budget=args.budget)
+    wb = Workbench()
     report = run_verification(args.target, workbench=wb)
     for entry in report.entries:
         label = entry.status.upper().replace("-", " ")
@@ -192,13 +191,6 @@ def cmd_feasible(args) -> int:
     return EXIT_OK
 
 
-def _node_budget(text: str) -> int:
-    try:
-        return parse_budget(text, "node budget")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -222,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in claim manifest")
     p.add_argument("target", choices=["nr", "pn", "all"])
     p.add_argument("--json", help="also write the JSON report to this path")
-    p.add_argument(
-        "--budget", type=_node_budget, default=None,
-        help="node budget of each orbit walk of a code's images under the "
-        "affine group of its kernel, one node per image (default: "
-        "NRCODES_BUDGET or 10^8)",
-    )
 
     p = sub.add_parser("feasible", help="solve a distance-distribution template")
     p.add_argument("-m", required=True, help="code length, in ASCII digits")

@@ -362,12 +362,6 @@ def puncture(code: Code, p: int) -> Code:
     return project(code, [i for i in range(1, code.m + 1) if i != p])
 
 
-def translate(code: Code, beta: int) -> Code:
-    """The coset {w + beta : w in C}, recanonicalized."""
-    check_vertex(beta, code.m)
-    return Code(code.m, code.words_u32() ^ np.uint32(beta))
-
-
 @lru_cache(maxsize=1)
 def nordstrom_robinson() -> Code:
     """The (16,256,6) Nordstrom-Robinson code.

@@ -42,8 +42,7 @@ def check_length(m: int) -> None:
 
 class WorkLimitExceeded(ValueError):
     """A bounded computation would do more work than its limit allows:
-    `estimate` units against `limit` (orbit images, vertex-word pairs or
-    grid points)."""
+    `estimate` units against `limit` (vertex-word pairs or grid points)."""
 
     def __init__(self, message: str, estimate: int, limit: int):
         super().__init__(message)

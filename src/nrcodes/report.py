@@ -111,8 +111,7 @@ class Workbench:
     code itself, shows by being one orbit.
     """
 
-    def __init__(self, budget: int | None = None):
-        self.budget = budget
+    def __init__(self):
         self._built: dict[tuple[str, str], object] = {}
 
     @_stage
@@ -125,7 +124,7 @@ class Workbench:
 
     @_stage
     def affine(self, name: str) -> tuple[PermGroup, list[AutElement]]:
-        return affine_stabilizer(self.code(name), self.budget)
+        return affine_stabilizer(self.code(name))
 
     @_stage
     def perm_group(self, name: str) -> PermGroup:
@@ -506,8 +505,8 @@ def run_verification(
 ) -> VerificationReport:
     """Evaluate every claim for the target and collect exact comparisons.
 
-    Orbit walks run under the budget of `workbench` (default: a new
-    `Workbench()`); symmetry claims on a kernel not RM(1,4): "not computed".
+    Stages are built once in `workbench` (default: a new `Workbench()`);
+    symmetry claims on a kernel not RM(1,4): "not computed".
     """
     if target not in TARGETS:
         raise ValueError(f"unknown verification target {target!r}")

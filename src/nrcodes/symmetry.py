@@ -31,16 +31,15 @@ keeping every parity bit.  So its permutation stabilizer is read off rows
 1.. of the extension's Sims table (`punctured_perm_group`), and its movers
 are the extension's that fix coordinate 0 (`drop_coordinate_0`).
 
-Each orbit walk has a budget (NRCODES_BUDGET or 10^8) of one node per
-image of the code; exceeding it raises `WorkLimitExceeded`, never returns
-a partial answer.
+The orbit walk visits at most the frame bound B of the code's images:
+the kernel RM(1,r) lies on all m = 2^r <= 24 coordinates, so r <= 4 and
+B <= |AGL(4,2)| = 322560.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import types
 from typing import NamedTuple
 
@@ -48,48 +47,16 @@ import numpy as np
 
 from .codes import Code, free_coordinates, reduce_mod, span
 from .hamming import (
-    WorkLimitExceeded,
     check_vertex,
-    parse_decimal,
     permute_bits,
     to_string,
     unpermute_bits,
     weight_vertices,
 )
 
-DEFAULT_BUDGET = 10**8
-_BUDGET_ENV = "NRCODES_BUDGET"
-
 
 class KernelNotAffine(ValueError):
     """The code's translation kernel is not RM(1,r) on all 2^r coordinates."""
-
-
-def parse_budget(text: str, name: str = _BUDGET_ENV) -> int:
-    """A budget written as text; ValueError naming `name` unless it is
-    a non-negative integer in ASCII digits (`parse_decimal`)."""
-    try:
-        return parse_decimal(text, name)
-    except ValueError:
-        raise ValueError(f"{name} must be a non-negative integer, got {text!r}") from None
-
-
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int | None):
-        if limit is None:
-            limit = parse_budget(os.environ.get(_BUDGET_ENV, str(DEFAULT_BUDGET)))
-        elif limit < 0:
-            raise ValueError(f"node budget must be non-negative, got {limit}")
-        self.limit = limit
-        self.used = 0
-
-    def charge(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            msg = f"orbit walk exceeded its node budget of {self.limit}"
-            raise WorkLimitExceeded(msg, self.used, self.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +315,19 @@ def _frame_bound(kernel: Code) -> int:
 
     derived: list[int] = []  # one bit per coordinate
     covered, bound = 0, 1
-    while covered != (1 << m) - 1:
+    for _ in range(m):  # each round derives at least its point p
         p = ~covered & (covered + 1)
         bound *= m - len(derived)
         for q in [p] + [completion(derived[0] | d | p) for d in derived[1:]]:
             if not q & covered:
                 derived.append(q)
                 covered |= q
-    return bound
+        if covered == (1 << m) - 1:
+            return bound
+    raise RuntimeError("the frame derived no new coordinate in some round")
 
 
-def affine_stabilizer(
-    code: Code, budget: int | None = None
-) -> tuple[PermGroup, list[AutElement]]:
+def affine_stabilizer(code: Code) -> tuple[PermGroup, list[AutElement]]:
     """(G, movers): the permutation stabilizer G of a code whose translation
     kernel K is RM(1,r) on all 2^r coordinates, as NR's is RM(1,4), and the
     lifts of the affine generators that move the code.
@@ -373,8 +340,10 @@ def affine_stabilizer(
     hold is added to it once `maps_onto` confirms it.  The walk stops when
     order times images reaches B, as then |G| = |PAut(K)| / |orbit| <=
     B / images <= order <= |G|, and raises RuntimeError if the orbit
-    closes first.  Each image charges one budget node.  A generator s
-    mapping the code onto its translate by a word g lifts to (s^-1(g), s).
+    closes first.  So it visits at most B images, and B <= |AGL(4,2)| =
+    322560: K lies on all m = 2^r <= 24 coordinates, so r <= 4.  A
+    generator s mapping the code onto its translate by a word g lifts to
+    (s^-1(g), s).
     """
     m = code.m
     basis = code.kernel
@@ -396,9 +365,7 @@ def affine_stabilizer(
         moved = np.bitwise_xor.reduce(bits * units[:, None, :], axis=2)
         return list(map(tuple, np.sort(moved, axis=1).tolist()))
 
-    tracker = _Budget(budget)
     start = tuple(code.coset_leaders.tolist())
-    tracker.charge()
     transversal = {start: _perm_identity(m)}  # image -> a permutation onto it
     queue = [start]
     group = PermGroup(m)
@@ -407,7 +374,6 @@ def affine_stabilizer(
             break
         to_key = transversal[key]
         if moved not in transversal:
-            tracker.charge()
             transversal[moved] = _perm_mult(to_key, s)
             queue.append(moved)
             continue

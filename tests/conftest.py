@@ -1,3 +1,7 @@
+import contextlib
+import signal
+import time
+
 import pytest
 
 from nrcodes import (
@@ -12,6 +16,45 @@ from nrcodes.symmetry import (
     drop_coordinate_0,
     punctured_perm_group,
 )
+
+
+# Well above the slowest test (about 4 s), so that only a test that spins
+# reaches it.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(Exception):
+    """A test, its fixtures included, ran past its time limit."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeLimitExceeded in the main thread once `seconds` have
+    passed, by SIGALRM: no thread or process is started.  An outer limit
+    is re-armed on exit with what is left of it."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"ran past its time limit of {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if outer:
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # Around setup, call and teardown: a session fixture is built in the
+    # setup of the first test that uses it, so a hang there fails too.
+    with time_limit(TEST_TIME_LIMIT_S):
+        return (yield)
 
 
 @pytest.fixture(scope="session")

@@ -5,16 +5,16 @@ deliberately avoiding the code paths it is used to check, and importing
 nothing from the package but the Code container: regularity from every
 vertex's distance profile, one vertex's distance profile by a loop over
 the codewords, pair counts, linearity and the translation kernel by a
-double loop over the codewords, the weight histogram, evenness and
-closure under complement by a loop over the codewords, a code file by
-parsing it line by line, coset leaders from a kernel found by trying
-every translation, automorphism groups by iterating all m! permutations, group
-orders by multiplicative closure, permutations between two codes by a
-plain coordinate-by-coordinate backtrack, generators of a code's
-automorphism group by that backtrack with prescribed images, design
-multiplicities by counting the words over every t-subset of the
-coordinates, and vertex orbits by a breadth-first closure over all of
-F_2^m.
+double loop over the codewords, a code's translate word by word, the
+weight histogram, evenness and closure under complement by a loop over
+the codewords, a code file by parsing it line by line, coset leaders
+from a kernel found by trying every translation, automorphism groups by
+iterating all m! permutations, group orders by multiplicative closure,
+permutations between two codes by a plain coordinate-by-coordinate
+backtrack, generators of a code's automorphism group by that backtrack
+with prescribed images, design multiplicities by counting the words over
+every t-subset of the coordinates, and vertex orbits by a breadth-first
+closure over all of F_2^m.
 """
 
 import itertools
@@ -57,6 +57,14 @@ def brute_kernel(code: Code) -> list[int]:
     first word c0 and some word w, so those are tried on every word."""
     c0, words = code.words[0], set(code.words)
     return sorted(w ^ c0 for w in words if all((x ^ w ^ c0) in words for x in words))
+
+
+def translate(code: Code, beta: int) -> Code:
+    """The coset {w + beta : w in C}; ValueError unless beta is a word on
+    the code's m coordinates."""
+    if beta < 0 or beta >> code.m:
+        raise ValueError(f"translation {beta:#x} does not fit in {code.m} coordinates")
+    return Code(code.m, [w ^ beta for w in code.words])
 
 
 def brute_weight_histogram(code: Code) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from nrcodes.codes import Code, code_predicates, puncture, span, translate
+from nrcodes.codes import Code, code_predicates, puncture, span
 from nrcodes.hamming import from_string
 from nrcodes.report import build_manifest
 from nrcodes.spectrum import (
@@ -38,6 +38,7 @@ from oracles import (
     brute_regularity,
     mulclose_order,
     plain_perm_generators,
+    translate,
 )
 
 NR_DIST = (1, 0, 0, 0, 0, 0, 112, 0, 30, 0, 112, 0, 0, 0, 0, 0, 1)

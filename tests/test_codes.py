@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import nrcodes
 import oracles
+from conftest import TimeLimitExceeded, time_limit
 from nrcodes import codes
 from nrcodes.codes import (
     Code,
@@ -31,12 +32,16 @@ from nrcodes.codes import (
     reduce_mod,
     reed_muller_subcode,
     span,
-    translate,
     write_code,
 )
 from nrcodes.hamming import permute_bits
 from nrcodes.spectrum import distance_distribution
-from oracles import brute_coset_leaders, brute_distance_counts, brute_is_linear
+from oracles import (
+    brute_coset_leaders,
+    brute_distance_counts,
+    brute_is_linear,
+    translate,
+)
 
 JSTAR_MASK = (1 << 8) - 1
 # The support patterns {i, 8}, i = 1..7, on coordinates 1..8 (bits 0..7).
@@ -552,9 +557,17 @@ def test_public_surface_is_pinned():
         "feasible_distributions", "golay24", "krawtchouk", "lambda_upper_bound",
         "macwilliams_transform", "nordstrom_robinson", "orbits_on_sphere",
         "project", "puncture", "punctured_nr", "read_code",
-        "reed_muller_subcode", "translate", "verify_complete_transitivity",
+        "reed_muller_subcode", "verify_complete_transitivity",
         "write_code",
     ]
+
+
+def test_a_test_that_spins_fails_at_its_time_limit():
+    # Tier-1 fails a test that hangs instead of waiting for it (conftest).
+    with pytest.raises(TimeLimitExceeded, match="time limit of 0.2 s"):
+        with time_limit(0.2):
+            while True:
+                pass
 
 
 def test_oracles_import_only_code_from_the_package():

@@ -138,18 +138,20 @@ def test_verify_all_builds_each_stage_once(monkeypatch):
     assert calls == STAGE_CALLS
 
 
-def test_verify_all_search_work_pinned(monkeypatch):
+def test_verify_all_search_work_pinned():
     # Per `verify all`, NR's and PN's symmetry takes one orbit walk of NR's
-    # 8 images under AGL(4,2), one budget node each, and no backtrack
-    # search or generator assembly: none of their functions exists any more.
+    # images under AGL(4,2), and no backtrack search, generator assembly
+    # or node budget: none of their names exists any more.  The walk ends
+    # only when order times images equals the frame bound, so the two
+    # numbers below force exactly 322560 / 40320 = 8 images.
     for name in ("_Incidence", "_refine", "_search_permutation",
-                 "enumerate_perm_automorphisms", "assemble_aut_generators"):
+                 "enumerate_perm_automorphisms", "assemble_aut_generators",
+                 "_Budget", "parse_budget", "DEFAULT_BUDGET"):
         assert not hasattr(symmetry, name)
-    charge = symmetry._Budget.charge
-    nodes = []
-    monkeypatch.setattr(symmetry._Budget, "charge", lambda b: nodes.append(charge(b)))
-    run_verification("all")
-    assert len(nodes) == 8
+    wb = Workbench()
+    run_verification("all", workbench=wb)
+    kernel = span(wb.code("nr").kernel, 16)
+    assert (symmetry._frame_bound(kernel), wb.perm_group("nr").order()) == (322560, 40320)
 
 
 def test_a_code_without_its_mover_fails_transitivity(monkeypatch, capsys):
@@ -161,7 +163,7 @@ def test_a_code_without_its_mover_fails_transitivity(monkeypatch, capsys):
     affine_stabilizer = symmetry.affine_stabilizer
     monkeypatch.setattr(
         report_module, "affine_stabilizer",
-        lambda code, budget=None: (affine_stabilizer(code, budget)[0], []),
+        lambda code: (affine_stabilizer(code)[0], []),
     )
     wb = Workbench()
     report = run_verification("all", workbench=wb)
@@ -520,41 +522,10 @@ def test_cli_verify_nr_reports_known_failure(capsys):
     assert re.search(r"FAIL\s+rm\.cr", out.out)
 
 
-def test_cli_verify_budget_exceeded(capsys):
-    code = main(["verify", "pn", "--budget", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and "node budget of 1" in err
-    assert "Traceback" not in err
-
-
-def test_cli_verify_budget_is_per_stage(capsys):
-    # `verify nr` charges one node per image of NR to its one orbit walk,
-    # which finds 8: 8 suffices (only the by-design failure rm.cr
-    # remains), 7 does not.
+def test_cli_verify_has_no_budget_option(capsys):
+    # The orbit walk is bounded by its frame bound; no option caps it.
     code, _, err = _run_cli(["verify", "nr", "--budget", "8"], capsys)
-    assert code == 1 and err.endswith("failing claims: rm.cr\n")
-    code, _, err = _run_cli(["verify", "nr", "--budget", "7"], capsys)
-    assert code == 2 and "node budget of 7" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "-5", ""])
-def test_cli_verify_bad_budget_variable(value, monkeypatch, capsys):
-    monkeypatch.setenv("NRCODES_BUDGET", value)
-    code = main(["verify", "pn"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"error: NRCODES_BUDGET must be a non-negative integer, got {value!r}" in err
-    assert "Traceback" not in err
-
-
-# int() reads each of "1_000", " 7 ", "+3" and "٣" (Arabic-Indic three)
-# as a number; a budget, like a length header, is ASCII digits only.
-@pytest.mark.parametrize("value", ["-1", "abc", "1_000", " 7 ", "+3", "\u0663"])
-def test_cli_verify_bad_budget_option(value, capsys):
-    code, _, err = _run_cli(["verify", "pn", "--budget", value], capsys)
-    assert code == 2
-    assert "argument --budget: node budget must be a non-negative integer" in err
+    assert code == 2 and "unrecognized arguments: --budget 8" in err
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -614,7 +585,10 @@ def test_benchmark_tracer_runs_verify_and_restores_every_name(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert status == 0
-    assert tracer.summary(0.0, 0.0)["nodes_available"]
+    # The tracer counts nodes by hooking `symmetry._Budget.charge`, which
+    # is gone: the orbit walk has no node budget.  A benchmark change that
+    # hooks the node count again must turn this around.
+    assert not tracer.summary(0.0, 0.0)["nodes_available"]
     assert {"cli.main", "symmetry.PermGroup.order"} <= {s[0] for s in tracer.spans}
     assert (cli.main, PermGroup.order) == (main_before, order_before)
 
